@@ -210,7 +210,7 @@ def equivalence_report(space: Space, domain, D, n_steps, tol, lion_start,
     strategies = [StationaryStrategy(), GreedyStrategy(domain)]
     if curve is not None:
         strategies.append(DirectionalStrategy(curve, D))
-    exploratory = space.kind in ("euclidean", "l2box")
+    exploratory = not space.gromov_hyperbolic
     notes = []
     if exploratory:
         notes.append("space is not Gromov hyperbolic; outcomes are exploratory only")

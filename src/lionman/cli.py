@@ -28,16 +28,9 @@ import csv
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import analysis, curves, game, hyperbolicity, spaces
 from .errors import GeometryError, StrategyFaultError, ThresholdNotMetError
-
-
-def _parse_number(text, space):
-    if isinstance(space, spaces.RTreeSpace):
-        return Fraction(text)
-    return float(text)
 
 
 def _parse_point(text, space):
@@ -45,16 +38,6 @@ def _parse_point(text, space):
     if isinstance(data, list):
         data = {"coords": data}
     return spaces.point_from_json({"kind": space.kind, **data})
-
-
-def _default_lion(space):
-    if isinstance(space, spaces.RTreeSpace):
-        return spaces.vertex_point(space.vertices[0])
-    if isinstance(space, spaces.L2BoxSpace):
-        return spaces.Point(space.kind, (0.0,) * space.n)
-    if isinstance(space, spaces.HyperbolicPlane):
-        return spaces.hpoint(0.0, 0.0)
-    return spaces.Point(space.kind, (0.0,) * space.dim)
 
 
 def _make_strategy(args, space, domain, D):
@@ -73,9 +56,9 @@ def _make_strategy(args, space, domain, D):
 
 def cmd_simulate(args):
     space, domain = spaces.load_space_config(args.space)
-    D = _parse_number(args.D, space)
+    D = space.scalar(args.D)
     strategy = _make_strategy(args, space, domain, D)
-    lion = _parse_point(args.lion, space) if args.lion else _default_lion(space)
+    lion = _parse_point(args.lion, space) if args.lion else space.origin()
     if args.man_start:
         man = _parse_point(args.man_start, space)
     elif isinstance(strategy, game.DirectionalStrategy):
@@ -105,8 +88,8 @@ def cmd_simulate(args):
 def cmd_analyze(args):
     space, _ = spaces.load_space_config(args.space)
     tr = game.load_transcript(args.transcript)
-    D = tr.D if args.D is None else _parse_number(args.D, space)
-    k = _parse_number(args.k, space)
+    D = tr.D if args.D is None else space.scalar(args.D)
+    k = space.scalar(args.k)
 
     bs = analysis.beta_angles(space, tr)
     if args.beta_csv:
@@ -219,7 +202,7 @@ def cmd_demo_l2(args):
 
 def cmd_sweep(args):
     space, domain = spaces.load_space_config(args.space)
-    D = _parse_number(args.D, space)
+    D = space.scalar(args.D)
     rows = []
     for i in range(args.runs):
         sampler = spaces.PointSampler(space, scale=args.scale, seed=args.seed + i)

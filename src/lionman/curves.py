@@ -27,15 +27,7 @@ from .errors import (
     UnsupportedSpaceError,
 )
 from . import spaces
-from .spaces import (
-    HyperbolicPlane,
-    L2BoxSpace,
-    Point,
-    RAY_EDGE,
-    RTreeSpace,
-    Segment,
-    Space,
-)
+from .spaces import HyperbolicPlane, L2BoxSpace, Point, RAY_EDGE, RTreeSpace, Segment, Space
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +177,11 @@ class RayApprox:
 
 
 def _merged_params(curve: Curve, grid: int):
+    # the curve's own params supply both ends: float() of a Fraction end can
+    # round outside the sampled range
     lo, hi = float(curve.t_min), float(curve.t_max)
     merged = set(curve.params)
-    merged.update(float(t) for t in np.linspace(lo, hi, max(2, grid)))
+    merged.update(float(t) for t in np.linspace(lo, hi, max(2, grid))[1:-1])
     return sorted(merged)
 
 
@@ -227,19 +221,8 @@ def _first_violation(slack, mask, tol_mat):
     return int(i), int(j)
 
 
-def check_quasi_geodesic(curve: Curve, lam: float, eps: float, grid: int,
-                         k=None, tol=None) -> QGReport:
-    """Grid check of (1/lam)|s-t| - eps <= d(c(s), c(t)) <= lam|s-t| + eps.
-
-    Tested parameters are the curve's own samples merged with ``grid``
-    evenly spaced values; with ``k`` given, only pairs with |s-t| <= k are
-    checked.  Violations are judged against a relative tolerance, default
-    the space's ``rel_tol``.
-    """
-    if lam < 1:
-        raise InvalidInputError("lambda must be >= 1")
-    if eps < 0:
-        raise InvalidInputError("epsilon must be >= 0")
+def _check_grid(curve: Curve, lam, lower_eps, upper_eps, grid: int, k, tol) -> QGReport:
+    """Grid check of |s-t|/lam - lower_eps <= d(c(s), c(t)) <= lam|s-t| + upper_eps."""
     if grid < 2:
         raise InvalidInputError("grid must be >= 2")
     tol = curve.space.rel_tol if tol is None else tol
@@ -250,8 +233,8 @@ def check_quasi_geodesic(curve: Curve, lam: float, eps: float, grid: int,
     scale = np.maximum(1.0, gaps)
     tol_mat = tol * scale
 
-    lower_slack = dmat - (gaps / lam - eps)
-    upper_slack = (lam * gaps + eps) - dmat
+    lower_slack = dmat - (gaps / lam - lower_eps)
+    upper_slack = (lam * gaps + upper_eps) - dmat
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(gaps > 0, dmat / np.where(gaps > 0, gaps, 1.0), np.inf)
@@ -264,14 +247,10 @@ def check_quasi_geodesic(curve: Curve, lam: float, eps: float, grid: int,
     def pair(t):
         return None if t is None else (params[t[0]], params[t[1]])
 
-    passed = True
-    if worst_lower is not None and worst_lower[0] < -tol:
-        passed = False
-    if worst_upper is not None and worst_upper[0] < -tol:
-        passed = False
+    passed = not any(w is not None and w[0] < -tol for w in (worst_lower, worst_upper))
 
     return QGReport(
-        lam=float(lam), eps=float(eps), k=None if k is None else float(k),
+        lam=float(lam), eps=float(lower_eps), k=None if k is None else float(k),
         n_pairs=n_pairs, passed=passed,
         min_ratio=math.inf if worst_ratio is None else float(worst_ratio[0]),
         min_ratio_pair=pair(worst_ratio and worst_ratio[1:]),
@@ -292,37 +271,32 @@ def check_quasi_geodesic(curve: Curve, lam: float, eps: float, grid: int,
     )
 
 
+def check_quasi_geodesic(curve: Curve, lam: float, eps: float, grid: int,
+                         k=None, tol=None) -> QGReport:
+    """Grid check of (1/lam)|s-t| - eps <= d(c(s), c(t)) <= lam|s-t| + eps.
+
+    Tested parameters are the curve's own samples merged with ``grid``
+    evenly spaced values; with ``k`` given, only pairs with |s-t| <= k are
+    checked.  Violations are judged against a relative tolerance, default
+    the space's ``rel_tol``.
+    """
+    if lam < 1:
+        raise InvalidInputError("lambda must be >= 1")
+    if eps < 0:
+        raise InvalidInputError("epsilon must be >= 0")
+    return _check_grid(curve, lam, eps, eps, grid, k, tol)
+
+
 def check_directional_curve(curve: Curve, b: float, grid: int, tol=None) -> DirectionalityReport:
     """Grid check of |s-t| - b <= d(c(s), c(t)) <= |s-t|."""
     if b < 0:
         raise InvalidInputError("b must be >= 0")
-    if grid < 2:
-        raise InvalidInputError("grid must be >= 2")
-    tol = curve.space.rel_tol if tol is None else tol
-    params = _merged_params(curve, grid)
-    points = _curve_eval_many(curve, params)
-    dmat, gaps, mask = _pair_arrays(curve.space, params, points)
-    scale = np.maximum(1.0, gaps)
-
-    lower_slack = dmat - (gaps - b)
-    upper_slack = gaps - dmat
-    worst_lower = _worst_pair(lower_slack / scale, mask)
-    worst_upper = _worst_pair(upper_slack / scale, mask)
-
-    def pair(t):
-        return None if t is None else (params[t[0]], params[t[1]])
-
-    passed = (worst_lower is None or worst_lower[0] >= -tol) and \
-             (worst_upper is None or worst_upper[0] >= -tol)
+    # the (1, b) lower and (1, 0) upper quasi-geodesic bounds
+    rep = _check_grid(curve, 1.0, b, 0.0, grid, None, tol)
     return DirectionalityReport(
-        b=float(b), n_checked=int(mask.sum()), passed=passed,
-        worst_lower_slack=math.inf if worst_lower is None else float(
-            lower_slack[worst_lower[1], worst_lower[2]]),
-        worst_lower_witness=pair(worst_lower and worst_lower[1:]),
-        worst_upper_slack=math.inf if worst_upper is None else float(
-            upper_slack[worst_upper[1], worst_upper[2]]),
-        worst_upper_witness=pair(worst_upper and worst_upper[1:]),
-    )
+        b=float(b), n_checked=rep.n_pairs, passed=rep.passed,
+        worst_lower_slack=rep.worst_lower_slack, worst_lower_witness=rep.worst_lower_pair,
+        worst_upper_slack=-rep.worst_upper_excess, worst_upper_witness=rep.worst_upper_pair)
 
 
 def check_directional_sequence(space: Space, points, b: float, budget: int,
@@ -432,49 +406,29 @@ def _geometric_index_points(curve: Curve, alpha: float, n_cap: int):
     return xs
 
 
-def extract_ray_from_quasi_geodesic(space: Space, curve: Curve, lam: float,
-                                    alpha: float, k_max: int, delta_star: float,
-                                    residual_tol=1e-6, n_cap=60) -> RayApprox:
-    """Extract geodesic-ray points from a quasi-geodesic ray.
+def _ray_from_points(space: Space, points, dists, k_max: int, residual_tol,
+                     missing: str) -> RayApprox:
+    """Ray points at distance k = 1..k_max from x_0 = points[0].
 
-    Sets x_n at geometrically growing parameters alpha^n, takes the point
-    at distance k on each segment [x_0, x_n], and iterates in n until the
-    successive residual drops below ``residual_tol``, the growth cap is
-    hit, or the curve is exhausted.  Works in the Gromov-hyperbolic
-    families (trees and the hyperbolic plane), where the residuals decay
-    geometrically like delta_star * k / alpha^n.
+    For each k, follows the points at distance k on [x_0, x_i] over the x_i
+    with dists[i] = d(x_0, x_i) >= k, until two successive ones agree to
+    ``residual_tol``.
     """
-    if not isinstance(space, (RTreeSpace, HyperbolicPlane)):
-        raise UnsupportedSpaceError(
-            f"ray extraction needs a tree or hyperbolic space, got {space.kind}")
-    if lam < 1:
-        raise InvalidInputError("lambda must be >= 1")
-    beta = 1.0 / lam + lam + alpha * (1.0 / lam - lam)
-    if alpha <= 1 or beta <= 0:
-        raise InvalidAlphaError(
-            f"alpha={alpha} gives beta={beta:.6g}; need alpha > 1 and beta > 0")
-
-    xs = _geometric_index_points(curve, alpha, n_cap)
-    x0 = xs[0]
-    dists = [space.distance(x0, x) for x in xs]
-
+    x0 = points[0]
     ks = list(range(1, int(k_max) + 1))
     stars, residuals, stopped = [], {}, {}
     for k in ks:
-        usable = [i for i in range(1, len(xs)) if dists[i] >= k]
+        usable = [i for i in range(1, len(points)) if dists[i] >= k]
         if not usable:
-            raise InsufficientDataError(f"curve never reaches distance {k} from its base")
-        history = []
-        prev = None
-        star = None
+            raise InsufficientDataError(missing.format(k=k))
+        history, prev, star = [], None, None
         stop = "exhausted"
         for i in usable:
             t = k / dists[i] if isinstance(dists[i], Fraction) else k / float(dists[i])
-            cur = space.geodesic_point(x0, xs[i], t)
+            cur = space.geodesic_point(x0, points[i], t)
             if prev is not None:
                 history.append(float(space.distance(prev, cur)))
-            star = cur
-            prev = cur
+            star, prev = cur, cur
             if history and history[-1] < residual_tol:
                 stop = "converged"
                 break
@@ -494,6 +448,33 @@ def extract_ray_from_quasi_geodesic(space: Space, curve: Curve, lam: float,
                      nesting_residuals=nest)
 
 
+def extract_ray_from_quasi_geodesic(space: Space, curve: Curve, lam: float,
+                                    alpha: float, k_max: int, delta_star: float,
+                                    residual_tol=1e-6, n_cap=60) -> RayApprox:
+    """Extract geodesic-ray points from a quasi-geodesic ray.
+
+    Sets x_n at geometrically growing parameters alpha^n, takes the point
+    at distance k on each segment [x_0, x_n], and iterates in n until the
+    successive residual drops below ``residual_tol``, the growth cap is
+    hit, or the curve is exhausted.  Works in the Gromov-hyperbolic
+    families (trees and the hyperbolic plane), where the residuals decay
+    geometrically like delta_star * k / alpha^n.
+    """
+    if not space.gromov_hyperbolic:
+        raise UnsupportedSpaceError(
+            f"ray extraction needs a tree or hyperbolic space, got {space.kind}")
+    if lam < 1:
+        raise InvalidInputError("lambda must be >= 1")
+    beta = 1.0 / lam + lam + alpha * (1.0 / lam - lam)
+    if alpha <= 1 or beta <= 0:
+        raise InvalidAlphaError(
+            f"alpha={alpha} gives beta={beta:.6g}; need alpha > 1 and beta > 0")
+
+    xs = _geometric_index_points(curve, alpha, n_cap)
+    return _ray_from_points(space, xs, [space.distance(xs[0], x) for x in xs], k_max,
+                            residual_tol, "curve never reaches distance {k} from its base")
+
+
 def extract_ray_from_directional_sequence(space: Space, points, b: float,
                                           k_max: int, residual_tol=1e-6,
                                           angle_pairs=100) -> RayApprox:
@@ -509,35 +490,8 @@ def extract_ray_from_directional_sequence(space: Space, points, b: float,
         raise InvalidInputError("need at least two points")
     x0 = points[0]
     dists = [space.distance(x0, p) for p in points]
-
-    ks = list(range(1, int(k_max) + 1))
-    stars, residuals, stopped = [], {}, {}
-    for k in ks:
-        usable = [i for i in range(1, len(points)) if dists[i] >= k]
-        if not usable:
-            raise InsufficientDataError(f"sequence never reaches distance {k} from x_0")
-        history, prev, star = [], None, None
-        stop = "exhausted"
-        for i in usable:
-            t = k / dists[i] if isinstance(dists[i], Fraction) else k / float(dists[i])
-            cur = space.geodesic_point(x0, points[i], t)
-            if prev is not None:
-                history.append(float(space.distance(prev, cur)))
-            star, prev = cur, cur
-            if history and history[-1] < residual_tol:
-                stop = "converged"
-                break
-        stars.append(star)
-        residuals[k] = history
-        stopped[k] = stop
-
-    dist_resid = [(k, abs(float(space.distance(x0, s)) - k)) for k, s in zip(ks, stars)]
-    nest = []
-    for a in range(len(ks)):
-        for bdx in range(a + 1, len(ks)):
-            kk, ll = ks[a], ks[bdx]
-            ref = space.geodesic_point(x0, stars[bdx], Fraction(kk, ll))
-            nest.append((kk, ll, float(space.distance(stars[a], ref))))
+    ray = _ray_from_points(space, points, dists, k_max, residual_tol,
+                           "sequence never reaches distance {k} from x_0")
 
     pos = [i for i in range(1, len(points)) if dists[i] > 0]
     checks = []
@@ -556,9 +510,8 @@ def extract_ray_from_directional_sequence(space: Space, points, b: float,
             lhs = math.sin(ang / 2.0) ** 2
             rhs = (b / (2.0 * dm)) * (b / (2.0 * dn) + 1.0)
             checks.append((m, n, lhs, rhs))
-    return RayApprox(base=x0, ks=ks, stars=stars, residuals=residuals,
-                     stopped=stopped, distance_residuals=dist_resid,
-                     nesting_residuals=nest, angle_checks=checks)
+    ray.angle_checks = checks
+    return ray
 
 
 # ---------------------------------------------------------------------------
@@ -603,30 +556,6 @@ def l2_example_curve(n_dims=6, base=10.0, samples_per_leg=0) -> Curve:
                                 "samples_per_leg": samples_per_leg}})
 
 
-def _perpendicular_displace(space: Space, a: Point, b: Point, t: float, amp: float) -> Point:
-    """Point near the geodesic [a, b] at parameter t, pushed sideways by amp."""
-    p = space.geodesic_point(a, b, t)
-    if amp == 0.0:
-        return p
-    if isinstance(space, HyperbolicPlane):
-        direction = space.tangent_direction(p, b)
-        return space.point_toward(p, direction * 1j, amp)
-    if isinstance(space, RTreeSpace):
-        return p  # no transverse directions inside a tree path
-    u = np.asarray(b.coords, dtype=float) - np.asarray(a.coords, dtype=float)
-    u = u / np.linalg.norm(u)
-    if len(u) == 1:
-        return p
-    probe = np.zeros_like(u)
-    probe[int(np.argmin(np.abs(u)))] = 1.0
-    w = probe - np.dot(probe, u) * u
-    w = w / np.linalg.norm(w)
-    cs = np.asarray(p.coords, dtype=float) + amp * w
-    if isinstance(space, L2BoxSpace):
-        cs = np.clip(cs, 0.0, np.asarray(space.bounds))
-    return Point(space.kind, tuple(float(c) for c in cs))
-
-
 def zigzag_quasi_geodesic(space: Space, a: Point, b: Point, lam: float,
                           segments=8, rng=None, max_tries=6, away_from=None) -> Curve:
     """Seeded zigzag joining a and b within the (lambda, 0) bounds.
@@ -662,10 +591,10 @@ def zigzag_quasi_geodesic(space: Space, a: Point, b: Point, lam: float,
                 continue
             if away_from is None:
                 s = signs if i % 2 == 0 else -signs
-                pts.append(_perpendicular_displace(space, a, b, float(t), amp * mags[i] * s))
+                pts.append(space.displace(a, b, float(t), amp * mags[i] * s))
             else:
-                plus = _perpendicular_displace(space, a, b, float(t), amp * mags[i])
-                minus = _perpendicular_displace(space, a, b, float(t), -amp * mags[i])
+                plus = space.displace(a, b, float(t), amp * mags[i])
+                minus = space.displace(a, b, float(t), -amp * mags[i])
                 far = plus if space.distance(plus, away_from) >= space.distance(minus, away_from) else minus
                 pts.append(far)
         params = _chord_params(space, pts)

@@ -21,14 +21,7 @@ import numpy as np
 from .curves import Curve
 from .errors import InvalidInputError, StrategyFaultError
 from . import spaces
-from .spaces import (
-    HyperbolicPlane,
-    Point,
-    RAY_EDGE,
-    RTreeSpace,
-    Space,
-    domain_contains,
-)
+from .spaces import Point, Space, domain_contains
 
 
 def _num_to_json(x):
@@ -117,8 +110,6 @@ def lion_step(space: Space, lion: Point, man: Point, D) -> Point:
     if not D > 0:
         raise InvalidInputError("step size D must be positive")
     gap = space.distance(lion, man)
-    if gap == 0:
-        return man
     if gap <= D:
         return man
     return space.geodesic_point(lion, man, D / gap)
@@ -255,11 +246,11 @@ class DirectionalStrategy:
 class GreedyStrategy:
     """Man steps distance D maximizing the new gap over spread candidates.
 
-    Candidate moves are space-aware: evenly spread directions in the flat
-    families, evenly spread chart directions in the disk, and walks toward
-    every vertex (plus outward along the ray edge) in a tree.  Ties break
-    on candidate index; with no candidate inside the domain the man stays
-    put and the record is flagged.
+    Candidate moves come from the space (``Space.move_candidates``): evenly
+    spread directions in the flat families, evenly spread chart directions
+    in the disk, and walks toward every vertex (plus outward along the ray
+    edge) in a tree.  Ties break on candidate index; with no candidate
+    inside the domain the man stays put.
     """
 
     name = "greedy"
@@ -270,43 +261,10 @@ class GreedyStrategy:
         self.domain = domain
         self.directions = directions
 
-    def _candidates(self, space, man, D):
-        if isinstance(space, HyperbolicPlane):
-            out = []
-            for i in range(self.directions):
-                theta = 2.0 * math.pi * i / self.directions
-                out.append(space.point_toward(man, complex(math.cos(theta), math.sin(theta)),
-                                              float(D)))
-            return out
-        if isinstance(space, RTreeSpace):
-            targets = [spaces.vertex_point(v) for v in space.vertices]
-            if space.ray_at is not None:
-                base = man.offset if man.edge == RAY_EDGE else Fraction(0)
-                targets.append(Point("rtree", edge=RAY_EDGE, offset=base + 2 * D))
-            out = []
-            for tgt in targets:
-                gap = space.distance(man, tgt)
-                if gap == 0:
-                    continue
-                t = D / gap if D < gap else 1
-                out.append(space.geodesic_point(man, tgt, t))
-            return out
-        dim = space.dim
-        if dim == 2:
-            dirs = [np.array([math.cos(2 * math.pi * i / self.directions),
-                              math.sin(2 * math.pi * i / self.directions)])
-                    for i in range(self.directions)]
-        else:
-            rng = np.random.default_rng(20_000 + dim)  # fixed candidate basis
-            raw = rng.normal(size=(self.directions, dim))
-            dirs = [v / np.linalg.norm(v) for v in raw]
-        base = np.asarray(man.coords, dtype=float)
-        return [Point(space.kind, tuple(base + float(D) * v)) for v in dirs]
-
     def propose(self, space, n, lion, man, D):
         best = None
         best_gap = None
-        for cand in self._candidates(space, man, D):
+        for cand in space.move_candidates(man, D, self.directions):
             if not domain_contains(space, self.domain, cand):
                 continue
             gap = space.distance(cand, lion)
@@ -326,24 +284,8 @@ class RandomStrategy:
 
     def propose(self, space, n, lion, man, D):
         for _ in range(8):
-            if isinstance(space, RTreeSpace):
-                v = space.vertices[int(self.rng.integers(0, len(space.vertices)))]
-                tgt = spaces.vertex_point(v)
-                gap = space.distance(man, tgt)
-                if gap == 0:
-                    continue
-                step = D * Fraction(int(self.rng.integers(0, 17)), 16)
-                cand = space.geodesic_point(man, tgt, min(step / gap, Fraction(1)))
-            elif isinstance(space, HyperbolicPlane):
-                theta = self.rng.uniform(0.0, 2.0 * math.pi)
-                cand = space.point_toward(man, complex(math.cos(theta), math.sin(theta)),
-                                          float(D) * self.rng.uniform())
-            else:
-                u = self.rng.normal(size=space.dim)
-                u = u / np.linalg.norm(u)
-                cand = Point(space.kind, tuple(np.asarray(man.coords) +
-                                               float(D) * self.rng.uniform() * u))
-            if domain_contains(space, self.domain, cand):
+            cand = space.random_move(self.rng, man, D)
+            if cand is not None and domain_contains(space, self.domain, cand):
                 return cand
         return man
 

@@ -17,15 +17,7 @@ import numpy as np
 
 from .curves import zigzag_quasi_geodesic
 from .errors import DegenerateInputError, InvalidInputError
-from .spaces import (
-    EuclideanSpace,
-    HyperbolicPlane,
-    Point,
-    PointSampler,
-    RTreeSpace,
-    Segment,
-    Space,
-)
+from .spaces import Point, PointSampler, Segment, Space
 
 
 def gromov_product(space: Space, x: Point, y: Point, z: Point):
@@ -108,31 +100,19 @@ def alexandrov_angle(space: Space, apex: Point, y: Point, z: Point) -> float:
     """Upper angle between the geodesics from the apex toward y and z.
 
     Comparison angles shrink monotonically with scale in nonpositive
-    curvature, so the limit exists; each family admits a closed form:
-    vector angles in the flat families, chart tangent angles in the disk,
-    and 0 or pi in a tree depending on whether the two segments share an
-    initial subsegment.
+    curvature, so the limit exists; each family gives it in closed form
+    (``Space.angle``): vector angles in the flat families, chart tangent
+    angles in the disk, and 0 or pi in a tree depending on whether the two
+    segments share an initial subsegment.
     """
     if space.distance(apex, y) == 0 or space.distance(apex, z) == 0:
         raise DegenerateInputError("angle undefined when the apex equals an endpoint")
-    if isinstance(space, HyperbolicPlane):
-        wy = space.tangent_direction(apex, y)
-        wz = space.tangent_direction(apex, z)
-        cosv = wy.real * wz.real + wy.imag * wz.imag
-        return math.acos(min(1.0, max(-1.0, cosv)))
-    if isinstance(space, RTreeSpace):
-        return 0.0 if gromov_product(space, apex, y, z) > 0 else math.pi
-    if isinstance(space, EuclideanSpace):  # includes the box space
-        u = np.asarray(y.coords) - np.asarray(apex.coords)
-        v = np.asarray(z.coords) - np.asarray(apex.coords)
-        cosv = float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
-        return math.acos(min(1.0, max(-1.0, cosv)))
-    return alexandrov_angle_by_halving(space, apex, y, z)
+    return space.angle(apex, y, z)
 
 
 def alexandrov_angle_by_halving(space: Space, apex: Point, y: Point, z: Point,
                                 tol=1e-6, max_halvings=40) -> float:
-    """Generic fallback: comparison angles at scales h, h/2, h/4, ...
+    """Comparison angles at scales h, h/2, h/4, ...
 
     Stops once successive values differ by less than ``tol``; usable in any
     family as a cross-check of the closed forms.
@@ -166,13 +146,9 @@ class SlimnessReport:
     grid: int
 
 
-def _chain_segments(chain):
-    return list(zip(chain, chain[1:]))
-
-
 def _dist_to_chain(space: Space, p: Point, chain) -> float:
     best = None
-    for a, b in _chain_segments(chain):
+    for a, b in zip(chain, chain[1:]):
         _, d = space.project_to_segment(p, Segment(a, b))
         if best is None or d < best:
             best = d

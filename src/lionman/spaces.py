@@ -1,12 +1,13 @@
-"""Concrete geodesic metric spaces behind one uniform interface.
+"""Concrete geodesic metric spaces behind one `Space` protocol.
 
 Four families are implemented: Euclidean n-space, the Poincare-disk model
 of the hyperbolic plane, metric trees (with an optional half-infinite ray
 edge), and an axis-aligned box in l2 whose side lengths grow geometrically.
-Each space exposes distance, geodesic interpolation, nearest-point
-projection onto a geodesic segment, membership tests, and seeded point
-sampling, so triangle diagnostics, curve checks, and the pursuit game can
-stay space-agnostic.
+Everything that differs between families -- the metric, angles, sideways
+displacement, the man's moves, the default origin and the config round
+trip -- lives on the family's class (see `Space`), so triangle
+diagnostics, curve checks, the pursuit game and the CLI never ask which
+family they hold.
 
 All operations are pure functions of immutable values.  Tree arithmetic is
 exact whenever edge lengths and offsets are `fractions.Fraction`; the other
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     ConfigError,
@@ -124,10 +124,17 @@ def point_from_json(data: dict) -> Point:
 
 
 class Space:
-    """Common surface of every space family."""
+    """Common surface of every space family.
+
+    A family sets ``kind``, ``rel_tol``, ``gromov_hyperbolic`` (ray
+    extraction applies) and ``scalar`` (what step sizes parse to), and
+    implements every method here that raises NotImplementedError.
+    """
 
     kind = "abstract"
     rel_tol = 1e-9
+    gromov_hyperbolic = False
+    scalar = float
 
     # -- membership ---------------------------------------------------------
 
@@ -192,6 +199,34 @@ class Space:
     def random_point(self, rng: np.random.Generator, scale=1.0) -> Point:
         raise NotImplementedError
 
+    # -- family behaviour ---------------------------------------------------
+
+    def angle(self, apex: Point, y: Point, z: Point) -> float:
+        """Alexandrov angle at the apex, in closed form; sides nondegenerate."""
+        raise NotImplementedError
+
+    def displace(self, a: Point, b: Point, t, amp) -> Point:
+        """Point of [a, b] at parameter t, pushed sideways by amp where possible."""
+        raise NotImplementedError
+
+    def move_candidates(self, man: Point, D, directions: int) -> list:
+        """The greedy man's member points within D, in a fixed order."""
+        raise NotImplementedError
+
+    def random_move(self, rng: np.random.Generator, man: Point, D) -> Point | None:
+        """One seeded member point within D of the man, or None to draw again."""
+        raise NotImplementedError
+
+    def origin(self) -> Point:
+        raise NotImplementedError
+
+    def to_config(self) -> dict:
+        raise NotImplementedError
+
+    @classmethod
+    def from_config(cls, data: dict) -> Space:
+        return cls()
+
 
 class EuclideanSpace(Space):
     """Flat n-space with the l2 metric."""
@@ -235,6 +270,52 @@ class EuclideanSpace(Space):
     def random_point(self, rng, scale=1.0):
         return Point(self.kind, tuple(float(c) for c in rng.normal(0.0, scale, self.dim)))
 
+    def angle(self, apex, y, z):
+        u = np.asarray(y.coords) - np.asarray(apex.coords)
+        v = np.asarray(z.coords) - np.asarray(apex.coords)
+        cosv = float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
+        return math.acos(min(1.0, max(-1.0, cosv)))
+
+    def displace(self, a, b, t, amp):
+        p = self.geodesic_point(a, b, t)
+        if amp == 0.0 or self.dim == 1:
+            return p
+        u = np.asarray(b.coords, dtype=float) - np.asarray(a.coords, dtype=float)
+        u = u / np.linalg.norm(u)
+        probe = np.zeros_like(u)
+        probe[int(np.argmin(np.abs(u)))] = 1.0
+        w = probe - np.dot(probe, u) * u
+        w = w / np.linalg.norm(w)
+        cs = np.asarray(p.coords, dtype=float) + amp * w
+        return Point(self.kind, tuple(float(c) for c in cs))
+
+    def move_candidates(self, man, D, directions):
+        # evenly spread directions in the plane, a fixed seeded basis otherwise
+        if self.dim == 2:
+            dirs = [np.array([math.cos(2 * math.pi * i / directions),
+                              math.sin(2 * math.pi * i / directions)])
+                    for i in range(directions)]
+        else:
+            raw = np.random.default_rng(20_000 + self.dim).normal(size=(directions, self.dim))
+            dirs = [v / np.linalg.norm(v) for v in raw]
+        base = np.asarray(man.coords, dtype=float)
+        return [Point(self.kind, tuple(base + float(D) * v)) for v in dirs]
+
+    def random_move(self, rng, man, D):
+        u = rng.normal(size=self.dim)
+        u = u / np.linalg.norm(u)
+        return Point(self.kind, tuple(np.asarray(man.coords) + float(D) * rng.uniform() * u))
+
+    def origin(self):
+        return Point(self.kind, (0.0,) * self.dim)
+
+    def to_config(self):
+        return {"kind": "euclidean", "dim": self.dim}
+
+    @classmethod
+    def from_config(cls, data):
+        return cls(dim=int(data.get("dim", 2)))
+
 
 class L2BoxSpace(EuclideanSpace):
     """Axis-aligned box {x : 0 <= x_i <= base**(i+1)} with the l2 metric.
@@ -268,6 +349,28 @@ class L2BoxSpace(EuclideanSpace):
         cs = rng.uniform(0.0, 1.0, self.n) * np.asarray(self.bounds) * min(1.0, scale)
         return Point(self.kind, tuple(float(c) for c in cs))
 
+    # the flat moves, restricted to the box; a sideways push is clipped back in
+
+    def displace(self, a, b, t, amp):
+        p = super().displace(a, b, t, amp)
+        if self.contains_point(p):
+            return p
+        return Point(self.kind, tuple(float(c) for c in np.clip(p.coords, 0.0, self.bounds)))
+
+    def move_candidates(self, man, D, directions):
+        return [p for p in super().move_candidates(man, D, directions) if self.contains_point(p)]
+
+    def random_move(self, rng, man, D):
+        p = super().random_move(rng, man, D)
+        return p if self.contains_point(p) else None
+
+    def to_config(self):
+        return {"kind": "l2box", "n": self.n, "base": self.base}
+
+    @classmethod
+    def from_config(cls, data):
+        return cls(n=int(data.get("n", 6)), base=float(data.get("base", 10.0)))
+
 
 class HyperbolicPlane(Space):
     """Poincare disk: the open unit disk with curvature -1.
@@ -279,6 +382,7 @@ class HyperbolicPlane(Space):
 
     kind = "hyperbolic"
     rel_tol = 1e-7
+    gromov_hyperbolic = True
     dim = 2
 
     def __repr__(self):
@@ -336,15 +440,17 @@ class HyperbolicPlane(Space):
         return self._pt(self._from_origin(self._c(x), z))
 
     def _project(self, p, seg):
-        f = lambda t: self._dist(p, self._interpolate(seg.a, seg.b, t))
-        res = minimize_scalar(f, bounds=(0.0, 1.0), method="bounded",
-                              options={"xatol": 1e-12})
-        best_t, best_d = 0.0, self._dist(p, seg.a)
-        for t, d in ((1.0, self._dist(p, seg.b)), (float(res.x), float(res.fun))):
-            if d < best_d:
-                best_t, best_d = t, d
-        q = self.geodesic_point(seg.a, seg.b, best_t)
-        return q, best_d
+        # Recentre at a and turn b onto the positive real axis.  In the Klein
+        # model the perpendiculars to that diameter are vertical chords, so the
+        # foot of p's chart point w sits at Klein abscissa Re 2w/(1 + |w|^2),
+        # i.e. at distance atanh of it = log(|1 + w| / |1 - w|) from a, which
+        # is then clamped to the segment.
+        a = self._c(seg.a)
+        u = self._to_origin(a, self._c(seg.b))
+        w = self._to_origin(a, self._c(p)) * (u.conjugate() / abs(u))
+        s = math.log(abs(1.0 + w) / abs(1.0 - w))
+        q = self.geodesic_point(seg.a, seg.b, min(1.0, max(0.0, s / self._dist(seg.a, seg.b))))
+        return q, self._dist(p, q)
 
     def pairwise_distances(self, points):
         arr = np.asarray([p.coords for p in points], dtype=float)
@@ -361,6 +467,33 @@ class HyperbolicPlane(Space):
         r = math.tanh(0.5 * s)
         return Point(self.kind, (r * math.cos(theta), r * math.sin(theta)))
 
+    def angle(self, apex, y, z):
+        wy = self.tangent_direction(apex, y)
+        wz = self.tangent_direction(apex, z)
+        return math.acos(min(1.0, max(-1.0, wy.real * wz.real + wy.imag * wz.imag)))
+
+    def displace(self, a, b, t, amp):
+        p = self.geodesic_point(a, b, t)
+        if amp == 0.0:
+            return p
+        return self.point_toward(p, self.tangent_direction(p, b) * 1j, amp)
+
+    def move_candidates(self, man, D, directions):
+        # evenly spread chart directions
+        thetas = (2.0 * math.pi * i / directions for i in range(directions))
+        return [self.point_toward(man, complex(math.cos(th), math.sin(th)), float(D))
+                for th in thetas]
+
+    def random_move(self, rng, man, D):
+        th = rng.uniform(0.0, 2.0 * math.pi)
+        return self.point_toward(man, complex(math.cos(th), math.sin(th)), float(D) * rng.uniform())
+
+    def origin(self):
+        return Point(self.kind, (0.0, 0.0))
+
+    def to_config(self):
+        return {"kind": "hyperbolic"}
+
 
 class RTreeSpace(Space):
     """Metric tree: vertices joined by edges of positive length.
@@ -373,6 +506,8 @@ class RTreeSpace(Space):
     """
 
     kind = "rtree"
+    gromov_hyperbolic = True
+    scalar = Fraction
 
     def __init__(self, vertices, edges, ray_at=None):
         self.vertices = list(vertices)
@@ -652,6 +787,55 @@ class RTreeSpace(Space):
         """Largest distance between finite-tree points (ray edge excluded)."""
         return max(max(row.values()) for row in self._vdist.values())
 
+    def angle(self, apex, y, z):
+        # the segments toward y and z share an initial piece exactly when the
+        # Gromov product (y|z)_apex is positive; otherwise they branch apart
+        shared = (self.distance(apex, y) + self.distance(apex, z) - self.distance(y, z)) / 2
+        return 0.0 if shared > 0 else math.pi
+
+    def displace(self, a, b, t, amp):
+        return self.geodesic_point(a, b, t)  # no transverse directions in a tree
+
+    def move_candidates(self, man, D, directions):
+        # walks toward every vertex, plus outward along the ray edge
+        targets = [vertex_point(v) for v in self.vertices]
+        if self.ray_at is not None:
+            base = man.offset if man.edge == RAY_EDGE else Fraction(0)
+            targets.append(Point(self.kind, edge=RAY_EDGE, offset=base + 2 * D))
+        gaps = [(tgt, self.distance(man, tgt)) for tgt in targets]
+        return [self.geodesic_point(man, tgt, D / gap if D < gap else 1)
+                for tgt, gap in gaps if gap != 0]
+
+    def random_move(self, rng, man, D):
+        tgt = vertex_point(self.vertices[int(rng.integers(0, len(self.vertices)))])
+        gap = self.distance(man, tgt)
+        if gap == 0:
+            return None
+        step = D * Fraction(int(rng.integers(0, 17)), 16)
+        return self.geodesic_point(man, tgt, min(step / gap, Fraction(1)))
+
+    def origin(self):
+        return vertex_point(self.vertices[0])
+
+    def to_config(self):
+        cfg = {
+            "kind": "rtree",
+            "vertices": list(self.vertices),
+            "edges": [[u, v, str(length)] for u, v, length in self.edges],
+        }
+        if self.ray_at is not None:
+            cfg["ray_at"] = self.ray_at
+        return cfg
+
+    @classmethod
+    def from_config(cls, data):
+        try:
+            vertices = data["vertices"]
+            edges = [(u, v, Fraction(str(length))) for u, v, length in data["edges"]]
+        except (KeyError, ValueError, TypeError) as exc:
+            raise ConfigError(f"rtree config: {exc}") from None
+        return cls(vertices, edges, ray_at=data.get("ray_at"))
+
 
 # ---------------------------------------------------------------------------
 # convex domains
@@ -663,6 +847,12 @@ class WholeSpace:
 
     kind = "whole"
 
+    def contains(self, space: Space, p: Point) -> bool:
+        return space.contains_point(p)
+
+    def to_config(self) -> dict:
+        return {"kind": "whole"}
+
 
 @dataclass(frozen=True)
 class Ball:
@@ -671,6 +861,14 @@ class Ball:
     center: Point
     radius: float
     kind = "ball"
+
+    def contains(self, space: Space, p: Point) -> bool:
+        return space.contains_point(p) and space.distance(self.center, p) <= self.radius
+
+    def to_config(self) -> dict:
+        center = point_to_json(self.center)
+        center.pop("kind")
+        return {"kind": "ball", "center": center, "radius": self.radius}
 
 
 @dataclass(frozen=True)
@@ -685,6 +883,23 @@ class SubtreeDomain:
         object.__setattr__(self, "vertices", frozenset(vertices))
         object.__setattr__(self, "include_ray", include_ray)
 
+    def contains(self, space: Space, p: Point) -> bool:
+        if not isinstance(space, RTreeSpace):
+            raise SpaceMismatchError("subtree domain requires a tree space")
+        if not space.contains_point(p):
+            return False
+        c = space._canon(p)
+        if c[0] == "V":
+            return c[1] in self.vertices
+        if c[1] == RAY_EDGE:
+            return self.include_ray and space.ray_at in self.vertices
+        u, v, _ = space.edges[c[1]]
+        return u in self.vertices and v in self.vertices
+
+    def to_config(self) -> dict:
+        return {"kind": "subtree", "vertices": sorted(self.vertices, key=str),
+                "include_ray": self.include_ray}
+
 
 def domain_contains(space: Space, domain, p: Point) -> bool:
     """Exact membership predicate of a convex domain.
@@ -695,26 +910,9 @@ def domain_contains(space: Space, domain, p: Point) -> bool:
     """
     if not isinstance(p, Point) or p.kind != space.kind:
         raise SpaceMismatchError(f"domain test: expected a {space.kind} point")
-    if isinstance(domain, WholeSpace):
-        return space.contains_point(p)
-    if isinstance(domain, Ball):
-        if not space.contains_point(p):
-            return False
-        return space.distance(domain.center, p) <= domain.radius
-    if isinstance(domain, SubtreeDomain):
-        if not isinstance(space, RTreeSpace):
-            raise SpaceMismatchError("subtree domain requires a tree space")
-        if not space.contains_point(p):
-            return False
-        c = space._canon(p)
-        if c[0] == "V":
-            return c[1] in domain.vertices
-        _, e, _ = c
-        if e == RAY_EDGE:
-            return domain.include_ray and space.ray_at in domain.vertices
-        u, v, _ = space.edges[e]
-        return u in domain.vertices and v in domain.vertices
-    raise SpaceMismatchError(f"unknown domain spec {domain!r}")
+    if not hasattr(domain, "contains"):
+        raise SpaceMismatchError(f"unknown domain spec {domain!r}")
+    return domain.contains(space, p)
 
 
 # ---------------------------------------------------------------------------
@@ -739,24 +937,12 @@ class PointSampler:
 
 
 def space_from_config(data: dict) -> Space:
-    try:
-        kind = data["kind"]
-    except KeyError:
-        raise ConfigError("space config: missing 'kind'") from None
-    if kind == "euclidean":
-        return EuclideanSpace(dim=int(data.get("dim", 2)))
-    if kind == "hyperbolic":
-        return HyperbolicPlane()
-    if kind == "l2box":
-        return L2BoxSpace(n=int(data.get("n", 6)), base=float(data.get("base", 10.0)))
-    if kind == "rtree":
-        try:
-            vertices = data["vertices"]
-            edges = [(u, v, Fraction(str(length))) for u, v, length in data["edges"]]
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"rtree config: {exc}") from None
-        return RTreeSpace(vertices, edges, ray_at=data.get("ray_at"))
-    raise ConfigError(f"space config: unknown kind {kind!r}")
+    if "kind" not in data:
+        raise ConfigError("space config: missing 'kind'")
+    for family in (EuclideanSpace, L2BoxSpace, HyperbolicPlane, RTreeSpace):
+        if family.kind == data["kind"]:
+            return family.from_config(data)
+    raise ConfigError(f"space config: unknown kind {data['kind']!r}")
 
 
 def domain_from_config(space: Space, data: dict | None):
@@ -782,35 +968,13 @@ def domain_from_config(space: Space, data: dict | None):
 
 
 def space_to_config(space: Space) -> dict:
-    if isinstance(space, L2BoxSpace):
-        return {"kind": "l2box", "n": space.n, "base": space.base}
-    if isinstance(space, EuclideanSpace):
-        return {"kind": "euclidean", "dim": space.dim}
-    if isinstance(space, HyperbolicPlane):
-        return {"kind": "hyperbolic"}
-    if isinstance(space, RTreeSpace):
-        cfg = {
-            "kind": "rtree",
-            "vertices": list(space.vertices),
-            "edges": [[u, v, str(length)] for u, v, length in space.edges],
-        }
-        if space.ray_at is not None:
-            cfg["ray_at"] = space.ray_at
-        return cfg
-    raise ConfigError(f"cannot serialize space {space!r}")
+    return space.to_config()
 
 
 def domain_to_config(domain) -> dict:
-    if isinstance(domain, WholeSpace):
-        return {"kind": "whole"}
-    if isinstance(domain, Ball):
-        center = point_to_json(domain.center)
-        center.pop("kind")
-        return {"kind": "ball", "center": center, "radius": domain.radius}
-    if isinstance(domain, SubtreeDomain):
-        return {"kind": "subtree", "vertices": sorted(domain.vertices, key=str),
-                "include_ray": domain.include_ray}
-    raise ConfigError(f"cannot serialize domain {domain!r}")
+    if not hasattr(domain, "to_config"):
+        raise ConfigError(f"cannot serialize domain {domain!r}")
+    return domain.to_config()
 
 
 def load_space_config(path):

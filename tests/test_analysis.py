@@ -127,6 +127,17 @@ def test_verify_mans_win_curve_from_game(ray_tree):
     assert rep.passed
 
 
+def test_verify_mans_win_curve_non_dyadic_step(ray_tree):
+    # the last sample sits at 118/3, whose float rounds above it; the grid
+    # must stay inside the sampled range
+    D = Fraction(2, 3)
+    tr = ray_pursuit_transcript(ray_tree, n_steps=60, D=D)
+    _, curve = lm.curve_from_transcript(ray_tree, tr, 12 * D)
+    rep = lm.verify_mans_win_curve(curve, 12 * D, 300)
+    assert rep.passed
+    assert rep.n_pairs > 0
+
+
 def test_verify_mans_win_curve_sharp_zigzag_fails(euclid2):
     # unit-speed corner with interior angle pi/4: chord shrinks below sqrt(2)/2
     p0 = lm.epoint(0, 0)

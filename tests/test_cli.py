@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -223,3 +224,14 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_import_leaves_scipy_unloaded():
+    # numpy is the only runtime dependency; a fresh interpreter shows it
+    code = ("import sys, lionman, lionman.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lm.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
