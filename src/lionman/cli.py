@@ -30,7 +30,9 @@ import math
 import sys
 
 from . import analysis, curves, game, hyperbolicity, spaces
-from .errors import GeometryError, StrategyFaultError, ThresholdNotMetError
+from .errors import GeometryError, InvalidInputError, StrategyFaultError, ThresholdNotMetError
+
+_SWEEP_DRAWS = 1000  # start pairs a sweep run may draw before giving up
 
 
 def _parse_point(text, space):
@@ -38,6 +40,14 @@ def _parse_point(text, space):
     if isinstance(data, list):
         data = {"coords": data}
     return spaces.point_from_json({"kind": space.kind, **data})
+
+
+def _scalar(space, text, flag):
+    """Parse a step or scale option, naming the flag when it is malformed."""
+    try:
+        return space.scalar(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidInputError(f"{flag}: {exc}") from None
 
 
 def _make_strategy(args, space, domain, D):
@@ -56,7 +66,7 @@ def _make_strategy(args, space, domain, D):
 
 def cmd_simulate(args):
     space, domain = spaces.load_space_config(args.space)
-    D = space.scalar(args.D)
+    D = _scalar(space, args.D, "--D")
     strategy = _make_strategy(args, space, domain, D)
     lion = _parse_point(args.lion, space) if args.lion else space.origin()
     if args.man_start:
@@ -88,8 +98,8 @@ def cmd_simulate(args):
 def cmd_analyze(args):
     space, _ = spaces.load_space_config(args.space)
     tr = game.load_transcript(args.transcript)
-    D = tr.D if args.D is None else space.scalar(args.D)
-    k = space.scalar(args.k)
+    D = tr.D if args.D is None else _scalar(space, args.D, "--D")
+    k = _scalar(space, args.k, "--k")
 
     bs = analysis.beta_angles(space, tr)
     if args.beta_csv:
@@ -202,11 +212,19 @@ def cmd_demo_l2(args):
 
 def cmd_sweep(args):
     space, domain = spaces.load_space_config(args.space)
-    D = space.scalar(args.D)
+    D = _scalar(space, args.D, "--D")
     rows = []
     for i in range(args.runs):
         sampler = spaces.PointSampler(space, scale=args.scale, seed=args.seed + i)
-        lion, man = sampler.draw(), sampler.draw()
+        # redraw start pairs until both lie in the domain (on the whole space
+        # the first pair always does)
+        for _ in range(_SWEEP_DRAWS):
+            lion, man = sampler.draw(), sampler.draw()
+            if all(spaces.domain_contains(space, domain, p) for p in (lion, man)):
+                break
+        else:
+            raise InvalidInputError(f"sweep run {i}: no start pair inside the domain "
+                                    f"in {_SWEEP_DRAWS} draws")
         strategy = (game.RandomStrategy(domain, seed=args.seed + i)
                     if args.man == "random" else _make_strategy(args, space, domain, D))
         config = game.GameConfig(space=space, domain=domain, D=D, n_steps=args.N,
@@ -293,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=500)
     p.set_defaults(func=cmd_demo_l2)
 
-    p = sub.add_parser("sweep", help="seeded batch of runs with random starts")
+    p = sub.add_parser("sweep", help="seeded batch of runs with random starts in the domain")
     p.add_argument("--space", required=True)
     p.add_argument("--man", default="greedy",
                    choices=["stationary", "greedy", "random"])

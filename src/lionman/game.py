@@ -70,8 +70,7 @@ class StepRecord:
     """One round: positions before the moves, the gap after the lion's move.
 
     ``dist`` is d(L_n, M_n); ``gap`` is d(L_{n+1}, M_n).  ``note`` flags a
-    clamped man move ("clamped") or a cornered stationary fallback
-    ("cornered").
+    clamped man move ("clamped").
     """
 
     n: int

@@ -13,6 +13,12 @@ All operations are pure functions of immutable values.  Tree arithmetic is
 exact whenever edge lengths and offsets are `fractions.Fraction`; the other
 families work in float64.  Hyperbolic computations degrade near the disk
 rim; keep points within hyperbolic distance ~30 of the origin.
+
+Tree points are written as (edge, offset) or as a vertex, but `RTreeSpace`
+reads them in one rooted form: the tree hangs from its ray anchor (else its
+first vertex), and a point is the pair (i, h) of a vertex and the height
+above it on the edge toward its parent.  That form and the table of heights
+above meets stay private to the class.
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ class Point:
 
 
 RAY_EDGE = -1
+_ZERO = Fraction(0)
 
 
 def epoint(*coords) -> Point:
@@ -503,6 +510,14 @@ class RTreeSpace(Space):
     designated anchor vertex; its points use edge index ``RAY_EDGE`` and any
     offset >= 0.  With `Fraction` edge lengths and offsets every operation
     is exact.
+
+    Internally the tree hangs from a root, the ray anchor or else the first
+    vertex, and a point is read as (i, h): height h above vertex i on the
+    edge toward i's parent, the ray being the root's endless parent edge.
+    One table, ``rise[i][j]`` = height of vertex i above the meet of i and
+    j, says whether a point leaves toward another point up through its
+    parent or down through i; a distance is then one sum, and a walk or a
+    projection climbs parent links from x to the meet and descends to y.
     """
 
     kind = "rtree"
@@ -525,109 +540,57 @@ class RTreeSpace(Space):
         if ray_at is not None and ray_at not in vset:
             raise InvalidInputError(f"ray anchor {ray_at!r} is not a vertex")
         self.ray_at = ray_at
+        if len(self.edges) != len(self.vertices) - 1:
+            raise InvalidInputError("edge count must be vertex count - 1 for a tree")
 
-        self._adj = {v: [] for v in self.vertices}
-        for i, (u, v, length) in enumerate(self.edges):
-            self._adj[u].append((i, v, length))
-            self._adj[v].append((i, u, length))
-        self._check_is_tree()
-        self._vdist = self._all_vertex_distances()
-        self._vindex = {v: i for i, v in enumerate(self.vertices)}
-        self._vdist_f = np.array(
-            [[float(self._vdist[u][v]) for v in self.vertices] for u in self.vertices]
-        )
-        self._path_cache = {}
+        # one breadth-first pass from the root gives every vertex its parent
+        # edge; reaching all V vertices over V - 1 edges proves a tree
+        self._index = {v: i for i, v in enumerate(self.vertices)}
+        n = len(self.vertices)
+        adj = [[] for _ in range(n)]
+        for e, (u, v, _) in enumerate(self.edges):
+            adj[self._index[u]].append((e, self._index[v]))
+            adj[self._index[v]].append((e, self._index[u]))
+        self._root = root = self._index[self.vertices[0] if ray_at is None else ray_at]
+        self._parent = [root] * n
+        self._edge = [None if ray_at is None else RAY_EDGE] * n  # kept by the root only
+        self._len = [math.inf] * n
+        ancestors = {root: {root}}
+        order = [root]
+        for v in order:
+            for e, w in adj[v]:
+                if w not in ancestors:
+                    ancestors[w] = ancestors[v] | {w}
+                    self._parent[w], self._edge[w], self._len[w] = v, e, self.edges[e][2]
+                    order.append(w)
+        if len(order) != n:
+            raise InvalidInputError("edge graph is not connected")
+
+        # rise[i][j] is 0 when i is an ancestor of j, else one edge more than
+        # its parent's; pairwise_distances reads numpy copies of where it is
+        # positive and of the vertex distances rise[i][j] + rise[j][i], each
+        # rounded once
+        self._rise = [None] * n
+        for i in order:
+            p = self._parent[i]
+            self._rise[i] = [_ZERO if i in ancestors[j] else self._len[i] + self._rise[p][j]
+                             for j in range(n)]
+        self._below = np.array([[r > 0 for r in row] for row in self._rise])
+        self._span = np.array([[float(self._rise[i][j] + self._rise[j][i]) for j in range(n)]
+                               for i in range(n)])
 
     def __repr__(self):
         ray = f", ray_at={self.ray_at!r}" if self.ray_at is not None else ""
         return f"RTreeSpace({len(self.vertices)} vertices, {len(self.edges)} edges{ray})"
-
-    def _check_is_tree(self):
-        if len(self.edges) != len(self.vertices) - 1:
-            raise InvalidInputError("edge count must be vertex count - 1 for a tree")
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            v = stack.pop()
-            for _, w, _ in self._adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(self.vertices):
-            raise InvalidInputError("edge graph is not connected")
-
-    def _all_vertex_distances(self):
-        table = {}
-        for root in self.vertices:
-            dist = {root: Fraction(0)}
-            stack = [root]
-            while stack:
-                v = stack.pop()
-                for _, w, length in self._adj[v]:
-                    if w not in dist:
-                        dist[w] = dist[v] + length
-                        stack.append(w)
-            table[root] = dist
-        return table
-
-    def _vertex_path(self, u, v):
-        """Vertex sequence from u to v (inclusive)."""
-        key = (u, v)
-        if key in self._path_cache:
-            return self._path_cache[key]
-        parent = {u: None}
-        stack = [u]
-        while stack:
-            w = stack.pop()
-            if w == v:
-                break
-            for _, x, _ in self._adj[w]:
-                if x not in parent:
-                    parent[x] = w
-                    stack.append(x)
-        path = [v]
-        while path[-1] != u:
-            path.append(parent[path[-1]])
-        path.reverse()
-        self._path_cache[key] = path
-        return path
 
     def edge_length(self, e):
         if e == RAY_EDGE:
             return math.inf
         return self.edges[e][2]
 
-    # -- canonical form: ("V", vertex) or ("E", edge, offset) with offset
-    #    strictly interior to the edge
-
-    def _canon(self, p: Point):
-        if p.vertex is not None:
-            return ("V", p.vertex)
-        e, off = p.edge, p.offset
-        if e == RAY_EDGE:
-            if off == 0:
-                return ("V", self.ray_at)
-            return ("E", RAY_EDGE, off)
-        u, v, length = self.edges[e]
-        if off == 0:
-            return ("V", u)
-        if off == length:
-            return ("V", v)
-        return ("E", e, off)
-
-    def _exits(self, c):
-        """Exit vertices of a canonical point with the cost to reach them."""
-        if c[0] == "V":
-            return [(c[1], Fraction(0))]
-        _, e, off = c
-        if e == RAY_EDGE:
-            return [(self.ray_at, off)]
-        u, v, length = self.edges[e]
-        return [(u, off), (v, length - off)]
-
     def contains_point(self, p):
         if p.vertex is not None:
-            return p.vertex in self._adj
+            return p.vertex in self._index
         if p.edge is None or p.offset is None:
             return False
         if p.edge == RAY_EDGE:
@@ -636,98 +599,82 @@ class RTreeSpace(Space):
             return False
         return 0 <= p.offset <= self.edges[p.edge][2]
 
+    # -- rooted form (i, h, rest): h above vertex i, rest below i's parent
+
+    def _form(self, p: Point):
+        if p.vertex is not None:
+            i = self._index[p.vertex]
+            return i, _ZERO, self._len[i]
+        if p.edge == RAY_EDGE:
+            return self._root, p.offset, math.inf
+        u, v, length = self.edges[p.edge]
+        if p.offset == 0 or p.offset == length:
+            return self._form(Point(self.kind, vertex=u if p.offset == 0 else v))
+        if self._edge[self._index[u]] == p.edge:
+            return self._index[u], p.offset, length - p.offset
+        return self._index[v], length - p.offset, p.offset
+
+    def _exit(self, i, h, rest, j):
+        """Vertex where the point (i, h, rest) leaves toward vertex j, and its cost."""
+        # inside an edge below the meet it leaves up through i's parent; a
+        # vertex leaves through itself at cost 0, so a float distance from a
+        # vertex is one table entry plus the other point's cost
+        if h and self._rise[i][j]:
+            return self._parent[i], rest
+        return i, h
+
+    def _on_edge(self, i, h, rest, up) -> Point:
+        """The point `up` above the point (i, h, rest), on the parent edge of i."""
+        # the offset is h + up or rest - up, whichever the edge counts, and a
+        # float offset that reaches an end of the edge gives that vertex
+        e = self._edge[i]
+        if e is None:  # the root of a tree without a ray
+            return Point(self.kind, vertex=self.vertices[i])
+        u, v, length = self.edges[e] if e != RAY_EDGE else (self.vertices[i], None, math.inf)
+        up = up or _ZERO  # a float zero would round an exact offset
+        offset = h + up if u == self.vertices[i] else rest - up
+        if 0 < offset < length:
+            return Point(self.kind, edge=e, offset=offset)
+        return Point(self.kind, vertex=u if offset <= 0 else v)
+
     def _dist(self, x, y):
-        cx, cy = self._canon(x), self._canon(y)
-        if cx[0] == "E" and cy[0] == "E" and cx[1] == cy[1]:
-            return abs(cx[2] - cy[2])
-        best = None
-        for ex, cost_x in self._exits(cx):
-            for ey, cost_y in self._exits(cy):
-                d = cost_x + self._vdist[ex][ey] + cost_y
-                if best is None or d < best:
-                    best = d
-        return best
+        i, hx, rest_x = self._form(x)
+        j, hy, rest_y = self._form(y)
+        if i == j and hx and hy:  # inside one edge
+            return abs(x.offset - y.offset)
+        ex, cx = self._exit(i, hx, rest_x, j)
+        ey, cy = self._exit(j, hy, rest_y, i)
+        return cx + (self._rise[ex][ey] + self._rise[ey][ex]) + cy
 
     def _interpolate(self, x, y, t):
         total = self._dist(x, y)
         if total == 0:
             return x
-        s = t * total
-        return self._walk(x, y, s, total)
+        return self._walk(x, y, t * total)
 
-    def _walk(self, x, y, s, total):
-        """Point at distance s from x on [x, y]; assumes 0 <= s <= total."""
-        cx, cy = self._canon(x), self._canon(y)
-        if cx[0] == "E" and cy[0] == "E" and cx[1] == cy[1]:
-            off = cx[2] + s if cy[2] >= cx[2] else cx[2] - s
-            return Point(self.kind, edge=cx[1], offset=off)
-        # choose the exit pair realizing the distance (unique in a tree)
-        best = None
-        for ex, cost_x in self._exits(cx):
-            for ey, cost_y in self._exits(cy):
-                d = cost_x + self._vdist[ex][ey] + cost_y
-                if best is None or d < best[0]:
-                    best = (d, ex, ey, cost_x, cost_y)
-        _, ex, ey, cost_x, cost_y = best
-        if s <= cost_x:
-            return self._point_between(cx, ("V", ex), s, cost_x)
-        s = s - cost_x
-        path = self._vertex_path(ex, ey)
-        for a, b in zip(path, path[1:]):
-            step = self._vdist[a][b]
-            if s <= step:
-                return self._point_between(("V", a), ("V", b), s, step)
-            s = s - step
-        return self._point_between(("V", ey), cy, s, cost_y)
-
-    def _point_between(self, ca, cb, s, gap):
-        """Point at distance s from ca toward cb; both lie on one edge."""
-        if s == 0 or gap == 0:
-            return self._canon_to_point(ca)
-        if s == gap:
-            return self._canon_to_point(cb)
-        if ca[0] == "V" and cb[0] == "V":
-            e, forward = self._edge_of(ca[1], cb[1])
-            off = s if forward else self.edges[e][2] - s
-            return Point(self.kind, edge=e, offset=off)
-        if ca[0] == "V":
-            e = cb[1]
-            off_b = cb[2]
-            off_a = self._vertex_offset_on_edge(ca[1], e)
-            off = off_a + s if off_b >= off_a else off_a - s
-            return Point(self.kind, edge=e, offset=off)
-        e = ca[1]
-        off_a = ca[2]
-        if cb[0] == "V":
-            off_b = self._vertex_offset_on_edge(cb[1], e)
-        else:
-            off_b = cb[2]
-        off = off_a + s if off_b >= off_a else off_a - s
-        return Point(self.kind, edge=e, offset=off)
-
-    def _edge_of(self, u, v):
-        """Edge joining two adjacent vertices, and whether it runs u -> v."""
-        for i, w, _ in self._adj[u]:
-            if w == v:
-                return i, self.edges[i][0] == u
-        raise InvalidInputError(f"vertices {u!r}, {v!r} are not adjacent")
-
-    def _vertex_offset_on_edge(self, v, e):
-        if e == RAY_EDGE:
-            if v != self.ray_at:
-                raise InvalidInputError(f"vertex {v!r} is not on the ray edge")
-            return Fraction(0)
-        u, w, length = self.edges[e]
-        if v == u:
-            return Fraction(0)
-        if v == w:
-            return length
-        raise InvalidInputError(f"vertex {v!r} is not on edge {e}")
-
-    def _canon_to_point(self, c):
-        if c[0] == "V":
-            return Point(self.kind, vertex=c[1])
-        return Point(self.kind, edge=c[1], offset=c[2])
+    def _walk(self, x, y, s):
+        """Point at distance s from x on [x, y]; assumes 0 <= s <= d(x, y)."""
+        # s loses the exact edge remainders in path order, so a float s lands
+        # where a walk along the edges lands; first up from x to the meet
+        i, h, rest = self._form(x)
+        j, hy, _ = self._form(y)
+        while self._rise[i][j] and s >= rest:
+            s -= rest
+            i = self._parent[i]
+            h, rest = _ZERO, self._len[i]
+        if self._rise[i][j] or (i == j and hy > h):
+            return self._on_edge(i, h, rest, s)
+        # then down from the meet i through the vertices above j
+        below = [j]
+        while below[-1] != i:
+            below.append(self._parent[below[-1]])
+        for c in reversed(below):
+            if c != i:
+                h, rest = self._len[c], _ZERO
+            if s <= h:
+                return self._on_edge(c, h, rest, -s)
+            s -= h
+        return Point(self.kind, vertex=self.vertices[j])
 
     def _project(self, p, seg):
         # nearest point of [a, b] is the tree median m(a, b, p); its distance
@@ -735,42 +682,22 @@ class RTreeSpace(Space):
         a, b = seg.a, seg.b
         dab = self._dist(a, b)
         r = (self._dist(a, p) + dab - self._dist(p, b)) / 2
-        r = min(max(r, 0), dab)
-        q = self._walk(a, b, r, dab)
+        q = self._walk(a, b, min(max(r, 0), dab))
         return q, self._dist(p, q)
 
     def pairwise_distances(self, points):
-        n = len(points)
-        canons = [self._canon(p) for p in points]
-        exit_a = np.zeros(n, dtype=int)
-        exit_b = np.zeros(n, dtype=int)
-        cost_a = np.zeros(n)
-        cost_b = np.zeros(n)
-        edge_id = np.full(n, -2, dtype=int)
-        offs = np.zeros(n)
-        for i, c in enumerate(canons):
-            exits = self._exits(c)
-            (va, ca) = exits[0]
-            (vb, cb) = exits[-1]
-            exit_a[i], cost_a[i] = self._vindex[va], float(ca)
-            exit_b[i], cost_b[i] = self._vindex[vb], float(cb)
-            if c[0] == "E":
-                edge_id[i] = c[1]
-                offs[i] = float(c[2])
-        vd = self._vdist_f
-        combos = [
-            cost_a[:, None] + vd[exit_a[:, None], exit_a[None, :]] + cost_a[None, :],
-            cost_a[:, None] + vd[exit_a[:, None], exit_b[None, :]] + cost_b[None, :],
-            cost_b[:, None] + vd[exit_b[:, None], exit_a[None, :]] + cost_a[None, :],
-            cost_b[:, None] + vd[exit_b[:, None], exit_b[None, :]] + cost_b[None, :],
-        ]
-        out = np.minimum.reduce(combos)
-        same = (edge_id[:, None] == edge_id[None, :]) & (edge_id[:, None] >= -1)
-        if same.any():
-            gap = np.abs(offs[:, None] - offs[None, :])
-            out = np.where(same, gap, out)
-        np.fill_diagonal(out, 0.0)
-        return out
+        # _dist on float copies of the forms and of the vertex distances
+        forms = [self._form(p) for p in points]
+        i = np.array([f[0] for f in forms], dtype=int)
+        h = np.array([float(f[1]) for f in forms])
+        rest = np.array([float(f[2]) for f in forms])
+        off = np.array([float(p.offset) if f[1] else 0.0 for p, f in zip(points, forms)])
+        up = self._below[i[:, None], i[None, :]] & (h[:, None] > 0)
+        exits = np.where(up, np.array(self._parent)[i][:, None], i[:, None])
+        cost = np.where(up, rest[:, None], h[:, None])
+        out = cost + self._span[exits, exits.T] + cost.T
+        inside = (i[:, None] == i[None, :]) & (h[:, None] > 0) & (h[None, :] > 0)
+        return np.where(inside, np.abs(off[:, None] - off[None, :]), out)
 
     def random_point(self, rng, scale=4):
         """Seeded rational point: uniform edge, offset on a 1/16 grid."""
@@ -785,7 +712,10 @@ class RTreeSpace(Space):
 
     def diameter(self):
         """Largest distance between finite-tree points (ray edge excluded)."""
-        return max(max(row.values()) for row in self._vdist.values())
+        # in a tree the vertex farthest from any vertex ends a longest path
+        rise, n = self._rise, len(self.vertices)
+        far = max(range(n), key=lambda j: rise[0][j] + rise[j][0])
+        return max(rise[far][j] + rise[j][far] for j in range(n))
 
     def angle(self, apex, y, z):
         # the segments toward y and z share an initial piece exactly when the
@@ -888,13 +818,13 @@ class SubtreeDomain:
             raise SpaceMismatchError("subtree domain requires a tree space")
         if not space.contains_point(p):
             return False
-        c = space._canon(p)
-        if c[0] == "V":
-            return c[1] in self.vertices
-        if c[1] == RAY_EDGE:
-            return self.include_ray and space.ray_at in self.vertices
-        u, v, _ = space.edges[c[1]]
-        return u in self.vertices and v in self.vertices
+        if p.vertex is not None:
+            return p.vertex in self.vertices
+        if p.edge == RAY_EDGE:
+            return space.ray_at in self.vertices and (self.include_ray or p.offset == 0)
+        u, v, length = space.edges[p.edge]
+        ends = {u} if p.offset == 0 else {v} if p.offset == length else {u, v}
+        return ends <= self.vertices
 
     def to_config(self) -> dict:
         return {"kind": "subtree", "vertices": sorted(self.vertices, key=str),

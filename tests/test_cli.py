@@ -178,6 +178,42 @@ def test_sweep_deterministic_outputs(tripod_cfg, tmp_path, capsys):
     assert "lion-wins-physical=8" in capsys.readouterr().out
 
 
+def test_sweep_draws_starts_inside_a_ball_domain(tmp_path, capsys):
+    cfg = tmp_path / "ball.json"
+    ball = {"kind": "ball", "center": [0, 0], "radius": 6}
+    cfg.write_text(json.dumps({"space": {"kind": "euclidean", "dim": 2}, "domain": ball}))
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--space", str(cfg), "--D", "1", "--N", "20", "--seed", "2",
+            "--runs", "3", "--out", str(out)]
+    assert main(argv) == 0
+    assert len(out.read_text().splitlines()) == 1 + 3
+    # a domain the sampler (almost) never hits gives up with the bad-input code
+    cfg.write_text(json.dumps({"space": {"kind": "euclidean", "dim": 2},
+                               "domain": {**ball, "radius": 1e-9}}))
+    assert main(argv) == 2
+    assert "no start pair inside the domain" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [("simulate", "--D"), ("sweep", "--D"),
+                                           ("analyze", "--D"), ("analyze", "--k")])
+def test_malformed_step_option_exits_2_naming_the_flag(command, flag, tmp_path, capsys):
+    # a rational step on a float space is malformed input, not a crash
+    cfg = tmp_path / "plane.json"
+    cfg.write_text(json.dumps({"space": {"kind": "euclidean", "dim": 2}}))
+    run = tmp_path / "run.json"
+    assert main(["simulate", "--space", str(cfg), "--man", "stationary", "--D", "1",
+                 "--N", "5", "--man-start", "[3, 0]", "--out", str(run)]) == 0
+    argv = {"simulate": ["--man", "stationary", "--man-start", "[3, 0]", "--D", "1"],
+            "sweep": ["--seed", "1", "--runs", "1", "--D", "1"],
+            "analyze": ["--transcript", str(run), "--k", "1"]}[command]
+    argv = [command, "--space", str(cfg)] + argv + [flag, "1/2"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}:")
+    assert "Traceback" not in err
+
+
 def test_simulate_byte_identical_reruns(tripod_cfg, tmp_path):
     outs = []
     for name in ("a.json", "b.json"):

@@ -9,9 +9,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 import lionman as lm
 from conftest import projection_oracle
+from test_tree_golden import caterpillar
 
-KINDS = ("euclidean", "l2box", "hyperbolic", "rtree")
+KINDS = ("euclidean", "l2box", "hyperbolic", "rtree", "caterpillar")
 SMOOTH = ("euclidean", "l2box", "hyperbolic")
+TREES = ("rtree", "caterpillar")
 # few, reproducible examples: the suite stays fast and never flakes
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -23,6 +25,7 @@ SPACES = {
     "rtree": lm.RTreeSpace(["c", "a", "b", "d"],
                            [("c", "a", Fraction(1)), ("c", "b", Fraction(3, 2)),
                             ("c", "d", Fraction(2))], ray_at="c"),
+    "caterpillar": caterpillar(),
 }
 
 
@@ -48,19 +51,30 @@ def points(kind):
         return st.builds(lambda s, th: lm.hpoint(math.tanh(s / 2) * math.cos(th),
                                                  math.tanh(s / 2) * math.sin(th)),
                          st.floats(0, 6), st.floats(0, 2 * math.pi))
-    return st.builds(leg_point, st.sampled_from(LEGS), st.integers(0, 16))
+    if kind == "rtree":
+        return st.builds(leg_point, st.sampled_from(LEGS), st.integers(0, 16))
+    return st.one_of(
+        st.builds(lm.vertex_point, st.sampled_from(space.vertices)),
+        st.builds(lambda e, k: lm.edge_point(e, space.edges[e][2] * Fraction(k, 16)),
+                  st.integers(0, len(space.edges) - 1), st.integers(0, 16)),
+        st.builds(lambda k: lm.edge_point(lm.RAY_EDGE, Fraction(k, 4)), st.integers(0, 16)))
 
 
 def steps(kind):
-    if kind == "rtree":
+    if kind in TREES:
         return st.builds(Fraction, st.integers(1, 8), st.just(4))
     return st.floats(0.05, 2.0)
 
 
 def params(kind):
-    if kind == "rtree":
+    if kind in TREES:
         return st.builds(Fraction, st.integers(0, 64), st.just(64))
     return st.floats(0, 1)
+
+
+def exact(p):
+    """The tree point with its float offset read as the exact rational it is."""
+    return lm.edge_point(p.edge, Fraction(p.offset)) if p.vertex is None else p
 
 
 def close_to(space, value, target):
@@ -97,6 +111,60 @@ def test_displace_stays_within_amp_of_the_geodesic(kind, data):
     q = space.displace(a, b, t, amp)
     assert space.contains_point(q)
     assert float(space.distance(p, q)) <= abs(amp) + space.rel_tol
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@PROPERTY
+@given(data=st.data())
+def test_geodesic_points_are_members_splitting_the_distance(kind, data):
+    # d(x, g(t)) = t d(x, y): exact on trees at rational t, and every walk,
+    # at a float t too, returns a member of the space
+    space = SPACES[kind]
+    x, y = data.draw(points(kind)), data.draw(points(kind))
+    d = space.distance(x, y)
+    for t in (data.draw(params(kind)), data.draw(st.floats(0, 1))):
+        z = space.geodesic_point(x, y, t)
+        assert space.contains_point(z)
+        if kind in TREES and isinstance(t, Fraction):
+            assert space.distance(x, z) == t * d
+            assert space.distance(z, y) == (1 - t) * d
+        else:
+            assert close_to(space, space.distance(x, z), t * float(d))
+
+
+@pytest.mark.parametrize("kind", TREES)
+@PROPERTY
+@given(data=st.data())
+def test_tree_four_point_condition(kind, data):
+    space = SPACES[kind]
+    p = [data.draw(points(kind)) for _ in range(4)]
+    d = space.distance
+    sums = sorted([d(p[0], p[1]) + d(p[2], p[3]), d(p[0], p[2]) + d(p[1], p[3]),
+                   d(p[0], p[3]) + d(p[1], p[2])])
+    assert sums[1] == sums[2]  # exact: a tree is 0-hyperbolic
+
+
+@pytest.mark.parametrize("kind", TREES)
+@PROPERTY
+@given(data=st.data())
+def test_tree_pairwise_distances_match_exact_distances(kind, data):
+    # float-offset points from float walks, compared with exact distances
+    space = SPACES[kind]
+    ends = [data.draw(points(kind)) for _ in range(6)]
+    pts = ends + [space.geodesic_point(a, b, data.draw(st.floats(0, 1)))
+                  for a, b in zip(ends, ends[1:])]
+    mat = space.pairwise_distances(pts)
+    for i, x in enumerate(pts):
+        for j, y in enumerate(pts):
+            d = float(space.distance(exact(x), exact(y)))
+            assert abs(mat[i, j] - d) <= 1e-12 * max(1.0, d)
+
+
+@pytest.mark.parametrize("kind", TREES)
+def test_tree_diameter_is_the_largest_vertex_distance(kind):
+    space = SPACES[kind]
+    vs = [lm.vertex_point(v) for v in space.vertices]
+    assert space.diameter() == max(space.distance(a, b) for a in vs for b in vs)
 
 
 @PROPERTY
@@ -138,8 +206,8 @@ def test_tree_foot_is_the_branch_point(legs, ks):
 def test_origin_scalar_and_config(kind):
     space = SPACES[kind]
     assert space.contains_point(space.origin())
-    assert space.scalar is (Fraction if kind == "rtree" else float)
+    assert space.scalar is (Fraction if kind in TREES else float)
     again = lm.spaces.space_from_config(space.to_config())
     assert type(again) is type(space)
     assert again.to_config() == space.to_config()
-    assert space.gromov_hyperbolic == (kind in ("hyperbolic", "rtree"))
+    assert space.gromov_hyperbolic == (kind in ("hyperbolic",) + TREES)

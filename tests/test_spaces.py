@@ -352,6 +352,27 @@ def test_ray_edge_walk_crosses_finite_tree(ray_tree):
     assert ray_tree.distance(z, far) == 9
 
 
+def test_float_walk_rounding_past_a_vertex_lands_on_it():
+    # the midpoint sits 7/24 + 1/24 = 1/3 along a-b, and that float sum
+    # rounds past 1/3: the walk must land on vertex b
+    tree = lm.RTreeSpace(["a", "b", "c"],
+                         [("a", "b", Fraction(1, 3)), ("b", "c", Fraction(1, 3))])
+    x, y = lm.edge_point(0, Fraction(7, 24)), lm.edge_point(1, Fraction(1, 24))
+    z = tree.geodesic_point(x, y, 0.5)
+    assert z == lm.vertex_point("b")
+    assert tree.distance(x, z) == Fraction(1, 24)
+
+
+def test_float_walk_past_a_rayless_root_returns_the_root():
+    # the float climb from d overshoots the root r by ~4e-16; with no ray
+    # edge above r the walk must stop on r
+    tree = lm.RTreeSpace(["r", "a", "b", "d", "c"],
+                         [("r", "a", Fraction(1, 7)), ("a", "b", Fraction(13, 3)),
+                          ("b", "d", Fraction(15, 13)), ("r", "c", Fraction(1))])
+    z = tree.geodesic_point(lm.vertex_point("d"), lm.vertex_point("r"), 0.9999999999999998)
+    assert z == lm.vertex_point("r")
+
+
 def test_ray_point_projects_to_segment_endpoint(ray_tree):
     far = lm.edge_point(lm.RAY_EDGE, Fraction(10))
     seg = lm.Segment(lm.vertex_point("p"), lm.vertex_point("q"))
