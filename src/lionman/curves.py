@@ -185,89 +185,64 @@ def _merged_params(curve: Curve, grid: int):
     return sorted(merged)
 
 
-def _curve_eval_many(curve: Curve, params):
-    sample_index = {t: i for i, t in enumerate(curve.params)}
-    return [curve.points[sample_index[t]] if t in sample_index else curve.at(t)
-            for t in params]
-
-
-def _pair_arrays(space: Space, params, points, k=None):
-    """Distance and parameter-gap matrices plus the admissible-pair mask."""
-    dmat = space.pairwise_distances(points)
-    tarr = np.asarray([float(t) for t in params])
-    gaps = np.abs(tarr[:, None] - tarr[None, :])
-    mask = np.triu(np.ones_like(gaps, dtype=bool), 1)
-    if k is not None:
-        mask &= gaps <= float(k) * (1.0 + 1e-12)
-    return dmat, gaps, mask
-
-
-def _worst_pair(values, mask):
-    """(value, i, j) minimizing values over masked pairs, lexicographic ties."""
-    masked = np.where(mask, values, np.inf)
-    flat = int(np.argmin(masked))
-    i, j = np.unravel_index(flat, values.shape)
-    if not mask[i, j]:
-        return None
-    return masked[i, j], int(i), int(j)
-
-
-def _first_violation(slack, mask, tol_mat):
-    viol = mask & (slack < -tol_mat)
-    idx = np.argwhere(viol)
-    if len(idx) == 0:
-        return None
-    i, j = idx[0]
-    return int(i), int(j)
+def _first_min(values):
+    """Index of the first smallest value, or None when none is below inf."""
+    n = int(np.argmin(values)) if len(values) else None
+    return None if n is None or values[n] == np.inf else n
 
 
 def _check_grid(curve: Curve, lam, lower_eps, upper_eps, grid: int, k, tol) -> QGReport:
-    """Grid check of |s-t|/lam - lower_eps <= d(c(s), c(t)) <= lam|s-t| + upper_eps."""
+    """Grid check of |s-t|/lam - lower_eps <= d(c(s), c(t)) <= lam|s-t| + upper_eps.
+
+    The pairs i < j of the merged parameters are listed in lexicographic
+    order, so every worst pair and first violation is the first in that order.
+    """
     if grid < 2:
         raise InvalidInputError("grid must be >= 2")
     tol = curve.space.rel_tol if tol is None else tol
     params = _merged_params(curve, grid)
-    points = _curve_eval_many(curve, params)
-    dmat, gaps, mask = _pair_arrays(curve.space, params, points, k)
-    n_pairs = int(mask.sum())
+    dmat = curve.space.pairwise_distances([curve.at(t) for t in params])
+    tarr = np.asarray([float(t) for t in params])
+    i, j = np.triu_indices(len(params), 1)
+    gaps = tarr[j] - tarr[i]  # params are sorted, so this is |s - t|
+    if k is not None:
+        near = gaps <= float(k) * (1.0 + 1e-12)
+        i, j, gaps = i[near], j[near], gaps[near]
+    dist = dmat[i, j]
     scale = np.maximum(1.0, gaps)
-    tol_mat = tol * scale
 
-    lower_slack = dmat - (gaps / lam - lower_eps)
-    upper_slack = (lam * gaps + upper_eps) - dmat
+    lower_slack = dist - (gaps / lam - lower_eps)
+    upper_slack = (lam * gaps + upper_eps) - dist
+    lower_scaled, upper_scaled = lower_slack / scale, upper_slack / scale
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(gaps > 0, dmat / np.where(gaps > 0, gaps, 1.0), np.inf)
-    worst_ratio = _worst_pair(ratios, mask)
-    worst_lower = _worst_pair(lower_slack / scale, mask)
-    worst_upper = _worst_pair(upper_slack / scale, mask)
-    first_lower = _first_violation(lower_slack, mask, tol_mat)
-    first_upper = _first_violation(upper_slack, mask, tol_mat)
+        ratios = np.where(gaps > 0, dist / np.where(gaps > 0, gaps, 1.0), np.inf)
+    worst_ratio = _first_min(ratios)
+    worst_lower = _first_min(lower_scaled)
+    worst_upper = _first_min(upper_scaled)
 
-    def pair(t):
-        return None if t is None else (params[t[0]], params[t[1]])
+    def pair(n):
+        return None if n is None else (params[i[n]], params[j[n]])
 
-    passed = not any(w is not None and w[0] < -tol for w in (worst_lower, worst_upper))
+    def violation(slack):
+        hits = np.flatnonzero(slack < -tol * scale)
+        return (*pair(hits[0]), float(dist[hits[0]])) if len(hits) else None
+
+    passed = not any(n is not None and v[n] < -tol
+                     for n, v in ((worst_lower, lower_scaled), (worst_upper, upper_scaled)))
 
     return QGReport(
         lam=float(lam), eps=float(lower_eps), k=None if k is None else float(k),
-        n_pairs=n_pairs, passed=passed,
-        min_ratio=math.inf if worst_ratio is None else float(worst_ratio[0]),
-        min_ratio_pair=pair(worst_ratio and worst_ratio[1:]),
-        worst_lower_slack=math.inf if worst_lower is None else float(
-            lower_slack[worst_lower[1], worst_lower[2]]),
-        worst_lower_pair=pair(worst_lower and worst_lower[1:]),
-        worst_lower_dist=None if worst_lower is None else float(
-            dmat[worst_lower[1], worst_lower[2]]),
-        worst_upper_excess=-math.inf if worst_upper is None else float(
-            -upper_slack[worst_upper[1], worst_upper[2]]),
-        worst_upper_pair=pair(worst_upper and worst_upper[1:]),
-        first_lower_violation=None if first_lower is None else (
-            params[first_lower[0]], params[first_lower[1]],
-            float(dmat[first_lower[0], first_lower[1]])),
-        first_upper_violation=None if first_upper is None else (
-            params[first_upper[0]], params[first_upper[1]],
-            float(dmat[first_upper[0], first_upper[1]])),
+        n_pairs=len(gaps), passed=passed,
+        min_ratio=math.inf if worst_ratio is None else float(ratios[worst_ratio]),
+        min_ratio_pair=pair(worst_ratio),
+        worst_lower_slack=math.inf if worst_lower is None else float(lower_slack[worst_lower]),
+        worst_lower_pair=pair(worst_lower),
+        worst_lower_dist=None if worst_lower is None else float(dist[worst_lower]),
+        worst_upper_excess=-math.inf if worst_upper is None else float(-upper_slack[worst_upper]),
+        worst_upper_pair=pair(worst_upper),
+        first_lower_violation=violation(lower_slack),
+        first_upper_violation=violation(upper_slack),
     )
 
 
@@ -312,18 +287,13 @@ def check_directional_sequence(space: Space, points, b: float, budget: int,
     tol = space.rel_tol if tol is None else tol
     dmat = space.pairwise_distances(points)
     n = len(points)
-    steps = np.array([dmat[i, i + 1] for i in range(n - 1)])
-    prefix = np.concatenate([[0.0], np.cumsum(steps)])
+    prefix = np.concatenate([[0.0], np.cumsum(np.diagonal(dmat, 1))])
 
-    worst = math.inf
-    witness = None
-    checked = 0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            slack = dmat[i, j] - (prefix[j] - prefix[i] - b)
-            checked += 1
-            if slack < worst:
-                worst, witness = slack, (i, j)
+    i, j = np.triu_indices(n, 1)
+    slack = dmat[i, j] - (prefix[j] - prefix[i] - b)
+    w = _first_min(slack)
+    worst, witness = (math.inf, None) if w is None else (slack[w], (int(i[w]), int(j[w])))
+    checked = len(slack)
 
     rng = np.random.default_rng(seed)
     for _ in range(budget if n >= 3 else 0):

@@ -189,15 +189,7 @@ def slim_defect(space: Space, x: Point, y: Point, z: Point, grid: int) -> Slimne
 
 def estimate_delta(space: Space, sampler: PointSampler, trials: int, grid=24):
     """Largest slimness over seeded random geodesic triangles."""
-    if trials < 1:
-        raise InvalidInputError("trials must be >= 1")
-    best = 0
-    for _ in range(trials):
-        x, y, z = sampler.draw(), sampler.draw(), sampler.draw()
-        value = slim_defect(space, x, y, z, grid).value
-        if value > best:
-            best = value
-    return best
+    return estimate_quasi_slim_M(space, 1, sampler, trials, grid)
 
 
 def estimate_quasi_slim_M(space: Space, lam: float, sampler: PointSampler,
@@ -310,26 +302,17 @@ def cat_defect(space: Space, x: Point, y: Point, z: Point, grid: int):
         raise InvalidInputError("grid must be >= 2")
     tri = ComparisonTriangle.from_points(space, x, y, z)
     verts = [x, y, z]
-    side_pairs = [(0, 1), (0, 2), (1, 2)]
     ts = [(j + 1) / (grid + 1) for j in range(grid)]
 
-    pts = {}
-    flat = {}
-    for (i, j) in side_pairs:
+    pts, flat = [], []
+    for (i, j) in ((0, 1), (0, 2), (1, 2)):
         a, b = verts[i], verts[j]
         dij = float(space.distance(a, b))
-        pts[(i, j)] = [space.geodesic_point(a, b, t) for t in ts]
-        flat[(i, j)] = [tri.side(i, j, t * dij) for t in ts]
+        pts += [space.geodesic_point(a, b, t) for t in ts]
+        flat += [tri.side(i, j, t * dij) for t in ts]
 
-    worst = -math.inf
-    for s1 in range(3):
-        for s2 in range(s1 + 1, 3):
-            ps = pts[side_pairs[s1]]
-            qs = pts[side_pairs[s2]]
-            fp = flat[side_pairs[s1]]
-            fq = flat[side_pairs[s2]]
-            dmat = space.pairwise_distances(list(ps) + list(qs))[:len(ps), len(ps):]
-            fmat = np.linalg.norm(
-                np.asarray(fp)[:, None, :] - np.asarray(fq)[None, :, :], axis=-1)
-            worst = max(worst, float((dmat - fmat).max()))
-    return worst
+    dmat = space.pairwise_distances(pts)
+    flat = np.asarray(flat)
+    fmat = np.linalg.norm(flat[:, None, :] - flat[None, :, :], axis=-1)
+    side = np.repeat(np.arange(3), grid)
+    return float((dmat - fmat)[side[:, None] < side[None, :]].max())
