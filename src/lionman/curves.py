@@ -178,11 +178,14 @@ class RayApprox:
 
 def _merged_params(curve: Curve, grid: int):
     # the curve's own params supply both ends: float() of a Fraction end can
-    # round outside the sampled range
+    # round outside the sampled range; a grid value within rounding of a
+    # sample is left out, since it would pair with it at a gap near zero
     lo, hi = float(curve.t_min), float(curve.t_max)
-    merged = set(curve.params)
-    merged.update(float(t) for t in np.linspace(lo, hi, max(2, grid))[1:-1])
-    return sorted(merged)
+    ts = np.asarray([float(t) for t in curve.params])
+    inner = np.linspace(lo, hi, max(2, grid))[1:-1]
+    n = np.searchsorted(ts, inner).clip(1, len(ts) - 1)
+    far = np.minimum(inner - ts[n - 1], ts[n] - inner) > 1e-9 * (hi - lo) / max(1, grid - 1)
+    return sorted([*curve.params, *(float(t) for t in inner[far])])
 
 
 def _first_min(values):

@@ -92,6 +92,21 @@ def test_qg_local_restriction_changes_pair_count(euclid2):
     assert local.passed
 
 
+def test_tree_geodesic_min_ratio_skips_grid_values_a_rounding_from_a_sample():
+    # grid value 1.6111111111111112 used to sit one ulp from the sample
+    # 1.611111111111111 and pair with it at ratio 0
+    tree = lm.RTreeSpace(["v0", "v1", "v2", "v7", "v9"],
+                         [("v7", "v9", 1), ("v0", "v7", 3), ("v0", "v1", Fraction(3, 2)),
+                          ("v1", "v2", 1)], ray_at="v2")
+    end = lm.tree_ray_curve(tree).at(8)
+    c = lm.geodesic_segment_curve(tree, lm.vertex_point("v9"), end, n_samples=64)
+    rep = lm.check_quasi_geodesic(c, 1, 0, 1000)
+    assert rep.passed
+    assert rep.min_ratio == pytest.approx(1.0, abs=1e-9)
+    s, t = rep.min_ratio_pair
+    assert float(t) - float(s) > 1e-6
+
+
 # -- directionality --------------------------------------------------------------------
 
 
