@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from .curves import Curve, QGReport, check_quasi_geodesic, extract_ray_from_directional_sequence
 from .errors import InvalidInputError, ThresholdNotMetError
-from .game import Transcript, classify_outcome, run_game
+from .game import (DirectionalStrategy, GameConfig, GreedyStrategy, StationaryStrategy,
+                   Transcript, classify_outcome, run_game)
 from .hyperbolicity import alexandrov_angle
 from . import spaces
 from .spaces import RTreeSpace, Space
@@ -105,7 +106,7 @@ def curve_from_transcript(space: Space, transcript: Transcript, k, D=None):
             f"no index keeps beta above {theta:.6f} through the record end",
             best_tail=best)
 
-    lions = [r.lion for r in transcript.records] + [transcript.final_lion]
+    lions = transcript.lion_path()
     pts = [lions[n_k]]
     for p, q in zip(lions[n_k:], lions[n_k + 1:]):
         hop = space.distance(p, q)
@@ -150,7 +151,7 @@ def rtree_capture_audit(space: RTreeSpace, transcript: Transcript, D=None,
         raise InvalidInputError("transcript was produced on a different tree")
     D = transcript.D if D is None else D
 
-    lions = [r.lion for r in transcript.records] + [transcript.final_lion]
+    lions = transcript.lion_path()
     L0 = lions[0]
     steps, colin, dist_res = [], [], []
     first_failure = None
@@ -204,9 +205,6 @@ class EquivalenceReport:
 
 def equivalence_report(space: Space, domain, D, n_steps, tol, lion_start,
                        man_start, seed=0, curve=None, k=None) -> EquivalenceReport:
-    from .game import (DirectionalStrategy, GameConfig, GreedyStrategy,
-                       StationaryStrategy)
-
     strategies = [StationaryStrategy(), GreedyStrategy(domain)]
     if curve is not None:
         strategies.append(DirectionalStrategy(curve, D))
@@ -239,8 +237,7 @@ def equivalence_report(space: Space, domain, D, n_steps, tol, lion_start,
             if isinstance(space, RTreeSpace):
                 audit = rtree_capture_audit(space, tr, D)
                 certificates.setdefault(strat.name, {})["audit_passed"] = audit.passed
-                lions = [r.lion for r in tr.records] + [tr.final_lion]
-                ray = extract_ray_from_directional_sequence(space, lions, 0.0,
+                ray = extract_ray_from_directional_sequence(space, tr.lion_path(), 0.0,
                                                             k_max=min(5, int(float(D) * n_steps)))
                 certificates[strat.name]["ray_residual_max"] = max(
                     (max(h) for h in ray.residuals.values() if h), default=0.0)

@@ -287,6 +287,8 @@ def check_directional_sequence(space: Space, points, b: float, budget: int,
     """
     if len(points) < 2:
         raise InvalidInputError("need at least two points")
+    for n, p in enumerate(points):
+        space.check_point(p, f"points[{n}]")
     tol = space.rel_tol if tol is None else tol
     dmat = space.pairwise_distances(points)
     n = len(points)
@@ -309,7 +311,7 @@ def check_directional_sequence(space: Space, points, b: float, budget: int,
             worst, witness = slack, tuple(int(v) for v in idx)
 
     return DirectionalityReport(
-        b=float(b), n_checked=checked, passed=worst >= -tol,
+        b=float(b), n_checked=checked, passed=bool(worst >= -tol),
         worst_lower_slack=float(worst), worst_lower_witness=witness,
         growth=(float(dmat[0, 1]), float(dmat[0, -1])),
     )

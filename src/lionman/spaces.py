@@ -702,6 +702,8 @@ class RTreeSpace(Space):
     def random_point(self, rng, scale=4):
         """Seeded rational point: uniform edge, offset on a 1/16 grid."""
         n_edges = len(self.edges) + (1 if self.ray_at is not None else 0)
+        if n_edges == 0:  # a lone vertex is the whole space
+            return vertex_point(self.vertices[0])
         idx = int(rng.integers(0, n_edges))
         k = int(rng.integers(0, 17))
         if idx == len(self.edges):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,9 @@ from lionman.errors import (
     InsufficientDataError,
     InvalidAlphaError,
     InvalidInputError,
+    InvalidPointError,
     PromotionPreconditionError,
+    SpaceMismatchError,
     UnsupportedSpaceError,
 )
 
@@ -154,6 +157,16 @@ def test_directional_sequence_alternating_legs_fails(tripod):
     rep = lm.check_directional_sequence(tripod, pts, 3.0, budget=40)
     assert not rep.passed
     assert rep.worst_lower_slack < 0
+
+
+def test_directional_sequence_rejects_points_outside_the_space(euclid2):
+    with pytest.raises(SpaceMismatchError, match=r"points\[0\]"):
+        lm.check_directional_sequence(euclid2, [lm.hpoint(0, 0), lm.hpoint(0.5, 0)], 0.0, 3)
+    box = lm.L2BoxSpace(n=2, base=4.0)
+    with pytest.raises(InvalidPointError, match=r"points\[1\]"):
+        lm.check_directional_sequence(box, [lm.boxpoint(0, 0), lm.boxpoint(100, 0)], 0.0, 3)
+    rep = lm.check_directional_sequence(box, [lm.boxpoint(0, 0), lm.boxpoint(1, 0)], 0.0, 3)
+    assert rep.passed is True
 
 
 def test_directional_sequence_two_points(tripod):
@@ -393,3 +406,152 @@ def test_curve_file_generator_reconstruction(tmp_path):
     loaded2 = lm.load_curve(path2)
     assert loaded2.rule is not None
     assert loaded2.space.distance(loaded2.at(Fraction(9)), lm.vertex_point("r")) == 9
+
+
+# -- reference pair loops --------------------------------------------------------------------
+#
+# Pure-Python loops over the pairs i < j with the checkers' own float
+# expressions and a strict "<" first minimum: the vectorised checks must
+# return the same reports, field by field.
+
+
+def qg_reference(curve, lam, lower_eps, upper_eps, grid, k=None):
+    tol = curve.space.rel_tol
+    params = lm.curves._merged_params(curve, grid)
+    dmat = curve.space.pairwise_distances([curve.at(t) for t in params])
+    ts = [float(t) for t in params]
+    n_pairs = 0
+    worst = {"ratio": None, "lower": None, "upper": None}  # (scaled, i, j, raw, d)
+    first = {"lower": None, "upper": None}
+    for i in range(len(params)):
+        for j in range(i + 1, len(params)):
+            gap = abs(ts[i] - ts[j])
+            if k is not None and not gap <= float(k) * (1.0 + 1e-12):
+                continue
+            n_pairs += 1
+            d = float(dmat[i, j])
+            scale = max(1.0, gap)
+            lower = d - (gap / lam - lower_eps)
+            upper = (lam * gap + upper_eps) - d
+            ratio = d / gap if gap > 0 else math.inf
+            for key, value, raw in (("ratio", ratio, ratio), ("lower", lower / scale, lower),
+                                    ("upper", upper / scale, upper)):
+                if value < (math.inf if worst[key] is None else worst[key][0]):
+                    worst[key] = (value, i, j, raw, d)
+            for key, slack in (("lower", lower), ("upper", upper)):
+                if first[key] is None and slack < -tol * scale:
+                    first[key] = (params[i], params[j], d)
+
+    def pair(w):
+        return None if w is None else (params[w[1]], params[w[2]])
+
+    lo, up, ratio = worst["lower"], worst["upper"], worst["ratio"]
+    return lm.QGReport(
+        lam=float(lam), eps=float(lower_eps), k=None if k is None else float(k),
+        n_pairs=n_pairs, passed=not any(w is not None and w[0] < -tol for w in (lo, up)),
+        min_ratio=math.inf if ratio is None else ratio[0], min_ratio_pair=pair(ratio),
+        worst_lower_slack=math.inf if lo is None else lo[3], worst_lower_pair=pair(lo),
+        worst_lower_dist=None if lo is None else lo[4],
+        worst_upper_excess=-math.inf if up is None else -up[3], worst_upper_pair=pair(up),
+        first_lower_violation=first["lower"], first_upper_violation=first["upper"])
+
+
+def sequence_reference(space, points, b, budget, seed=0):
+    dmat = space.pairwise_distances(points)
+    n = len(points)
+    prefix = [0.0]
+    for i in range(n - 1):
+        prefix.append(prefix[-1] + dmat[i, i + 1])
+    worst, witness, checked = math.inf, None, 0
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            slack = dmat[i, j] - (prefix[j] - prefix[i] - b)
+            checked += 1
+            if slack < worst:
+                worst, witness = slack, (i, j)
+    rng = np.random.default_rng(seed)
+    for _ in range(budget if n >= 3 else 0):
+        idx = np.sort(rng.choice(n, size=int(rng.integers(3, n + 1)), replace=False))
+        slack = dmat[idx[0], idx[-1]] - (sum(dmat[a, c] for a, c in zip(idx, idx[1:])) - b)
+        checked += 1
+        if slack < worst:
+            worst, witness = slack, tuple(int(v) for v in idx)
+    return lm.DirectionalityReport(
+        b=float(b), n_checked=checked, passed=bool(worst >= -space.rel_tol),
+        worst_lower_slack=float(worst), worst_lower_witness=witness,
+        growth=(float(dmat[0, 1]), float(dmat[0, -1])))
+
+
+def reference_curves():
+    """name: (curve, locality k, lambdas); each family has a passing and a failing lambda."""
+    tree = lm.RTreeSpace(["v0", "v1", "v2", "v7", "v9"],
+                         [("v7", "v9", 1), ("v0", "v7", 3), ("v0", "v1", Fraction(3, 2)),
+                          ("v1", "v2", 1)], ray_at="v2")
+    ray = lm.tree_ray_curve(tree)
+    steps = tuple(Fraction(i, 2) for i in range(14))
+    plane, disk = lm.EuclideanSpace(2), lm.HyperbolicPlane()
+    zigzag = lm.zigzag_quasi_geodesic(plane, lm.epoint(0, 0), lm.epoint(9, 2), 1.6, 6,
+                                      np.random.default_rng(3))
+    return {
+        "box": (lm.l2_example_curve(4, 5.0, samples_per_leg=1), 40.0, (LAM_BOX, 1.0)),
+        "tube": (lm.hyperbolic_tube_curve(length=12.0, amplitude=0.25, seed=5), 3.0,
+                 (1.0, 1.5)),
+        "disk-geodesic": (lm.geodesic_segment_curve(disk, lm.hpoint(-0.4, 0.1),
+                                                    lm.hpoint(0.7, 0.3), 9), 1.5, (1.0, 1.3)),
+        "plane-zigzag": (zigzag, 2.0, (1.0, 1.6)),
+        "tree-geodesic": (lm.geodesic_segment_curve(tree, lm.vertex_point("v9"), ray.at(8),
+                                                    n_samples=13), 2.5, (1.0, 1.2)),
+        "tree-ray-fractions": (lm.Curve(tree, steps, tuple(ray.at(t) for t in steps)), 2.0,
+                               (1.0,)),
+        # two parameters that round to one float: the only pair has gap 0
+        "rounding-twins": (lm.Curve(plane, (Fraction(1), 1 + Fraction(1, 10**30)),
+                                    (lm.epoint(0, 0), lm.epoint(1e-30, 0))), 1.0, (1.0,)),
+        "compressed": (lm.Curve(plane, (0.0, 1.0, 2.0),
+                                (lm.epoint(0, 0), lm.epoint(2, 0), lm.epoint(3, 0))), 1.0,
+                       (1.0, 2.5)),
+    }
+
+
+REFERENCE_CURVES = sorted(reference_curves())
+
+
+@pytest.mark.parametrize("grid", [2, 7, 60])
+@pytest.mark.parametrize("name", REFERENCE_CURVES)
+def test_grid_checks_match_the_reference_pair_loop(name, grid):
+    curve, k, lams = reference_curves()[name]
+    for lam in lams:
+        for eps in (0.0, 0.3):
+            for kk in (None, k):
+                rep = lm.check_quasi_geodesic(curve, lam, eps, grid, k=kk)
+                ref = qg_reference(curve, lam, eps, eps, grid, kk)
+                assert astuple(rep) == astuple(ref), (lam, eps, kk)
+    for b in (0.0, 0.5):
+        ref = qg_reference(curve, 1.0, b, 0.0, grid)
+        want = lm.DirectionalityReport(
+            b=b, n_checked=ref.n_pairs, passed=ref.passed,
+            worst_lower_slack=ref.worst_lower_slack, worst_lower_witness=ref.worst_lower_pair,
+            worst_upper_slack=-ref.worst_upper_excess, worst_upper_witness=ref.worst_upper_pair)
+        assert astuple(lm.check_directional_curve(curve, b, grid)) == astuple(want), b
+
+
+def test_reference_curves_pass_and_fail():
+    # the cases above cover passing and failing verdicts and both bounds
+    for name in ("box", "tube", "compressed"):
+        curve, _, lams = reference_curves()[name]
+        reports = [lm.check_quasi_geodesic(curve, lam, 0.0, 60) for lam in lams]
+        assert [r.passed for r in reports] == [name == "box", name != "box"]
+    curve = reference_curves()["compressed"][0]
+    assert lm.check_quasi_geodesic(curve, 1.0, 0.0, 60).first_upper_violation is not None
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "hyperbolic", "l2box", "rtree"])
+def test_directional_sequence_matches_the_reference_loop(all_spaces, ray_tree, kind):
+    space = ray_tree if kind == "rtree" else all_spaces[kind]
+    sampler = sampler_for(space, seed=8)
+    for n in range(2, 21):
+        pts = [sampler.draw() for _ in range(n)]
+        if n % 3 == 0:  # points along one geodesic: a directional sequence
+            pts = [space.geodesic_point(pts[0], pts[-1], Fraction(i, n - 1)) for i in range(n)]
+        for b, budget in ((0.0, n % 5), (1.0, 12)):
+            rep = lm.check_directional_sequence(space, pts, b, budget, seed=n)
+            assert astuple(rep) == astuple(sequence_reference(space, pts, b, budget, seed=n))

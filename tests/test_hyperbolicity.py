@@ -301,3 +301,34 @@ def test_quasi_slim_sqrt2_hyperbolic_finite(hyper):
     d = float(lm.estimate_delta(hyper, lm.PointSampler(hyper, 4.0, seed=11), 6, grid=16))
     assert m >= d
     assert m < 5.0
+
+
+def cat_defect_by_blocks(space, x, y, z, grid):
+    """Reference: one distance block per pair of sides, as three separate calls."""
+    tri = lm.ComparisonTriangle.from_points(space, x, y, z)
+    verts, sides = [x, y, z], [(0, 1), (0, 2), (1, 2)]
+    ts = [(j + 1) / (grid + 1) for j in range(grid)]
+    pts, flat = {}, {}
+    for i, j in sides:
+        dij = float(space.distance(verts[i], verts[j]))
+        pts[i, j] = [space.geodesic_point(verts[i], verts[j], t) for t in ts]
+        flat[i, j] = [tri.side(i, j, t * dij) for t in ts]
+    worst = -math.inf
+    for s1 in range(3):
+        for s2 in range(s1 + 1, 3):
+            ps, qs = pts[sides[s1]], pts[sides[s2]]
+            dmat = space.pairwise_distances(ps + qs)[:grid, grid:]
+            fp, fq = np.asarray(flat[sides[s1]]), np.asarray(flat[sides[s2]])
+            fmat = np.linalg.norm(fp[:, None, :] - fq[None, :, :], axis=-1)
+            worst = max(worst, float((dmat - fmat).max()))
+    return worst
+
+
+@pytest.mark.parametrize("kind", SPACE_KINDS)
+def test_cat_defect_matches_the_three_block_loop(all_spaces, kind):
+    space = all_spaces[kind]
+    sampler = sampler_for(space, seed=19)
+    for trial in range(12):
+        x, y, z = sampler.draw(), sampler.draw(), sampler.draw()
+        for grid in (2, 5, 11):
+            assert lm.cat_defect(space, x, y, z, grid) == cat_defect_by_blocks(space, x, y, z, grid)
