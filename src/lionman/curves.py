@@ -287,8 +287,8 @@ def check_directional_sequence(space: Space, points, b: float, budget: int,
     """
     if len(points) < 2:
         raise InvalidInputError("need at least two points")
-    for n, p in enumerate(points):
-        space.check_point(p, f"points[{n}]")
+    for m, p in enumerate(points):
+        space.check_point(p, f"points[{m}]")
     tol = space.rel_tol if tol is None else tol
     dmat = space.pairwise_distances(points)
     n = len(points)

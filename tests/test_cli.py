@@ -22,6 +22,14 @@ def tripod_cfg(tmp_path):
 
 
 @pytest.fixture
+def lone_cfg(tmp_path):
+    """A one-vertex tree: the vertex is the whole space."""
+    path = tmp_path / "lone.json"
+    path.write_text(json.dumps({"space": {"kind": "rtree", "vertices": ["a"], "edges": []}}))
+    return str(path)
+
+
+@pytest.fixture
 def ray_cfg(tmp_path):
     path = tmp_path / "raytree.json"
     path.write_text(json.dumps({
@@ -153,21 +161,16 @@ def test_extract_ray_cli(ray_curve_file, tmp_path, capsys):
     assert len(lines) == 5
 
 
-def test_estimate_delta_tree_line(tripod_cfg, tmp_path, capsys):
-    # the one-vertex tree is the whole space, so every sampled point is its vertex
-    lone = tmp_path / "lone.json"
-    lone.write_text(json.dumps({"space": {"kind": "rtree", "vertices": ["a"], "edges": []}}))
-    for cfg in (tripod_cfg, str(lone)):
+def test_estimate_delta_tree_line(tripod_cfg, lone_cfg, capsys):
+    for cfg in (tripod_cfg, lone_cfg):
         code = main(["estimate-delta", "--space", cfg, "--trials", "50", "--seed", "3"])
         assert code == 0
         line = capsys.readouterr().out.strip()
         assert line == "space=rtree trials=50 seed=3 delta=0"
 
 
-def test_sweep_on_a_one_vertex_tree(tmp_path, capsys):
-    lone = tmp_path / "lone.json"
-    lone.write_text(json.dumps({"space": {"kind": "rtree", "vertices": ["a"], "edges": []}}))
-    code = main(["sweep", "--space", str(lone), "--runs", "2", "--D", "1/2", "--seed", "1"])
+def test_sweep_on_a_one_vertex_tree(lone_cfg, capsys):
+    code = main(["sweep", "--space", lone_cfg, "--runs", "2", "--D", "1/2", "--seed", "1"])
     assert code == 0
     assert capsys.readouterr().out.strip() == "lion-wins-physical=2"
 
