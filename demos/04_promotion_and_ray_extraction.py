@@ -44,7 +44,7 @@ tube = lm.hyperbolic_tube_curve(length=33.0, step=1.0, amplitude=0.15, seed=5)
 print("\ntube curve certified sqrt(2):",
       lm.check_quasi_geodesic(tube, SQRT2, 0.0, grid=200).passed)
 ray = lm.extract_ray_from_quasi_geodesic(disk, tube, lam=SQRT2, alpha=2,
-                                         k_max=10, delta_star=1.0)
+                                         k_max=10)
 print("extracted ray points vs the true axis:")
 for kk, star in zip(ray.ks, ray.stars):
     axis = lm.hpoint(math.tanh(0.5 * kk), 0.0)
@@ -55,6 +55,6 @@ for kk, star in zip(ray.ks, ray.stars):
 # on a tree the same construction is exact
 tree = lm.ray_tree()
 exact = lm.extract_ray_from_quasi_geodesic(tree, lm.tree_ray_curve(tree), lam=1.0,
-                                           alpha=2, k_max=5, delta_star=1.0)
+                                           alpha=2, k_max=5)
 print("\ntree ray extraction residuals are identically zero:",
       all(r == 0.0 for h in exact.residuals.values() for r in h))

@@ -170,8 +170,7 @@ def cmd_verify_curve(args):
 def cmd_extract_ray(args):
     curve = curves.load_curve(args.curve)
     ray = curves.extract_ray_from_quasi_geodesic(
-        curve.space, curve, lam=args.lam, alpha=args.alpha, k_max=args.k_max,
-        delta_star=args.delta_star)
+        curve.space, curve, lam=args.lam, alpha=args.alpha, k_max=args.k_max)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -294,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--alpha", type=float, default=2.0)
     p.add_argument("--k-max", type=int, default=10)
-    p.add_argument("--delta-star", type=float, default=1.0)
     p.add_argument("--out", help="residual CSV path")
     p.set_defaults(func=cmd_extract_ray)
 

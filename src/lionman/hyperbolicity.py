@@ -17,7 +17,7 @@ import numpy as np
 
 from .curves import zigzag_quasi_geodesic
 from .errors import DegenerateInputError, InvalidInputError
-from .spaces import Point, PointSampler, Segment, Space
+from .spaces import EuclideanSpace, Point, PointSampler, Segment, Space, epoint
 
 
 def gromov_product(space: Space, x: Point, y: Point, z: Point):
@@ -309,10 +309,9 @@ def cat_defect(space: Space, x: Point, y: Point, z: Point, grid: int):
         a, b = verts[i], verts[j]
         dij = float(space.distance(a, b))
         pts += [space.geodesic_point(a, b, t) for t in ts]
-        flat += [tri.side(i, j, t * dij) for t in ts]
+        flat += [epoint(*tri.side(i, j, t * dij)) for t in ts]
 
     dmat = space.pairwise_distances(pts)
-    flat = np.asarray(flat)
-    fmat = np.linalg.norm(flat[:, None, :] - flat[None, :, :], axis=-1)
+    fmat = EuclideanSpace(2).pairwise_distances(flat)
     side = np.repeat(np.arange(3), grid)
     return float((dmat - fmat)[side[:, None] < side[None, :]].max())

@@ -235,6 +235,12 @@ class Space:
         return cls()
 
 
+def _squared_gaps(arr: np.ndarray) -> np.ndarray:
+    """Table of squared l2 distances between the rows of a coordinate array."""
+    diff = arr[:, None, :] - arr[None, :, :]
+    return (diff * diff).sum(axis=-1)
+
+
 class EuclideanSpace(Space):
     """Flat n-space with the l2 metric."""
 
@@ -271,8 +277,7 @@ class EuclideanSpace(Space):
 
     def pairwise_distances(self, points):
         arr = np.asarray([p.coords for p in points], dtype=float)
-        diff = arr[:, None, :] - arr[None, :, :]
-        return np.sqrt((diff * diff).sum(axis=-1))
+        return np.sqrt(_squared_gaps(arr))
 
     def random_point(self, rng, scale=1.0):
         return Point(self.kind, tuple(float(c) for c in rng.normal(0.0, scale, self.dim)))
@@ -424,14 +429,11 @@ class HyperbolicPlane(Space):
         return (w + a) / (1.0 + a.conjugate() * w)
 
     def _interpolate(self, x, y, t):
-        a, b = self._c(x), self._c(y)
-        w = self._to_origin(a, b)
-        r = abs(w)
-        if r == 0.0:
+        try:
+            direction = self.tangent_direction(x, y)
+        except DegenerateInputError:  # coincident points
             return x
-        s = float(t) * self._dist(x, y)
-        z = math.tanh(0.5 * s) * (w / r)
-        return self._pt(self._from_origin(a, z))
+        return self.point_toward(x, direction, float(t) * self._dist(x, y))
 
     def tangent_direction(self, x: Point, y: Point) -> complex:
         """Unit tangent at x of the geodesic toward y, in the chart at x."""
@@ -462,10 +464,8 @@ class HyperbolicPlane(Space):
     def pairwise_distances(self, points):
         arr = np.asarray([p.coords for p in points], dtype=float)
         sq = (arr * arr).sum(axis=1)
-        diff = arr[:, None, :] - arr[None, :, :]
-        num = (diff * diff).sum(axis=-1)
         den = (1.0 - sq)[:, None] * (1.0 - sq)[None, :]
-        return 2.0 * np.arcsinh(np.sqrt(num / den))
+        return 2.0 * np.arcsinh(np.sqrt(_squared_gaps(arr) / den))
 
     def random_point(self, rng, scale=1.0):
         # uniform hyperbolic radius in [0, scale], uniform direction
@@ -582,11 +582,6 @@ class RTreeSpace(Space):
     def __repr__(self):
         ray = f", ray_at={self.ray_at!r}" if self.ray_at is not None else ""
         return f"RTreeSpace({len(self.vertices)} vertices, {len(self.edges)} edges{ray})"
-
-    def edge_length(self, e):
-        if e == RAY_EDGE:
-            return math.inf
-        return self.edges[e][2]
 
     def contains_point(self, p):
         if p.vertex is not None:

@@ -217,7 +217,7 @@ def test_criterion_6_ray_extraction():
     tube = lm.hyperbolic_tube_curve(length=33.0, step=1.0, amplitude=0.15, seed=5)
     certified = lm.check_quasi_geodesic(tube, math.sqrt(2.0), 0.0, grid=200).passed
     approx = lm.extract_ray_from_quasi_geodesic(hyper, tube, lam=math.sqrt(2.0),
-                                                alpha=2, k_max=10, delta_star=1.0)
+                                                alpha=2, k_max=10)
     axis_ok = all(
         float(hyper.distance(star, lm.hpoint(math.tanh(0.5 * k), 0.0))) <= 0.05
         for k, star in zip(approx.ks, approx.stars))
@@ -230,8 +230,7 @@ def test_criterion_6_ray_extraction():
 
     tree = lm.ray_tree()
     exact = lm.extract_ray_from_quasi_geodesic(tree, lm.tree_ray_curve(tree),
-                                               lam=1.0, alpha=2, k_max=10,
-                                               delta_star=1.0)
+                                               lam=1.0, alpha=2, k_max=10)
     zeros_ok = all(r == 0.0 for hist in exact.residuals.values() for r in hist)
 
     ok = certified and axis_ok and decay_ok and zeros_ok
@@ -251,7 +250,7 @@ def test_criterion_7_directional_construction():
     for n in range(1, 61):
         jitter = (b / 4.0) * math.cos(1.7 * n) / (1 + 0.5 * n)
         pts.append(lm.epoint(float(n), jitter))
-    assert lm.check_directional_sequence(euclid, pts, b, budget=200).passed
+    assert lm.check_directional_sequence(euclid, pts, b).passed
 
     bound_ok = True
     for m in range(1, len(pts)):

@@ -153,7 +153,7 @@ def test_verify_curve_pass_and_fail(ray_curve_file, tmp_path, capsys):
 def test_extract_ray_cli(ray_curve_file, tmp_path, capsys):
     out = tmp_path / "res.csv"
     code = main(["extract-ray", "--curve", ray_curve_file, "--lambda", "1",
-                 "--alpha", "2", "--k-max", "4", "--delta-star", "1",
+                 "--alpha", "2", "--k-max", "4",
                  "--out", str(out)])
     assert code == 0
     lines = out.read_text().strip().splitlines()

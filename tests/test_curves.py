@@ -148,30 +148,30 @@ def test_directional_curve_implies_quasi_geodesic(euclid2):
 
 def test_directional_sequence_tree_ray(ray_tree):
     pts = [lm.edge_point(lm.RAY_EDGE, Fraction(i)) for i in range(10)]
-    rep = lm.check_directional_sequence(ray_tree, pts, 0.0, budget=40)
+    rep = lm.check_directional_sequence(ray_tree, pts, 0.0)
     assert rep.passed
 
 
 def test_directional_sequence_alternating_legs_fails(tripod):
     pts = [lm.vertex_point(v) for v in "ababa"]
-    rep = lm.check_directional_sequence(tripod, pts, 3.0, budget=40)
+    rep = lm.check_directional_sequence(tripod, pts, 3.0)
     assert not rep.passed
     assert rep.worst_lower_slack < 0
 
 
 def test_directional_sequence_rejects_points_outside_the_space(euclid2):
     with pytest.raises(SpaceMismatchError, match=r"points\[0\]"):
-        lm.check_directional_sequence(euclid2, [lm.hpoint(0, 0), lm.hpoint(0.5, 0)], 0.0, 3)
+        lm.check_directional_sequence(euclid2, [lm.hpoint(0, 0), lm.hpoint(0.5, 0)], 0.0)
     box = lm.L2BoxSpace(n=2, base=4.0)
     with pytest.raises(InvalidPointError, match=r"points\[1\]"):
-        lm.check_directional_sequence(box, [lm.boxpoint(0, 0), lm.boxpoint(100, 0)], 0.0, 3)
-    rep = lm.check_directional_sequence(box, [lm.boxpoint(0, 0), lm.boxpoint(1, 0)], 0.0, 3)
+        lm.check_directional_sequence(box, [lm.boxpoint(0, 0), lm.boxpoint(100, 0)], 0.0)
+    rep = lm.check_directional_sequence(box, [lm.boxpoint(0, 0), lm.boxpoint(1, 0)], 0.0)
     assert rep.passed is True
 
 
 def test_directional_sequence_two_points(tripod):
     pts = [lm.vertex_point("a"), lm.vertex_point("b")]
-    rep = lm.check_directional_sequence(tripod, pts, 1.5, budget=5)
+    rep = lm.check_directional_sequence(tripod, pts, 1.5)
     assert rep.passed
     assert rep.worst_lower_slack == pytest.approx(1.5)
 
@@ -250,7 +250,7 @@ def test_verify_promotion_understated_M_fails_with_witness(hyper):
 def test_extract_ray_tree_exact(ray_tree):
     ray = lm.tree_ray_curve(ray_tree)
     approx = lm.extract_ray_from_quasi_geodesic(ray_tree, ray, lam=1.0, alpha=2,
-                                                k_max=6, delta_star=1.0)
+                                                k_max=6)
     for k, star in zip(approx.ks, approx.stars):
         assert ray_tree.distance(approx.base, star) == k
     assert all(r == 0.0 for hist in approx.residuals.values() for r in hist)
@@ -262,7 +262,7 @@ def test_extract_ray_hyperbolic_tube(hyper):
     tube = lm.hyperbolic_tube_curve(length=33.0, step=1.0, amplitude=0.15, seed=5)
     assert lm.check_quasi_geodesic(tube, SQRT2, 0.0, grid=150).passed
     approx = lm.extract_ray_from_quasi_geodesic(hyper, tube, lam=SQRT2, alpha=2,
-                                                k_max=10, delta_star=1.0)
+                                                k_max=10)
     for k, star in zip(approx.ks, approx.stars):
         axis_point = lm.hpoint(math.tanh(0.5 * k), 0.0)
         assert float(hyper.distance(star, axis_point)) <= 0.05
@@ -275,7 +275,7 @@ def test_extract_ray_hyperbolic_tube(hyper):
 def test_ray_approx_internal_consistency(hyper):
     tube = lm.hyperbolic_tube_curve(length=33.0, step=1.0, amplitude=0.1, seed=8)
     approx = lm.extract_ray_from_quasi_geodesic(hyper, tube, lam=SQRT2, alpha=2,
-                                                k_max=8, delta_star=1.0)
+                                                k_max=8)
     assert all(res <= 1e-6 for _, res in approx.distance_residuals)
     assert all(res <= 1e-5 for _, _, res in approx.nesting_residuals)
 
@@ -284,14 +284,14 @@ def test_extract_ray_invalid_alpha(hyper):
     tube = lm.hyperbolic_tube_curve(length=20.0, step=1.0, amplitude=0.1, seed=1)
     with pytest.raises(InvalidAlphaError):
         lm.extract_ray_from_quasi_geodesic(hyper, tube, lam=SQRT2, alpha=4.0,
-                                           k_max=3, delta_star=1.0)
+                                           k_max=3)
 
 
 def test_extract_ray_unsupported_space(box):
     c = lm.l2_example_curve(6, 10.0)
     with pytest.raises(UnsupportedSpaceError):
         lm.extract_ray_from_quasi_geodesic(box, c, lam=LAM_BOX, alpha=2.0,
-                                           k_max=3, delta_star=1.0)
+                                           k_max=3)
 
 
 def test_extract_directional_euclidean_ray_exact(euclid2):
@@ -313,7 +313,7 @@ def jittered_ray_points(b=1.0, n=60):
 def test_extract_directional_jittered_ray(euclid2):
     b = 1.0
     pts = jittered_ray_points(b)
-    assert lm.check_directional_sequence(euclid2, pts, b, budget=200).passed
+    assert lm.check_directional_sequence(euclid2, pts, b).passed
     approx = lm.extract_ray_from_directional_sequence(euclid2, pts, b, k_max=10)
     for star in approx.stars:
         angle = abs(math.atan2(star.coords[1], star.coords[0]))
@@ -456,7 +456,7 @@ def qg_reference(curve, lam, lower_eps, upper_eps, grid, k=None):
         first_lower_violation=first["lower"], first_upper_violation=first["upper"])
 
 
-def sequence_reference(space, points, b, budget, seed=0):
+def sequence_reference(space, points, b):
     dmat = space.pairwise_distances(points)
     n = len(points)
     prefix = [0.0]
@@ -469,13 +469,6 @@ def sequence_reference(space, points, b, budget, seed=0):
             checked += 1
             if slack < worst:
                 worst, witness = slack, (i, j)
-    rng = np.random.default_rng(seed)
-    for _ in range(budget if n >= 3 else 0):
-        idx = np.sort(rng.choice(n, size=int(rng.integers(3, n + 1)), replace=False))
-        slack = dmat[idx[0], idx[-1]] - (sum(dmat[a, c] for a, c in zip(idx, idx[1:])) - b)
-        checked += 1
-        if slack < worst:
-            worst, witness = slack, tuple(int(v) for v in idx)
     return lm.DirectionalityReport(
         b=float(b), n_checked=checked, passed=bool(worst >= -space.rel_tol),
         worst_lower_slack=float(worst), worst_lower_witness=witness,
@@ -552,6 +545,59 @@ def test_directional_sequence_matches_the_reference_loop(all_spaces, ray_tree, k
         pts = [sampler.draw() for _ in range(n)]
         if n % 3 == 0:  # points along one geodesic: a directional sequence
             pts = [space.geodesic_point(pts[0], pts[-1], Fraction(i, n - 1)) for i in range(n)]
-        for b, budget in ((0.0, n % 5), (1.0, 12)):
-            rep = lm.check_directional_sequence(space, pts, b, budget, seed=n)
-            assert astuple(rep) == astuple(sequence_reference(space, pts, b, budget, seed=n))
+        for b in (0.0, 1.0):
+            rep = lm.check_directional_sequence(space, pts, b)
+            assert astuple(rep) == astuple(sequence_reference(space, pts, b))
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "hyperbolic", "l2box", "rtree"])
+def test_windows_decide_every_subsequence(all_spaces, ray_tree, kind):
+    # a subsequence's gap sum is at most that of the window with the same
+    # ends, so no sparse subsequence has less slack than the checked windows
+    space = ray_tree if kind == "rtree" else all_spaces[kind]
+    sampler = sampler_for(space, seed=11)
+    rng = np.random.default_rng(11)
+    for n in range(3, 25):
+        pts = [sampler.draw() for _ in range(n)]
+        if n % 3 == 0:
+            pts = [space.geodesic_point(pts[0], pts[-1], Fraction(i, n - 1)) for i in range(n)]
+        dmat = space.pairwise_distances(pts)
+        prefix = np.concatenate([[0.0], np.cumsum(np.diagonal(dmat, 1))])
+        for b in (0.0, 1.0):
+            rep = lm.check_directional_sequence(space, pts, b)
+            assert rep.n_checked == n * (n - 1) // 2
+            for _ in range(20):
+                idx = np.sort(rng.choice(n, size=int(rng.integers(3, n + 1)), replace=False))
+                first, last = idx[0], idx[-1]
+                span = prefix[last] - prefix[first]
+                sparse = dmat[first, last] - (sum(dmat[a, c] for a, c in zip(idx, idx[1:])) - b)
+                window = dmat[first, last] - (span - b)
+                assert sparse >= window - 1e-12 * max(1.0, span)
+                assert sparse >= rep.worst_lower_slack - 1e-12 * max(1.0, span)
+
+
+def angle_pairs_reference(dists, angle_pairs):
+    """The pairs m < n behind the angle checks: every stride-th pair of a
+    double loop over the indices at positive distance from x_0."""
+    pos = [i for i in range(1, len(dists)) if dists[i] > 0]
+    stride = max(1, len(pos) * (len(pos) - 1) // (2 * angle_pairs))
+    pairs, count = [], 0
+    for ai in range(len(pos)):
+        for bi in range(ai + 1, len(pos)):
+            count += 1
+            if count % stride == 0:
+                pairs.append((pos[ai], pos[bi]))
+    return pairs
+
+
+@pytest.mark.parametrize("angle_pairs", [1, 7, 100])
+def test_angle_checks_follow_the_reference_pair_loop(euclid2, angle_pairs):
+    for n in [*range(2, 61), 2000]:
+        # every fifth point sits on x_0, so only the others take part
+        pts = [lm.epoint(0, 0) if i % 5 == 0 else lm.epoint(float(i), 0.1 * math.sin(i))
+               for i in range(n)]
+        pts[-1] = lm.epoint(float(n), 0.0)
+        ray = lm.extract_ray_from_directional_sequence(euclid2, pts, 1.0, k_max=1,
+                                                       angle_pairs=angle_pairs)
+        dists = [euclid2.distance(pts[0], p) for p in pts]
+        assert [(m, k) for m, k, _, _ in ray.angle_checks] == angle_pairs_reference(dists, angle_pairs)
