@@ -17,7 +17,6 @@ from .curves import Curve, QGReport, check_quasi_geodesic, extract_ray_from_dire
 from .errors import InvalidInputError, ThresholdNotMetError
 from .game import (DirectionalStrategy, GameConfig, GreedyStrategy, StationaryStrategy,
                    Transcript, classify_outcome, run_game)
-from .hyperbolicity import alexandrov_angle
 from . import spaces
 from .spaces import RTreeSpace, Space
 
@@ -55,10 +54,11 @@ def beta_angles(space: Space, transcript: Transcript) -> BetaSequence:
         if space.distance(lion, prev.lion) == 0 or space.distance(lion, cur.man) == 0:
             gaps.append(n)
             continue
-        beta = alexandrov_angle(space, lion, prev.lion, cur.man)
+        # both sides of each angle are nonzero, as the closed forms require
+        beta = space.angle(lion, prev.lion, cur.man)
         alpha = None
         if space.distance(lion, prev.man) > 0:
-            alpha = alexandrov_angle(space, lion, prev.man, cur.man)
+            alpha = space.angle(lion, prev.man, cur.man)
         steps.append(n)
         betas.append(beta)
         alphas.append(alpha)
@@ -83,7 +83,11 @@ def curve_from_transcript(space: Space, transcript: Transcript, k, D=None):
     """
     D = transcript.D if D is None else D
     theta = beta_threshold(k, D)
-    bs = beta_angles(space, transcript)
+    return _win_curve(space, transcript, beta_angles(space, transcript), theta, D)
+
+
+def _win_curve(space: Space, transcript: Transcript, bs: BetaSequence, theta, D):
+    """``curve_from_transcript`` on the transcript's measured angles ``bs``."""
     if not bs.steps:
         raise InvalidInputError("transcript has no measurable angles")
 
@@ -178,6 +182,38 @@ def rtree_capture_audit(space: RTreeSpace, transcript: Transcript, D=None,
                         final_distance=final_distance)
 
 
+def analyze_transcript(space: Space, transcript: Transcript, k, D=None, grid=256):
+    """Every certificate of one transcript, from one pass over its angles.
+
+    Returns (report, angles, audit, passed): the report `lionman analyze`
+    writes, the BetaSequence, the tree CaptureAudit (None off trees), and
+    whether every certificate that applies holds.
+    """
+    D = transcript.D if D is None else D
+    bs = beta_angles(space, transcript)
+    tail_min, tail_mean = bs.tail_stats()
+    report = {"beta_tail_min": tail_min, "beta_tail_mean": tail_mean, "angle_gaps": bs.gaps}
+    passed, audit = True, None
+    if transcript.capture_step is not None:
+        report["capture_step"] = transcript.capture_step
+    else:
+        try:
+            n_k, curve = _win_curve(space, transcript, bs, beta_threshold(k, D), D)
+            qg = verify_mans_win_curve(curve, k, grid=grid)
+            report.update(n_k=n_k, local_qg_passed=qg.passed, min_ratio=qg.min_ratio)
+            passed = qg.passed
+        except ThresholdNotMetError as exc:
+            report.update(threshold_not_met=True, best_tail=exc.best_tail)
+            passed = False
+    if isinstance(space, RTreeSpace):
+        audit = rtree_capture_audit(space, transcript, D)
+        report["audit_passed"] = audit.passed
+        if audit.final_distance is not None:
+            report["final_distance"] = float(audit.final_distance)
+        passed = passed and audit.passed
+    return report, bs, audit, passed
+
+
 # ---------------------------------------------------------------------------
 # experiment harness
 
@@ -224,23 +260,13 @@ def equivalence_report(space: Space, domain, D, n_steps, tol, lion_start,
         runs.append({"strategy": strat.name, "outcome": outcome.classification,
                      "n0": outcome.n0, "tail_min": outcome.tail_min})
         if outcome.classification == "man-wins-observed":
-            kk = 12 * D if k is None else k
-            try:
-                n_k, win_curve = curve_from_transcript(space, tr, kk, D)
-                report = verify_mans_win_curve(win_curve, kk, grid=128)
-                certificates[strat.name] = {
-                    "n_k": n_k, "local_qg_passed": report.passed,
-                    "min_ratio": report.min_ratio,
-                }
-            except ThresholdNotMetError as exc:
-                certificates[strat.name] = {"threshold_not_met": float(exc.best_tail)}
-            if isinstance(space, RTreeSpace):
-                audit = rtree_capture_audit(space, tr, D)
-                certificates.setdefault(strat.name, {})["audit_passed"] = audit.passed
+            cert, _, audit, _ = analyze_transcript(space, tr, 12 * D if k is None else k, D, 128)
+            if audit is not None:
                 ray = extract_ray_from_directional_sequence(space, tr.lion_path(), 0.0,
                                                             k_max=min(5, int(float(D) * n_steps)))
-                certificates[strat.name]["ray_residual_max"] = max(
+                cert["ray_residual_max"] = max(
                     (max(h) for h in ray.residuals.values() if h), default=0.0)
+            certificates[strat.name] = cert
         if isinstance(space, RTreeSpace) and outcome.classification == "lion-wins-physical":
             audit = rtree_capture_audit(space, tr, D)
             certificates[strat.name] = {"audit_passed": audit.passed,

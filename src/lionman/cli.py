@@ -30,16 +30,17 @@ import math
 import sys
 
 from . import analysis, curves, game, hyperbolicity, spaces
-from .errors import GeometryError, InvalidInputError, StrategyFaultError, ThresholdNotMetError
+from .errors import GeometryError, InvalidInputError, StrategyFaultError, _bad_input
 
 _SWEEP_DRAWS = 1000  # start pairs a sweep run may draw before giving up
 
 
-def _parse_point(text, space):
+def _parse_point(text, space, flag):
     data = json.loads(text)
     if isinstance(data, list):
         data = {"coords": data}
-    return spaces.point_from_json({"kind": space.kind, **data})
+    with _bad_input(f"{flag}: malformed point"):
+        return spaces.point_from_json({"kind": space.kind, **data})
 
 
 def _scalar(space, text, flag):
@@ -68,9 +69,9 @@ def cmd_simulate(args):
     space, domain = spaces.load_space_config(args.space)
     D = _scalar(space, args.D, "--D")
     strategy = _make_strategy(args, space, domain, D)
-    lion = _parse_point(args.lion, space) if args.lion else space.origin()
+    lion = _parse_point(args.lion, space, "--lion") if args.lion else space.origin()
     if args.man_start:
-        man = _parse_point(args.man_start, space)
+        man = _parse_point(args.man_start, space, "--man-start")
     elif isinstance(strategy, game.DirectionalStrategy):
         man = strategy.start()
     else:
@@ -101,37 +102,11 @@ def cmd_analyze(args):
     D = tr.D if args.D is None else _scalar(space, args.D, "--D")
     k = _scalar(space, args.k, "--k")
 
-    bs = analysis.beta_angles(space, tr)
+    report, bs, audit, ok = analysis.analyze_transcript(space, tr, k, D, args.grid)
     if args.beta_csv:
         analysis.write_beta_csv(bs, args.beta_csv)
-    report = {"beta_tail_min": bs.tail_stats()[0], "beta_tail_mean": bs.tail_stats()[1],
-              "angle_gaps": bs.gaps}
-    ok = True
-
-    if tr.capture_step is not None:
-        report["capture_step"] = tr.capture_step
-    else:
-        try:
-            n_k, curve = analysis.curve_from_transcript(space, tr, k, D)
-            qg = analysis.verify_mans_win_curve(curve, k, grid=args.grid)
-            report["n_k"] = n_k
-            report["local_qg_passed"] = qg.passed
-            report["min_ratio"] = qg.min_ratio
-            ok = ok and qg.passed
-        except ThresholdNotMetError as exc:
-            report["threshold_not_met"] = True
-            report["best_tail"] = exc.best_tail
-            ok = False
-
-    if isinstance(space, spaces.RTreeSpace):
-        audit = analysis.rtree_capture_audit(space, tr, D)
-        report["audit_passed"] = audit.passed
-        if audit.final_distance is not None:
-            report["final_distance"] = float(audit.final_distance)
-        if args.audit_csv:
-            analysis.write_audit_csv(audit, args.audit_csv)
-        ok = ok and audit.passed
-
+    if args.audit_csv and audit is not None:
+        analysis.write_audit_csv(audit, args.audit_csv)
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=1, sort_keys=True)

@@ -25,9 +25,11 @@ from .errors import (
     InvalidInputError,
     PromotionPreconditionError,
     UnsupportedSpaceError,
+    _bad_input,
 )
 from . import spaces
-from .spaces import HyperbolicPlane, L2BoxSpace, Point, RAY_EDGE, RTreeSpace, Segment, Space
+from .spaces import (HyperbolicPlane, L2BoxSpace, Point, RAY_EDGE, RTreeSpace, Segment, Space,
+                     _flat_angle)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +388,7 @@ def _ray_from_points(space: Space, points, dists, k_max: int, residual_tol,
         history, prev, star = [], None, None
         stop = "exhausted"
         for i in usable:
-            t = k / dists[i] if isinstance(dists[i], Fraction) else k / float(dists[i])
+            t = k / dists[i]
             cur = space.geodesic_point(x0, points[i], t)
             if prev is not None:
                 history.append(float(space.distance(prev, cur)))
@@ -468,9 +470,7 @@ def extract_ray_from_directional_sequence(space: Space, points, b: float,
         m, n = pos[r], pos[c]
         dm, dn = float(dists[m]), float(dists[n])
         dmn = float(space.distance(points[m], points[n]))
-        cosv = (dm * dm + dn * dn - dmn * dmn) / (2.0 * dm * dn)
-        ang = math.acos(min(1.0, max(-1.0, cosv)))
-        lhs = math.sin(ang / 2.0) ** 2
+        lhs = math.sin(_flat_angle(dm, dn, dmn) / 2.0) ** 2
         rhs = (b / (2.0 * dm)) * (b / (2.0 * dn) + 1.0)
         checks.append((m, n, lhs, rhs))
     ray.angle_checks = checks
@@ -639,6 +639,11 @@ def save_curve(curve: Curve, path) -> None:
 def load_curve(path) -> Curve:
     with open(path) as fh:
         data = json.load(fh)
+    with _bad_input(f"{path}: malformed curve"):
+        return _curve_from_json(data)
+
+
+def _curve_from_json(data) -> Curve:
     space = spaces.space_from_config(data["space"])
     gen = data.get("generator")
     if gen is not None:

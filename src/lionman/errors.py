@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class GeometryError(Exception):
     """Base class for all errors raised by this package."""
@@ -66,3 +68,19 @@ class StrategyFaultError(GeometryError):
 
 class ConfigError(InvalidInputError):
     """A configuration file is malformed; the message names the bad field."""
+
+
+@contextmanager
+def _bad_input(prefix, error=InvalidInputError):
+    """Report a wrong shape or value in outside JSON as ``error``.
+
+    A KeyError, TypeError or ValueError raised inside the block becomes
+    ``error``, its message led by ``prefix`` (which names the flag or file);
+    the package's own errors pass through unchanged.
+    """
+    try:
+        yield
+    except GeometryError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise error(f"{prefix} ({type(exc).__name__}: {exc})") from None

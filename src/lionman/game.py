@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .curves import Curve
-from .errors import InvalidInputError, StrategyFaultError
+from .errors import InvalidInputError, StrategyFaultError, _bad_input
 from . import spaces
 from .spaces import Point, Space, domain_contains
 
@@ -363,7 +363,9 @@ def save_transcript(tr: Transcript, path) -> None:
 
 def load_transcript(path) -> Transcript:
     with open(path) as fh:
-        return transcript_from_json(json.load(fh))
+        data = json.load(fh)
+    with _bad_input(f"{path}: malformed transcript"):
+        return transcript_from_json(data)
 
 
 def write_dist_csv(tr: Transcript, path) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .curves import zigzag_quasi_geodesic
 from .errors import DegenerateInputError, InvalidInputError
-from .spaces import EuclideanSpace, Point, PointSampler, Segment, Space, epoint
+from .spaces import EuclideanSpace, Point, PointSampler, Segment, Space, _flat_angle, epoint
 
 
 def gromov_product(space: Space, x: Point, y: Point, z: Point):
@@ -38,9 +38,7 @@ def comparison_angle(space: Space, apex: Point, y: Point, z: Point) -> float:
     b = float(space.distance(apex, z))
     if a == 0.0 or b == 0.0:
         raise DegenerateInputError("comparison angle needs both sides nondegenerate")
-    c = float(space.distance(y, z))
-    cosv = (a * a + b * b - c * c) / (2.0 * a * b)
-    return math.acos(min(1.0, max(-1.0, cosv)))
+    return _flat_angle(a, b, float(space.distance(y, z)))
 
 
 @dataclass(frozen=True)
@@ -74,8 +72,7 @@ class ComparisonTriangle:
         if d01 == 0.0 or d02 == 0.0:
             v2 = (d02, 0.0)
         else:
-            cosv = (d01 * d01 + d02 * d02 - d12 * d12) / (2.0 * d01 * d02)
-            ang = math.acos(min(1.0, max(-1.0, cosv)))
+            ang = _flat_angle(d01, d02, d12)
             v2 = (d02 * math.cos(ang), d02 * math.sin(ang))
         return cls(d01, d02, d12, (v0, v1, v2))
 
@@ -270,7 +267,7 @@ def check_gromov_criterion(space: Space, triples, delta_prime, levels=16,
         local_witness = None
         if g > 0 and dxy > 0 and dxz > 0:
             for j in range(1, levels + 1):
-                r = g * j / levels if isinstance(g, float) else g * Fraction(j, levels)
+                r = g * j / levels
                 yp = space.geodesic_point(x, y, r / dxy)
                 zp = space.geodesic_point(x, z, r / dxz)
                 d = space.distance(yp, zp)

@@ -36,6 +36,7 @@ from .errors import (
     InvalidInputError,
     InvalidPointError,
     SpaceMismatchError,
+    _bad_input,
 )
 
 
@@ -195,13 +196,8 @@ class Space:
     # -- bulk helpers -------------------------------------------------------
 
     def pairwise_distances(self, points) -> np.ndarray:
-        n = len(points)
-        out = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = float(self._dist(points[i], points[j]))
-                out[i, j] = out[j, i] = d
-        return out
+        """Float table of the distances between the points."""
+        raise NotImplementedError
 
     def random_point(self, rng: np.random.Generator, scale=1.0) -> Point:
         raise NotImplementedError
@@ -233,6 +229,12 @@ class Space:
     @classmethod
     def from_config(cls, data: dict) -> Space:
         return cls()
+
+
+def _flat_angle(a, b, c) -> float:
+    """Angle between the sides a and b of the flat triangle whose third side is c."""
+    cosv = (a * a + b * b - c * c) / (2.0 * a * b)
+    return math.acos(min(1.0, max(-1.0, cosv)))
 
 
 def _squared_gaps(arr: np.ndarray) -> np.ndarray:
@@ -911,10 +913,11 @@ def load_space_config(path):
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    if "space" not in data:
-        raise ConfigError(f"{path}: missing 'space' section")
-    space = space_from_config(data["space"])
-    domain = domain_from_config(space, data.get("domain"))
+    with _bad_input(f"{path}: malformed config", ConfigError):
+        if "space" not in data:
+            raise ConfigError(f"{path}: missing 'space' section")
+        space = space_from_config(data["space"])
+        domain = domain_from_config(space, data.get("domain"))
     return space, domain
 
 

@@ -200,6 +200,127 @@ def test_audit_extraction_agreement(ray_tree):
         assert ray_tree.distance(lions[0], star) == k
 
 
+# -- one certificate pass ----------------------------------------------------------------
+
+
+def analyze_reference(space, tr, k, D=None, grid=256):
+    """The certificate logic `lionman analyze` ran inline before `analyze_transcript`."""
+    D = tr.D if D is None else D
+    bs = lm.beta_angles(space, tr)
+    report = {"beta_tail_min": bs.tail_stats()[0], "beta_tail_mean": bs.tail_stats()[1],
+              "angle_gaps": bs.gaps}
+    ok = True
+    if tr.capture_step is not None:
+        report["capture_step"] = tr.capture_step
+    else:
+        try:
+            n_k, curve = lm.curve_from_transcript(space, tr, k, D)
+            qg = lm.verify_mans_win_curve(curve, k, grid=grid)
+            report["n_k"] = n_k
+            report["local_qg_passed"] = qg.passed
+            report["min_ratio"] = qg.min_ratio
+            ok = ok and qg.passed
+        except ThresholdNotMetError as exc:
+            report["threshold_not_met"] = True
+            report["best_tail"] = exc.best_tail
+            ok = False
+    if isinstance(space, lm.RTreeSpace):
+        audit = lm.rtree_capture_audit(space, tr, D)
+        report["audit_passed"] = audit.passed
+        if audit.final_distance is not None:
+            report["final_distance"] = float(audit.final_distance)
+        ok = ok and audit.passed
+    return report, ok
+
+
+def greedy_transcript(space, domain, lion, man, D, n_steps):
+    cfg = lm.GameConfig(space=space, domain=domain, D=D, n_steps=n_steps, tol=1e-9,
+                        lion_start=lion, man_start=man)
+    return lm.run_game(cfg, lm.GreedyStrategy(domain, directions=8))
+
+
+def certificate_games():
+    """(name, space, transcript, k) over all four families and every report branch."""
+    plane, disk, box = lm.EuclideanSpace(2), lm.HyperbolicPlane(), lm.L2BoxSpace(n=3, base=10.0)
+    space3 = lm.EuclideanSpace(3)
+    tripod, rays = lm.tripod(), lm.ray_tree()
+    tree40 = lm.random_tree(np.random.default_rng(5), 40)
+    v = tree40.vertices
+    plane_ball = lm.Ball(lm.epoint(0, 0), 6.0)
+    disk_ball = lm.Ball(lm.hpoint(0, 0), 4.0)
+    turn = synthetic_lion_transcript(
+        plane, [lm.epoint(float(i), 0) for i in range(10)] + [lm.epoint(9, 1), lm.epoint(10, 1)],
+        [lm.epoint(20, 0)] * 9 + [lm.epoint(9, 20), lm.epoint(20, 1)])
+    tampered = ray_pursuit_transcript(rays, n_steps=40)
+    rec = tampered.records[7]
+    tampered.records[7] = lm.StepRecord(n=7, lion=lm.vertex_point("q"), man=rec.man,
+                                        dist=rec.dist, gap=rec.gap)
+    return [
+        ("tripod-captured", tripod, greedy_transcript(
+            tripod, lm.WholeSpace(), lm.vertex_point("a"), lm.vertex_point("b"),
+            Fraction(1, 2), 30), Fraction(2)),
+        ("tree40-captured", tree40, greedy_transcript(
+            tree40, lm.WholeSpace(), lm.vertex_point(v[0]), lm.vertex_point(v[-1]),
+            Fraction(1, 3), 80), Fraction(4)),
+        ("ray-tree-man-wins", rays, ray_pursuit_transcript(rays, n_steps=80), Fraction(12)),
+        ("ray-tree-tampered", rays, tampered, Fraction(12)),
+        ("plane-ball", plane, greedy_transcript(
+            plane, plane_ball, lm.epoint(0, 0), lm.epoint(3, 1), 0.5, 60), 6.0),
+        ("disk-ball", disk, greedy_transcript(
+            disk, disk_ball, lm.hpoint(0, 0), lm.hpoint(0.7, 0.3), 0.5, 60), 6.0),
+        ("plane-turn-threshold-not-met", plane, turn, 12.0),
+        ("space3-whole", space3, greedy_transcript(
+            space3, lm.WholeSpace(), lm.epoint(0, 0, 0), lm.epoint(2, 1, -1), 0.5, 40), 6.0),
+        ("box-whole", box, greedy_transcript(
+            box, lm.WholeSpace(), lm.boxpoint(0, 0, 0), lm.boxpoint(5, 50, 500), 10.0, 30), 120.0),
+    ]
+
+
+CERTIFICATE_GAMES = certificate_games()
+
+
+@pytest.mark.parametrize("name, space, tr, k", CERTIFICATE_GAMES,
+                         ids=[g[0] for g in CERTIFICATE_GAMES])
+def test_analyze_transcript_matches_the_inline_reference(name, space, tr, k):
+    report, angles, audit, passed = lm.analyze_transcript(space, tr, k)
+    ref_report, ref_passed = analyze_reference(space, tr, k)
+    assert list(report.items()) == list(ref_report.items())
+    assert passed == ref_passed
+    assert angles == lm.beta_angles(space, tr)
+    if isinstance(space, lm.RTreeSpace):
+        assert audit == lm.rtree_capture_audit(space, tr)
+    else:
+        assert audit is None
+
+
+def test_analyze_transcript_covers_every_report_branch():
+    runs = {name: lm.analyze_transcript(space, tr, k) for name, space, tr, k in CERTIFICATE_GAMES}
+    keys = {name: set(run[0]) for name, run in runs.items()}
+    assert "capture_step" in keys["tripod-captured"] & keys["tree40-captured"]
+    assert {"n_k", "final_distance"} <= keys["ray-tree-man-wins"]
+    assert "threshold_not_met" in keys["disk-ball"] & keys["plane-turn-threshold-not-met"]
+    assert "min_ratio" in keys["plane-ball"]
+    tampered, _, _, passed = runs["ray-tree-tampered"]
+    assert tampered["local_qg_passed"] and not tampered["audit_passed"] and not passed
+
+
+@pytest.mark.parametrize("name, space, tr, k", CERTIFICATE_GAMES,
+                         ids=[g[0] for g in CERTIFICATE_GAMES])
+def test_analyze_transcript_measures_each_angle_once(name, space, tr, k, monkeypatch):
+    calls = []
+    angle = space.angle
+
+    def counting(apex, y, z):
+        calls.append(apex)
+        return angle(apex, y, z)
+
+    monkeypatch.setattr(space, "angle", counting)
+    _, angles, _, _ = lm.analyze_transcript(space, tr, k)
+    measured = len(angles.beta) + sum(a is not None for a in angles.alpha)
+    assert measured > 0
+    assert len(calls) == measured
+
+
 # -- harness --------------------------------------------------------------------------------
 
 
@@ -223,6 +344,17 @@ def test_equivalence_report_unbounded_tree(ray_tree):
     assert cert["local_qg_passed"]
     assert cert["audit_passed"]
     assert cert["ray_residual_max"] == 0.0
+
+
+def test_equivalence_certificate_is_the_analyze_report(ray_tree):
+    rep = lm.equivalence_report(ray_tree, lm.WholeSpace(), D=Fraction(1), n_steps=80,
+                                tol=1e-9, lion_start=lm.vertex_point("r"),
+                                man_start=lm.vertex_point("q"),
+                                curve=lm.tree_ray_curve(ray_tree))
+    cert = dict(rep.certificates["directional"])
+    assert cert.pop("ray_residual_max") == 0.0
+    tr = ray_pursuit_transcript(ray_tree, n_steps=80)
+    assert cert == lm.analyze_transcript(ray_tree, tr, Fraction(12), Fraction(1), 128)[0]
 
 
 def test_equivalence_report_box_is_exploratory(box):

@@ -256,6 +256,39 @@ def test_malformed_config_diagnostics(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+PLANE = {"space": {"kind": "euclidean", "dim": 2}}
+SEGMENT_TREE = {"space": {"kind": "rtree", "vertices": ["c", "a"], "edges": [["c", "a", "1"]]}}
+STATIONARY = ["--man", "stationary", "--D", "1", "--man-start"]
+
+
+@pytest.mark.parametrize("config, argv", [
+    (PLANE, ["simulate", *STATIONARY, "[3, 0]", "--lion", "5"]),
+    (PLANE, ["simulate", *STATIONARY, "[3, 0]", "--lion", '[1, "a"]']),
+    (PLANE, ["simulate", *STATIONARY, "[3, 0]", "--lion", '{"coords": 3}']),
+    (SEGMENT_TREE, ["simulate", *STATIONARY, '{"vertex": "a"}', "--lion", '{"edge": 0}']),
+    ({"space": {"kind": "euclidean", "dim": "x"}}, ["simulate", *STATIONARY, "[3, 0]"]),
+    ({**PLANE, "domain": {"kind": "ball", "center": [0, 0], "radius": "x"}},
+     ["simulate", *STATIONARY, "[3, 0]"]),
+    (5, ["simulate", *STATIONARY, "[3, 0]"]),
+    (PLANE, ["analyze", "--transcript", "{}", "--k", "12"]),
+    (PLANE, ["verify-curve", "--curve", "{}", "--lambda", "1"]),
+], ids=["lion-number", "lion-word-coord", "lion-number-coords", "tree-lion-no-offset",
+        "dim-word", "radius-word", "config-number", "transcript-empty", "curve-empty"])
+def test_malformed_outside_json_exits_2(config, argv, tmp_path, capsys):
+    # every reader of outside JSON reports a wrong shape or value as bad input
+    cfg = tmp_path / "space.json"
+    cfg.write_text(json.dumps(config))
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    argv = [str(empty) if a == "{}" else a for a in argv]
+    if argv[0] != "verify-curve":
+        argv[1:1] = ["--space", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_strategy_fault_exit_code(tmp_path, capsys):
     cfg = tmp_path / "seg.json"
     cfg.write_text(json.dumps({"space": {"kind": "euclidean", "dim": 1},
