@@ -37,6 +37,8 @@ class BetaSequence:
     gaps: list
 
     def tail_stats(self, frac=0.2):
+        if not self.beta:  # every step is an angle gap
+            raise InvalidInputError("transcript has no measurable angles")
         take = max(1, math.ceil(len(self.beta) * frac))
         tail = self.beta[-take:]
         return min(tail), sum(tail) / len(tail)

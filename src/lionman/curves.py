@@ -196,58 +196,82 @@ def _first_min(values):
     return None if n is None or values[n] == np.inf else n
 
 
+_BLOCK = 64  # rows of the pair table held at once by _check_grid
+
+
 def _check_grid(curve: Curve, lam, lower_eps, upper_eps, grid: int, k, tol) -> QGReport:
     """Grid check of |s-t|/lam - lower_eps <= d(c(s), c(t)) <= lam|s-t| + upper_eps.
 
-    The pairs i < j of the merged parameters are listed in lexicographic
-    order, so every worst pair and first violation is the first in that order.
+    The pairs i < j of the merged parameters are visited in lexicographic
+    order, ``_BLOCK`` rows at a time; each block of distances is one
+    rectangular `_table` call, and a k-local check reads only the columns
+    of the |s-t| <= k band.  A worst pair gives way only to a strictly
+    smaller value of a later block and the first violation found is kept, so
+    every witness is the first in that order.
     """
     if grid < 2:
         raise InvalidInputError("grid must be >= 2")
-    tol = curve.space.rel_tol if tol is None else tol
+    space = curve.space
+    tol = space.rel_tol if tol is None else tol
     params = _merged_params(curve, grid)
-    dmat = curve.space.pairwise_distances([curve.at(t) for t in params])
+    arrays = space._arrays([curve.at(t) for t in params])
     tarr = np.asarray([float(t) for t in params])
-    i, j = np.triu_indices(len(params), 1)
-    gaps = tarr[j] - tarr[i]  # params are sorted, so this is |s - t|
-    if k is not None:
-        near = gaps <= float(k) * (1.0 + 1e-12)
-        i, j, gaps = i[near], j[near], gaps[near]
-    dist = dmat[i, j]
-    scale = np.maximum(1.0, gaps)
+    n = len(params)
+    reach = None if k is None else float(k) * (1.0 + 1e-12)
+    n_pairs = 0
+    worst = {}  # statistic -> (value, pair, ratio or slack, distance)
+    first = {}  # bound -> (s, t, distance)
+    for lo in range(0, n - 1, _BLOCK):
+        hi = min(lo + _BLOCK, n - 1)
+        end = n
+        if k is not None:
+            # past the reach of the block's last row, widened so that rounding
+            # in this sum never drops a column the exact mask below keeps
+            last = tarr[hi - 1]
+            end = int(np.searchsorted(tarr, last + reach + 1e-9 * (abs(last) + reach), "right"))
+        gaps = tarr[lo + 1:end] - tarr[lo:hi, None]  # params are sorted, so this is |s - t|
+        keep = np.arange(lo + 1, end) > np.arange(lo, hi)[:, None]
+        if k is not None:
+            keep &= gaps <= reach
+        flat = np.flatnonzero(keep)
+        n_pairs += len(flat)
+        gaps = gaps.ravel()[flat]
+        dist = space._table(arrays[lo:hi], arrays[lo + 1:end]).ravel()[flat]
+        scale = np.maximum(1.0, gaps)
 
-    lower_slack = dist - (gaps / lam - lower_eps)
-    upper_slack = (lam * gaps + upper_eps) - dist
-    lower_scaled, upper_scaled = lower_slack / scale, upper_slack / scale
+        def pair(m):
+            r, c = divmod(int(flat[m]), end - lo - 1)
+            return params[lo + r], params[lo + 1 + c]
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(gaps > 0, dist / np.where(gaps > 0, gaps, 1.0), np.inf)
-    worst_ratio = _first_min(ratios)
-    worst_lower = _first_min(lower_scaled)
-    worst_upper = _first_min(upper_scaled)
+        lower_slack = dist - (gaps / lam - lower_eps)
+        upper_slack = (lam * gaps + upper_eps) - dist
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(gaps > 0, dist / np.where(gaps > 0, gaps, 1.0), np.inf)
+        for name, value, raw in (("ratio", ratios, ratios),
+                                 ("lower", lower_slack / scale, lower_slack),
+                                 ("upper", upper_slack / scale, upper_slack)):
+            m = _first_min(value)
+            if m is not None and value[m] < worst.get(name, (math.inf,))[0]:
+                worst[name] = (value[m], pair(m), float(raw[m]), float(dist[m]))
+        for name, slack in (("lower", lower_slack), ("upper", upper_slack)):
+            if name not in first:
+                hits = np.flatnonzero(slack < -tol * scale)
+                if len(hits):
+                    first[name] = (*pair(hits[0]), float(dist[hits[0]]))
 
-    def pair(n):
-        return None if n is None else (params[i[n]], params[j[n]])
-
-    def violation(slack):
-        hits = np.flatnonzero(slack < -tol * scale)
-        return (*pair(hits[0]), float(dist[hits[0]])) if len(hits) else None
-
-    passed = not any(n is not None and v[n] < -tol
-                     for n, v in ((worst_lower, lower_scaled), (worst_upper, upper_scaled)))
-
+    ratio, lower, upper = (worst.get(name) for name in ("ratio", "lower", "upper"))
     return QGReport(
         lam=float(lam), eps=float(lower_eps), k=None if k is None else float(k),
-        n_pairs=len(gaps), passed=passed,
-        min_ratio=math.inf if worst_ratio is None else float(ratios[worst_ratio]),
-        min_ratio_pair=pair(worst_ratio),
-        worst_lower_slack=math.inf if worst_lower is None else float(lower_slack[worst_lower]),
-        worst_lower_pair=pair(worst_lower),
-        worst_lower_dist=None if worst_lower is None else float(dist[worst_lower]),
-        worst_upper_excess=-math.inf if worst_upper is None else float(-upper_slack[worst_upper]),
-        worst_upper_pair=pair(worst_upper),
-        first_lower_violation=violation(lower_slack),
-        first_upper_violation=violation(upper_slack),
+        n_pairs=n_pairs, passed=not any(w is not None and w[0] < -tol for w in (lower, upper)),
+        min_ratio=math.inf if ratio is None else ratio[2],
+        min_ratio_pair=None if ratio is None else ratio[1],
+        worst_lower_slack=math.inf if lower is None else lower[2],
+        worst_lower_pair=None if lower is None else lower[1],
+        worst_lower_dist=None if lower is None else lower[3],
+        worst_upper_excess=-math.inf if upper is None else -upper[2],
+        worst_upper_pair=None if upper is None else upper[1],
+        first_lower_violation=first.get("lower"),
+        first_upper_violation=first.get("upper"),
     )
 
 

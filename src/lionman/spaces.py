@@ -197,6 +197,19 @@ class Space:
 
     def pairwise_distances(self, points) -> np.ndarray:
         """Float table of the distances between the points."""
+        arrays = self._arrays(points)
+        return self._table(arrays, arrays)
+
+    def _arrays(self, points) -> np.ndarray:
+        """Float array with one row per point, built once for `_table`."""
+        raise NotImplementedError
+
+    def _table(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Distances from the points of `rows` to those of `cols`.
+
+        Both are slices of one `_arrays` result; the table is computed
+        elementwise, so a block equals that block of the square table.
+        """
         raise NotImplementedError
 
     def random_point(self, rng: np.random.Generator, scale=1.0) -> Point:
@@ -237,10 +250,38 @@ def _flat_angle(a, b, c) -> float:
     return math.acos(min(1.0, max(-1.0, cosv)))
 
 
-def _squared_gaps(arr: np.ndarray) -> np.ndarray:
-    """Table of squared l2 distances between the rows of a coordinate array."""
-    diff = arr[:, None, :] - arr[None, :, :]
-    return (diff * diff).sum(axis=-1)
+def _squared_gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Table of squared l2 distances from the rows of a to the rows of b.
+
+    Coordinate columns are added one at a time, in the order numpy's pairwise
+    sum takes a short last axis: term by term below 8 terms, in 8 lanes up to
+    128, in halves above.  The table thus has the bits of
+    ``((a[:, None] - b[None]) ** 2).sum(-1)`` without its rows x cols x dim
+    difference tensor.
+    """
+    def square(c):
+        diff = a[:, c, None] - b[None, :, c]
+        return diff * diff
+
+    def total(lo, n):
+        if n < 8:
+            out = square(lo)
+            for c in range(lo + 1, lo + n):
+                out += square(c)
+            return out
+        if n <= 128:
+            lanes = [square(c) for c in range(lo, lo + 8)]
+            for c in range(lo + 8, lo + n - n % 8):
+                lanes[(c - lo) % 8] += square(c)
+            pairs = [lanes[c] + lanes[c + 1] for c in (0, 2, 4, 6)]
+            out = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+            for c in range(lo + n - n % 8, lo + n):
+                out += square(c)
+            return out
+        half = n // 2 - n // 2 % 8
+        return total(lo, half) + total(lo + half, n - half)
+
+    return total(0, a.shape[1])
 
 
 class EuclideanSpace(Space):
@@ -277,9 +318,11 @@ class EuclideanSpace(Space):
         q = self.geodesic_point(seg.a, seg.b, t)
         return q, self._dist(p, q)
 
-    def pairwise_distances(self, points):
-        arr = np.asarray([p.coords for p in points], dtype=float)
-        return np.sqrt(_squared_gaps(arr))
+    def _arrays(self, points):
+        return np.asarray([p.coords for p in points], dtype=float)
+
+    def _table(self, rows, cols):
+        return np.sqrt(_squared_gaps(rows, cols))
 
     def random_point(self, rng, scale=1.0):
         return Point(self.kind, tuple(float(c) for c in rng.normal(0.0, scale, self.dim)))
@@ -463,11 +506,14 @@ class HyperbolicPlane(Space):
         q = self.geodesic_point(seg.a, seg.b, min(1.0, max(0.0, s / self._dist(seg.a, seg.b))))
         return q, self._dist(p, q)
 
-    def pairwise_distances(self, points):
+    def _arrays(self, points):
+        # the chart coordinates and 1 - |z|^2
         arr = np.asarray([p.coords for p in points], dtype=float)
-        sq = (arr * arr).sum(axis=1)
-        den = (1.0 - sq)[:, None] * (1.0 - sq)[None, :]
-        return 2.0 * np.arcsinh(np.sqrt(_squared_gaps(arr) / den))
+        return np.column_stack([arr, 1.0 - (arr * arr).sum(axis=1)])
+
+    def _table(self, rows, cols):
+        den = rows[:, 2, None] * cols[None, :, 2]
+        return 2.0 * np.arcsinh(np.sqrt(_squared_gaps(rows[:, :2], cols[:, :2]) / den))
 
     def random_point(self, rng, scale=1.0):
         # uniform hyperbolic radius in [0, scale], uniform direction
@@ -569,9 +615,9 @@ class RTreeSpace(Space):
             raise InvalidInputError("edge graph is not connected")
 
         # rise[i][j] is 0 when i is an ancestor of j, else one edge more than
-        # its parent's; pairwise_distances reads numpy copies of where it is
-        # positive and of the vertex distances rise[i][j] + rise[j][i], each
-        # rounded once
+        # its parent's; _table reads numpy copies of where it is positive
+        # and of the vertex distances rise[i][j] + rise[j][i], each rounded
+        # once
         self._rise = [None] * n
         for i in order:
             p = self._parent[i]
@@ -682,19 +728,29 @@ class RTreeSpace(Space):
         q = self._walk(a, b, min(max(r, 0), dab))
         return q, self._dist(p, q)
 
-    def pairwise_distances(self, points):
-        # _dist on float copies of the forms and of the vertex distances
-        forms = [self._form(p) for p in points]
-        i = np.array([f[0] for f in forms], dtype=int)
-        h = np.array([float(f[1]) for f in forms])
-        rest = np.array([float(f[2]) for f in forms])
-        off = np.array([float(p.offset) if f[1] else 0.0 for p, f in zip(points, forms)])
-        up = self._below[i[:, None], i[None, :]] & (h[:, None] > 0)
-        exits = np.where(up, np.array(self._parent)[i][:, None], i[:, None])
-        cost = np.where(up, rest[:, None], h[:, None])
-        out = cost + self._span[exits, exits.T] + cost.T
-        inside = (i[:, None] == i[None, :]) & (h[:, None] > 0) & (h[None, :] > 0)
-        return np.where(inside, np.abs(off[:, None] - off[None, :]), out)
+    def _arrays(self, points):
+        # float copies of the forms (i, h, rest) and of the edge offsets
+        rows = []
+        for p in points:
+            i, h, rest = self._form(p)
+            rows.append((i, float(h), float(rest), float(p.offset) if h else 0.0))
+        return np.array(rows, dtype=float).reshape(-1, 4)
+
+    def _table(self, rows, cols):
+        # _dist on the float forms and the float vertex distances
+        parent = np.array(self._parent)
+        i, j = rows[:, 0].astype(int)[:, None], cols[:, 0].astype(int)[None, :]
+
+        def leave(i, h, rest, j):
+            # exits toward j of the points (i, h, rest), and their costs
+            up = self._below[i, j] & (h > 0)
+            return np.where(up, parent[i], i), np.where(up, rest, h)
+
+        ex, cx = leave(i, rows[:, 1, None], rows[:, 2, None], j)
+        ey, cy = leave(j, cols[None, :, 1], cols[None, :, 2], i)
+        out = cx + self._span[ex, ey] + cy
+        inside = (i == j) & (rows[:, 1, None] > 0) & (cols[None, :, 1] > 0)
+        return np.where(inside, np.abs(rows[:, 3, None] - cols[None, :, 3]), out)
 
     def random_point(self, rng, scale=4):
         """Seeded rational point: uniform edge, offset on a 1/16 grid."""

@@ -289,6 +289,21 @@ def test_malformed_outside_json_exits_2(config, argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_analyze_without_measurable_angles_exits_2(tmp_path, capsys):
+    # the lion sits on the man from the first step, so every angle is a gap
+    cfg = tmp_path / "plane.json"
+    cfg.write_text(json.dumps(PLANE))
+    tr = tmp_path / "tr.json"
+    assert main(["simulate", "--space", str(cfg), *STATIONARY, "[0.5, 0]", "--N", "3",
+                 "--lion", "[0, 0]", "--continue-after-capture", "--out", str(tr)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--space", str(cfg), "--transcript", str(tr), "--k", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "no measurable angles" in err
+    assert "Traceback" not in err
+
+
 def test_strategy_fault_exit_code(tmp_path, capsys):
     cfg = tmp_path / "seg.json"
     cfg.write_text(json.dumps({"space": {"kind": "euclidean", "dim": 1},

@@ -1,0 +1,279 @@
+"""The row-block pair engine of the grid checks and the distance tiles it reads.
+
+`dense_check_grid` is the earlier one-shot `_check_grid`, which built every
+pair array at full size from the square distance table; it stays here as
+the oracle that the blocked engine must reproduce field by field.
+"""
+
+import math
+import tracemalloc
+from dataclasses import astuple
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import lionman as lm
+from lionman import curves
+from lionman.curves import _first_min, _merged_params
+
+B = curves._BLOCK
+ROOT2 = math.sqrt(2.0)
+
+
+def dense_check_grid(curve, lam, lower_eps, upper_eps, grid, k, tol):
+    tol = curve.space.rel_tol if tol is None else tol
+    params = _merged_params(curve, grid)
+    dmat = curve.space.pairwise_distances([curve.at(t) for t in params])
+    tarr = np.asarray([float(t) for t in params])
+    i, j = np.triu_indices(len(params), 1)
+    gaps = tarr[j] - tarr[i]
+    if k is not None:
+        near = gaps <= float(k) * (1.0 + 1e-12)
+        i, j, gaps = i[near], j[near], gaps[near]
+    dist = dmat[i, j]
+    scale = np.maximum(1.0, gaps)
+
+    lower_slack = dist - (gaps / lam - lower_eps)
+    upper_slack = (lam * gaps + upper_eps) - dist
+    lower_scaled, upper_scaled = lower_slack / scale, upper_slack / scale
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(gaps > 0, dist / np.where(gaps > 0, gaps, 1.0), np.inf)
+    worst_ratio = _first_min(ratios)
+    worst_lower = _first_min(lower_scaled)
+    worst_upper = _first_min(upper_scaled)
+
+    def pair(n):
+        return None if n is None else (params[i[n]], params[j[n]])
+
+    def violation(slack):
+        hits = np.flatnonzero(slack < -tol * scale)
+        return (*pair(hits[0]), float(dist[hits[0]])) if len(hits) else None
+
+    passed = not any(n is not None and v[n] < -tol
+                     for n, v in ((worst_lower, lower_scaled), (worst_upper, upper_scaled)))
+
+    return lm.QGReport(
+        lam=float(lam), eps=float(lower_eps), k=None if k is None else float(k),
+        n_pairs=len(gaps), passed=passed,
+        min_ratio=math.inf if worst_ratio is None else float(ratios[worst_ratio]),
+        min_ratio_pair=pair(worst_ratio),
+        worst_lower_slack=math.inf if worst_lower is None else float(lower_slack[worst_lower]),
+        worst_lower_pair=pair(worst_lower),
+        worst_lower_dist=None if worst_lower is None else float(dist[worst_lower]),
+        worst_upper_excess=-math.inf if worst_upper is None else float(-upper_slack[worst_upper]),
+        worst_upper_pair=pair(worst_upper),
+        first_lower_violation=violation(lower_slack),
+        first_upper_violation=violation(upper_slack),
+    )
+
+
+def assert_engine_matches(curve, lam, grid, k=None, eps=0.0, upper_eps=None, tol=None):
+    upper_eps = eps if upper_eps is None else upper_eps
+    got = curves._check_grid(curve, lam, eps, upper_eps, grid, k, tol)
+    want = dense_check_grid(curve, lam, eps, upper_eps, grid, k, tol)
+    assert astuple(got) == astuple(want), (lam, grid, k, eps, upper_eps)
+    return got
+
+
+# -- one segment per family, merged lengths around multiples of the block size
+
+
+def segments():
+    plane, disk, box = lm.EuclideanSpace(2), lm.HyperbolicPlane(), lm.L2BoxSpace(3, 4.0)
+    tree = lm.random_tree(np.random.default_rng(5), n_vertices=12)
+    ray = lm.tree_ray_curve(lm.ray_tree())
+    return {
+        "euclidean": lm.geodesic_segment_curve(plane, lm.epoint(-1, 2), lm.epoint(7, -3)),
+        "l2box": lm.geodesic_segment_curve(box, lm.boxpoint(0, 1, 2), lm.boxpoint(4, 0, 60)),
+        "hyperbolic": lm.geodesic_segment_curve(disk, lm.hpoint(-0.6, 0.2), lm.hpoint(0.7, 0.3)),
+        "rtree": lm.geodesic_segment_curve(tree, lm.vertex_point("v3"), lm.vertex_point("v9")),
+        "rtree-ray": lm.geodesic_segment_curve(ray.space, lm.vertex_point("q"), ray.at(12)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(segments()))
+@pytest.mark.parametrize("n", [B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 2 * B + 2])
+def test_blocks_around_multiples_of_the_block_size(name, n):
+    curve = segments()[name]
+    assert len(_merged_params(curve, n)) == n  # two samples: the merged list is the grid
+    length = float(curve.t_max - curve.t_min)
+    step = length / (n - 1)
+    for lam in (1.0, 1.3):
+        assert_engine_matches(curve, lam, n)
+        assert_engine_matches(curve, lam, n, eps=0.3, upper_eps=0.0)
+        # bands narrower than a block, about one block, and wider than one
+        for width in (3, B - 1, B, B + 5, 3 * B // 2):
+            assert_engine_matches(curve, lam, n, k=width * step)
+
+
+def test_bands_cross_block_edges_on_curved_paths():
+    tube = lm.hyperbolic_tube_curve(length=20.0, amplitude=0.25, seed=4)
+    box = lm.l2_example_curve()
+    tree = lm.RTreeSpace(["v0", "v1", "v2", "v7", "v9"],
+                         [("v7", "v9", 1), ("v0", "v7", 3), ("v0", "v1", Fraction(3, 2)),
+                          ("v1", "v2", 1)], ray_at="v2")
+    zig = lm.Curve(tree, (Fraction(0), Fraction(5), Fraction(17, 2), Fraction(12)),
+                   (lm.vertex_point("v9"), lm.vertex_point("v2"), lm.vertex_point("v0"),
+                    lm.edge_point(lm.RAY_EDGE, Fraction(3))))
+    for curve, ks, lams in ((tube, (0.5, 3.0, 9.0), (1.0, ROOT2)),
+                            (box, (1.0, 40.0, 700.0), (1.0, math.sqrt(11.0 / 3.0))),
+                            (zig, (0.7, 2.0, 6.0), (1.0, 3.0))):
+        for grid in (3 * B - 7, 4 * B + 3):
+            for lam in lams:
+                for k in ks:
+                    assert_engine_matches(curve, lam, grid, k=k)
+                assert_engine_matches(curve, lam, grid)
+
+
+def integer_line(space, n):
+    # samples at every integer: each distance equals its gap exactly, so
+    # every pair ties on every statistic
+    if space.kind == "rtree":
+        pts = [lm.vertex_point(space.ray_at)] + [lm.edge_point(lm.RAY_EDGE, Fraction(i))
+                                                  for i in range(1, n)]
+        return lm.Curve(space, tuple(Fraction(i) for i in range(n)), tuple(pts))
+    return lm.Curve(space, tuple(float(i) for i in range(n)),
+                    tuple(lm.epoint(float(i), 0.0) for i in range(n)))
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "rtree"])
+def test_ties_between_blocks_keep_the_earlier_pair(kind):
+    space = lm.ray_tree() if kind == "rtree" else lm.EuclideanSpace(2)
+    n = 3 * B + 5
+    curve = integer_line(space, n)
+    for k in (None, 2.0, B + 3.0):
+        rep = assert_engine_matches(curve, 1.0, n, k=k)
+        assert rep.min_ratio == 1.0 and rep.worst_lower_slack == 0.0
+        first = (curve.params[0], curve.params[1])
+        assert rep.min_ratio_pair == rep.worst_lower_pair == rep.worst_upper_pair == first
+
+
+def test_first_violations_in_a_later_block():
+    plane = lm.EuclideanSpace(2)
+    # a long leg and a short turn: only rows near the corner see a lower
+    # violation at lambda 1.2
+    corner = lm.Curve(plane, (0.0, 100.0, 110.0),
+                      (lm.epoint(0, 0), lm.epoint(100, 0), lm.epoint(100, 10)))
+    # a slow leg and a fast one: only rows near the speed-up see an upper
+    # violation at lambda 3
+    speedup = lm.Curve(plane, (0.0, 100.0, 101.0),
+                       (lm.epoint(0, 0), lm.epoint(100, 0), lm.epoint(130, 0)))
+    grid = 3 * B
+    rows = {float(t): r for r, t in enumerate(_merged_params(corner, grid))}
+    rep = assert_engine_matches(corner, 1.2, grid)
+    assert rows[rep.first_lower_violation[0]] >= B
+    assert rep.first_upper_violation is None
+    rows = {float(t): r for r, t in enumerate(_merged_params(speedup, grid))}
+    rep = assert_engine_matches(speedup, 3.0, grid)
+    assert rows[rep.first_upper_violation[0]] >= 2 * B
+    for k in (5.0, 30.0):
+        assert_engine_matches(corner, 1.2, grid, k=k)
+        assert_engine_matches(speedup, 3.0, grid, k=k)
+
+
+def test_band_keeps_pairs_that_round_into_it():
+    # from -0.9 the next sample sits a few ulps past fl(-0.9 + k(1 + 1e-12)),
+    # yet its gap rounds to k(1 + 1e-12) and the pair belongs to the band
+    reach = 1.0 + 1e-12
+    x = math.nextafter(-0.9 + reach, 2.0)
+    assert x - (-0.9) <= reach
+    params = (*(float(t) for t in np.linspace(-3.0, -1.0, B)), -0.9, x)
+    curve = lm.Curve(lm.EuclideanSpace(1), params, tuple(lm.epoint(t) for t in params))
+    rep = assert_engine_matches(curve, 1.0, 2, k=1.0)
+    assert rep.n_pairs == dense_check_grid(curve, 1.0, 0.0, 0.0, 2, 1.0, None).n_pairs
+
+
+def test_public_checks_go_through_the_engine():
+    tube = lm.hyperbolic_tube_curve(length=20.0, amplitude=0.25, seed=4)
+    grid = 2 * B + 9
+    want = dense_check_grid(tube, ROOT2, 0.0, 0.0, grid, 3.0, None)
+    assert astuple(lm.check_quasi_geodesic(tube, ROOT2, 0.0, grid, k=3.0)) == astuple(want)
+    want = dense_check_grid(tube, 1.0, 0.5, 0.0, grid, None, None)
+    rep = lm.check_directional_curve(tube, 0.5, grid)
+    assert (rep.n_checked, rep.passed, rep.worst_lower_slack, rep.worst_lower_witness,
+            rep.worst_upper_witness) == (want.n_pairs, want.passed, want.worst_lower_slack,
+                                         want.worst_lower_pair, want.worst_upper_pair)
+
+
+# -- distance tiles
+
+
+def old_euclidean_table(a):
+    return np.sqrt(((a[:, None] - a[None]) ** 2).sum(-1))
+
+
+@pytest.mark.parametrize("dim", [*range(1, 41), 127, 128, 129, 136, 300])
+def test_euclidean_table_keeps_the_bits_of_the_summed_tensor(dim):
+    rng = np.random.default_rng(dim)
+    coords = rng.normal(size=(23, dim)) * rng.uniform(0.01, 100.0, size=dim)
+    pts = [lm.Point("euclidean", tuple(float(c) for c in row)) for row in coords]
+    got = lm.EuclideanSpace(dim).pairwise_distances(pts)
+    assert got.tobytes() == old_euclidean_table(coords).tobytes()
+
+
+def test_disk_table_keeps_the_bits_of_the_square_form():
+    disk = lm.HyperbolicPlane()
+    pts = [disk.random_point(np.random.default_rng(7), scale=6.0) for _ in range(50)]
+    arr = np.asarray([p.coords for p in pts])
+    sq = (arr * arr).sum(axis=1)
+    den = (1.0 - sq)[:, None] * (1.0 - sq)[None, :]
+    gaps = ((arr[:, None] - arr[None]) ** 2).sum(-1)
+    want = 2.0 * np.arcsinh(np.sqrt(gaps / den))
+    assert disk.pairwise_distances(pts).tobytes() == want.tobytes()
+
+
+def tile_inputs():
+    rng = np.random.default_rng(3)
+    tree = lm.random_tree(rng, n_vertices=15)
+    ray = lm.ray_tree()
+    out = {}
+    for name, space in (("euclidean", lm.EuclideanSpace(3)), ("l2box", lm.L2BoxSpace(4, 3.0)),
+                        ("hyperbolic", lm.HyperbolicPlane()), ("rtree", tree),
+                        ("rtree-ray", ray)):
+        sampler = lm.PointSampler(space, scale=2.0, seed=11)
+        pts = [sampler.draw() for _ in range(40)]
+        if space.kind == "rtree":  # vertices, float offsets and repeats too
+            pts += [lm.vertex_point(v) for v in space.vertices[:4]]
+            pts += [space.geodesic_point(pts[0], pts[1], 0.37), pts[2], pts[2]]
+        out[name] = (space, pts)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(tile_inputs()))
+def test_rectangular_tiles_are_slices_of_the_square_table(name):
+    space, pts = tile_inputs()[name]
+    arrays = space._arrays(pts)
+    square = space._table(arrays, arrays)
+    assert square.tobytes() == space.pairwise_distances(pts).tobytes()
+    exact = np.array([[float(space.distance(p, q)) for q in pts] for p in pts])
+    assert np.allclose(square, exact, rtol=1e-12, atol=1e-12)
+    n = len(pts)
+    for r0, r1, c0, c1 in ((0, 1, 0, n), (3, 17, 5, 6), (10, n, 0, 9), (7, 7, 0, n),
+                           (0, n, n - 1, n), (20, 31, 11, 40)):
+        tile = space._table(arrays[r0:r1], arrays[c0:c1])
+        assert tile.shape == (r1 - r0, c1 - c0)
+        assert tile.tobytes() == square[r0:r1, c0:c1].tobytes()
+
+
+# -- memory
+
+
+def traced_peak_mib(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_checks_hold_no_square_pair_arrays():
+    # the dense pair arrays took 399.5 MiB (box, grid 2000) and 187.0 MiB (tube)
+    box = lm.l2_example_curve()
+    tube = lm.hyperbolic_tube_curve(length=20.0, step=1.0, amplitude=0.2, seed=1)
+    lam = math.sqrt(11.0 / 3.0)
+    assert traced_peak_mib(lambda: lm.check_quasi_geodesic(box, lam, 0.0, 2000)) < 60.0
+    assert traced_peak_mib(lambda: lm.check_quasi_geodesic(tube, ROOT2, 0.0, 2000, k=3)) < 20.0
+    assert traced_peak_mib(lambda: lm.check_quasi_geodesic(box, lam, 0.0, 5000)) < 100.0
