@@ -21,6 +21,9 @@ from . import spaces
 from .spaces import RTreeSpace, Space
 
 
+_TAIL_FRAC = 0.2  # share of the measured angles that makes up the tail
+
+
 @dataclass
 class BetaSequence:
     """Lion turning angles beta_n and man-direction angles alpha_n.
@@ -36,10 +39,10 @@ class BetaSequence:
     alpha: list
     gaps: list
 
-    def tail_stats(self, frac=0.2):
+    def tail_stats(self):
         if not self.beta:  # every step is an angle gap
             raise InvalidInputError("transcript has no measurable angles")
-        take = max(1, math.ceil(len(self.beta) * frac))
+        take = max(1, math.ceil(len(self.beta) * _TAIL_FRAC))
         tail = self.beta[-take:]
         return min(tail), sum(tail) / len(tail)
 
@@ -149,8 +152,7 @@ class CaptureAudit:
     final_distance: object | None
 
 
-def rtree_capture_audit(space: RTreeSpace, transcript: Transcript, D=None,
-                        tol=0) -> CaptureAudit:
+def rtree_capture_audit(space: RTreeSpace, transcript: Transcript, D=None) -> CaptureAudit:
     if not isinstance(space, RTreeSpace) or transcript.space.kind != "rtree":
         raise InvalidInputError("capture audit requires a tree-space transcript")
     if spaces.space_to_config(space) != spaces.space_to_config(transcript.space):
@@ -171,13 +173,13 @@ def rtree_capture_audit(space: RTreeSpace, transcript: Transcript, D=None,
         steps.append(n)
         colin.append((n, resid_c))
         dist_res.append((n, resid_d))
-        if (resid_c > tol or resid_d > tol) and first_failure is None:
+        if (resid_c > 0 or resid_d > 0) and first_failure is None:
             first_failure = n
     else:
         # no capture inside the record: the final lion position closes the ray
         n = len(transcript.records)
         final_distance = space.distance(L0, lions[n])
-        if abs(final_distance - n * D) > tol and first_failure is None:
+        if abs(final_distance - n * D) > 0 and first_failure is None:
             first_failure = n
     return CaptureAudit(passed=first_failure is None, steps=steps, colinearity=colin,
                         dist_residuals=dist_res, first_failure=first_failure,
@@ -263,9 +265,10 @@ def equivalence_report(space: Space, domain, D, n_steps, tol, lion_start,
                      "n0": outcome.n0, "tail_min": outcome.tail_min})
         if outcome.classification == "man-wins-observed":
             cert, _, audit, _ = analyze_transcript(space, tr, 12 * D if k is None else k, D, 128)
-            if audit is not None:
+            k_max = min(5, int(float(D) * n_steps))
+            if audit is not None and k_max >= 1:  # else the path never reaches distance 1
                 ray = extract_ray_from_directional_sequence(space, tr.lion_path(), 0.0,
-                                                            k_max=min(5, int(float(D) * n_steps)))
+                                                            k_max=k_max)
                 cert["ray_residual_max"] = max(
                     (max(h) for h in ray.residuals.values() if h), default=0.0)
             certificates[strat.name] = cert

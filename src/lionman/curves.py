@@ -80,6 +80,10 @@ class Curve:
                 f"parameter {t} beyond last sample {self.params[-1]} and no extension rule")
         if t < self.params[0]:
             raise InsufficientCurveError(f"parameter {t} precedes first sample {self.params[0]}")
+        return self._between(i, t)
+
+    def _between(self, i, t) -> Point:
+        """The point at t, which lies strictly between samples i - 1 and i."""
         lo, hi = self.params[i - 1], self.params[i]
         u = (t - lo) / (hi - lo)
         return self.space.geodesic_point(self.points[i - 1], self.points[i], u)
@@ -179,15 +183,32 @@ class RayApprox:
 
 
 def _merged_params(curve: Curve, grid: int):
-    # the curve's own params supply both ends: float() of a Fraction end can
-    # round outside the sampled range; a grid value within rounding of a
-    # sample is left out, since it would pair with it at a gap near zero
+    """The curve's samples merged with ``grid`` evenly spaced values, and their points.
+
+    The curve's own params supply both ends: float() of a Fraction end can
+    round outside the sampled range.  A grid value within rounding of a
+    sample is left out, since it would pair with it at a gap near zero.  The
+    kept values and the samples are then merged in one exact walk, so each
+    grid value is placed by one comparison and each sample passed by one.
+    """
+    params, points = curve.params, curve.points
     lo, hi = float(curve.t_min), float(curve.t_max)
-    ts = np.asarray([float(t) for t in curve.params])
+    ts = np.asarray([float(t) for t in params])
     inner = np.linspace(lo, hi, max(2, grid))[1:-1]
     n = np.searchsorted(ts, inner).clip(1, len(ts) - 1)
     far = np.minimum(inner - ts[n - 1], ts[n] - inner) > 1e-9 * (hi - lo) / max(1, grid - 1)
-    return sorted([*curve.params, *(float(t) for t in inner[far])])
+    merged, at = [], []
+    i = 0
+    for t in inner[far].tolist():
+        while i < len(params) and params[i] <= t:
+            merged.append(params[i])
+            at.append(points[i])
+            i += 1
+        merged.append(t)
+        # the filter keeps only values strictly inside the sampled range; one
+        # past either end would go to curve.at, whose error or extension rule decides
+        at.append(curve._between(i, t) if 0 < i < len(params) else curve.at(t))
+    return merged + list(params[i:]), at + list(points[i:])
 
 
 def _first_min(values):
@@ -213,8 +234,8 @@ def _check_grid(curve: Curve, lam, lower_eps, upper_eps, grid: int, k, tol) -> Q
         raise InvalidInputError("grid must be >= 2")
     space = curve.space
     tol = space.rel_tol if tol is None else tol
-    params = _merged_params(curve, grid)
-    arrays = space._arrays([curve.at(t) for t in params])
+    params, points = _merged_params(curve, grid)
+    arrays = space._arrays(points)
     tarr = np.asarray([float(t) for t in params])
     n = len(params)
     reach = None if k is None else float(k) * (1.0 + 1e-12)
@@ -284,16 +305,19 @@ def check_quasi_geodesic(curve: Curve, lam: float, eps: float, grid: int,
     checked.  Violations are judged against a relative tolerance, default
     the space's ``rel_tol``.
     """
-    if lam < 1:
+    # written so that NaN fails each guard: a NaN bound makes every pair pass
+    if not lam >= 1:
         raise InvalidInputError("lambda must be >= 1")
-    if eps < 0:
+    if not eps >= 0:
         raise InvalidInputError("epsilon must be >= 0")
+    if k is not None and not k > 0:
+        raise InvalidInputError("k must be > 0")
     return _check_grid(curve, lam, eps, eps, grid, k, tol)
 
 
 def check_directional_curve(curve: Curve, b: float, grid: int, tol=None) -> DirectionalityReport:
     """Grid check of |s-t| - b <= d(c(s), c(t)) <= |s-t|."""
-    if b < 0:
+    if not b >= 0:
         raise InvalidInputError("b must be >= 0")
     # the (1, b) lower and (1, 0) upper quasi-geodesic bounds
     rep = _check_grid(curve, 1.0, b, 0.0, grid, None, tol)
@@ -364,8 +388,7 @@ def verify_promotion(space: Space, curve: Curve, lam: float, M: float,
     report = check_quasi_geodesic(curve, lam_star, eps, grid)
     chord = Segment(curve.points[0], curve.points[-1])
     worst = 0.0
-    for t in _merged_params(curve, grid):
-        p = curve.at(t)
+    for p in _merged_params(curve, grid)[1]:
         _, d = space.project_to_segment(p, chord)
         worst = max(worst, float(d))
     report.max_chord_dist = worst
@@ -379,12 +402,16 @@ def verify_promotion(space: Space, curve: Curve, lam: float, M: float,
 # ray extraction
 
 
-def _geometric_index_points(curve: Curve, alpha: float, n_cap: int):
+_RAY_RESIDUAL_TOL = 1e-6  # Cauchy residual at which a ray point's iteration stops
+_RAY_N_CAP = 60           # largest n of the parameters alpha^n of a quasi-geodesic ray
+
+
+def _geometric_index_points(curve: Curve, alpha: float):
     """x_0 = c(t0) and x_n = c(t0 + alpha^n) while the curve covers them."""
     t0 = curve.t_min
     xs = [curve.at(t0)]
     n = 1
-    while n <= n_cap:
+    while n <= _RAY_N_CAP:
         t = t0 + alpha ** n
         try:
             xs.append(curve.at(t))
@@ -394,14 +421,15 @@ def _geometric_index_points(curve: Curve, alpha: float, n_cap: int):
     return xs
 
 
-def _ray_from_points(space: Space, points, dists, k_max: int, residual_tol,
-                     missing: str) -> RayApprox:
+def _ray_from_points(space: Space, points, dists, k_max: int, missing: str) -> RayApprox:
     """Ray points at distance k = 1..k_max from x_0 = points[0].
 
     For each k, follows the points at distance k on [x_0, x_i] over the x_i
     with dists[i] = d(x_0, x_i) >= k, until two successive ones agree to
-    ``residual_tol``.
+    ``_RAY_RESIDUAL_TOL``.
     """
+    if not k_max >= 1:
+        raise InvalidInputError("k_max must be >= 1")
     x0 = points[0]
     ks = list(range(1, int(k_max) + 1))
     stars, residuals, stopped = [], {}, {}
@@ -417,7 +445,7 @@ def _ray_from_points(space: Space, points, dists, k_max: int, residual_tol,
             if prev is not None:
                 history.append(float(space.distance(prev, cur)))
             star, prev = cur, cur
-            if history and history[-1] < residual_tol:
+            if history and history[-1] < _RAY_RESIDUAL_TOL:
                 stop = "converged"
                 break
         stars.append(star)
@@ -437,35 +465,33 @@ def _ray_from_points(space: Space, points, dists, k_max: int, residual_tol,
 
 
 def extract_ray_from_quasi_geodesic(space: Space, curve: Curve, lam: float,
-                                    alpha: float, k_max: int,
-                                    residual_tol=1e-6, n_cap=60) -> RayApprox:
+                                    alpha: float, k_max: int) -> RayApprox:
     """Extract geodesic-ray points from a quasi-geodesic ray.
 
     Sets x_n at geometrically growing parameters alpha^n, takes the point
     at distance k on each segment [x_0, x_n], and iterates in n until the
-    successive residual drops below ``residual_tol``, the growth cap is
-    hit, or the curve is exhausted.  Works in the Gromov-hyperbolic
+    successive residual drops below ``_RAY_RESIDUAL_TOL``, the growth cap
+    ``_RAY_N_CAP`` is hit, or the curve is exhausted.  Works in the Gromov-hyperbolic
     families (trees and the hyperbolic plane), where the residuals decay
     geometrically like k / alpha^n.
     """
     if not space.gromov_hyperbolic:
         raise UnsupportedSpaceError(
             f"ray extraction needs a tree or hyperbolic space, got {space.kind}")
-    if lam < 1:
+    if not lam >= 1:
         raise InvalidInputError("lambda must be >= 1")
     beta = 1.0 / lam + lam + alpha * (1.0 / lam - lam)
-    if alpha <= 1 or beta <= 0:
+    if not alpha > 1 or not beta > 0:
         raise InvalidAlphaError(
             f"alpha={alpha} gives beta={beta:.6g}; need alpha > 1 and beta > 0")
 
-    xs = _geometric_index_points(curve, alpha, n_cap)
+    xs = _geometric_index_points(curve, alpha)
     return _ray_from_points(space, xs, [space.distance(xs[0], x) for x in xs], k_max,
-                            residual_tol, "curve never reaches distance {k} from its base")
+                            "curve never reaches distance {k} from its base")
 
 
 def extract_ray_from_directional_sequence(space: Space, points, b: float,
-                                          k_max: int, residual_tol=1e-6,
-                                          angle_pairs=100) -> RayApprox:
+                                          k_max: int, *, angle_pairs=100) -> RayApprox:
     """Extract geodesic-ray points from a directional sequence.
 
     For each k, follows the points at distance k on the segments
@@ -478,7 +504,7 @@ def extract_ray_from_directional_sequence(space: Space, points, b: float,
         raise InvalidInputError("need at least two points")
     x0 = points[0]
     dists = [space.distance(x0, p) for p in points]
-    ray = _ray_from_points(space, points, dists, k_max, residual_tol,
+    ray = _ray_from_points(space, points, dists, k_max,
                            "sequence never reaches distance {k} from x_0")
 
     # every stride-th pair of pos in upper-triangle order, located by row starts
@@ -543,8 +569,11 @@ def l2_example_curve(n_dims=6, base=10.0, samples_per_leg=0) -> Curve:
                                 "samples_per_leg": samples_per_leg}})
 
 
+_ZIGZAG_TRIES = 6  # amplitude halvings a zigzag may try before it falls back to the geodesic
+
+
 def zigzag_quasi_geodesic(space: Space, a: Point, b: Point, lam: float,
-                          segments=8, rng=None, max_tries=6, away_from=None) -> Curve:
+                          segments=8, rng=None, *, away_from=None) -> Curve:
     """Seeded zigzag joining a and b within the (lambda, 0) bounds.
 
     Interior nodes are pushed off the geodesic by a bounded transverse
@@ -570,7 +599,7 @@ def zigzag_quasi_geodesic(space: Space, a: Point, b: Point, lam: float,
     amp = 0.45 * gap * (lam - 1.0) / lam
     signs = rng.choice([-1.0, 1.0])
     mags = rng.uniform(0.6, 1.0, segments + 1)
-    for _ in range(max_tries):
+    for _ in range(_ZIGZAG_TRIES):
         pts = []
         for i, t in enumerate(ts):
             if i == 0 or i == segments:

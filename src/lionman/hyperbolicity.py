@@ -245,7 +245,10 @@ class GromovCriterionReport:
     passed: bool
 
 
-def check_gromov_criterion(space: Space, triples, delta_prime, levels=16,
+_CRITERION_LEVELS = 16  # equidistant levels r = (y|z)_x j / 16 tested per triple
+
+
+def check_gromov_criterion(space: Space, triples, delta_prime, *,
                            tol=None) -> GromovCriterionReport:
     """Test d(y', z') <= delta_prime for equidistant pairs below the product.
 
@@ -266,8 +269,8 @@ def check_gromov_criterion(space: Space, triples, delta_prime, levels=16,
         local = 0
         local_witness = None
         if g > 0 and dxy > 0 and dxz > 0:
-            for j in range(1, levels + 1):
-                r = g * j / levels
+            for j in range(1, _CRITERION_LEVELS + 1):
+                r = g * j / _CRITERION_LEVELS
                 yp = space.geodesic_point(x, y, r / dxy)
                 zp = space.geodesic_point(x, z, r / dxz)
                 d = space.distance(yp, zp)
@@ -280,7 +283,8 @@ def check_gromov_criterion(space: Space, triples, delta_prime, levels=16,
             witness = local_witness
     passed = sup <= delta_prime + tol * max(1.0, float(sup))
     return GromovCriterionReport(delta_prime=delta_prime, sup=sup, witness=witness,
-                                 per_triple=per_triple, levels=levels, passed=passed)
+                                 per_triple=per_triple, levels=_CRITERION_LEVELS,
+                                 passed=passed)
 
 
 # ---------------------------------------------------------------------------

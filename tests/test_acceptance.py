@@ -161,7 +161,7 @@ def test_criterion_4_tree_dichotomy():
             tr = lm.run_game(cfg, strat)
             if tr.stop_reason != "physical-capture":
                 capture_ok = False
-            audit = lm.rtree_capture_audit(tree, tr, D, tol=0)
+            audit = lm.rtree_capture_audit(tree, tr, D)
             if not audit.passed:
                 audit_ok = False
 
@@ -173,7 +173,7 @@ def test_criterion_4_tree_dichotomy():
                         man_start=strat.start())
     tr = lm.run_game(cfg, strat)
     sustained = all(r.dist >= D1 + 1 for r in tr.records) and len(tr.records) == 500
-    audit = lm.rtree_capture_audit(ray_space, tr, D1, tol=0)
+    audit = lm.rtree_capture_audit(ray_space, tr, D1)
     ray_ok = sustained and audit.passed and audit.final_distance == 500 * D1
 
     ok = capture_ok and audit_ok and ray_ok

@@ -138,6 +138,13 @@ def test_verify_mans_win_curve_non_dyadic_step(ray_tree):
     assert rep.n_pairs > 0
 
 
+@pytest.mark.parametrize("k", [0, -2, math.nan])
+def test_verify_mans_win_curve_rejects_k_that_admits_no_pair(euclid2, k):
+    c = lm.geodesic_segment_curve(euclid2, lm.epoint(0, 0), lm.epoint(30, 0), n_samples=31)
+    with pytest.raises(InvalidInputError):
+        lm.verify_mans_win_curve(c, k, grid=64)
+
+
 def test_verify_mans_win_curve_sharp_zigzag_fails(euclid2):
     # unit-speed corner with interior angle pi/4: chord shrinks below sqrt(2)/2
     p0 = lm.epoint(0, 0)
@@ -344,6 +351,16 @@ def test_equivalence_report_unbounded_tree(ray_tree):
     assert cert["local_qg_passed"]
     assert cert["audit_passed"]
     assert cert["ray_residual_max"] == 0.0
+
+
+def test_equivalence_report_short_lion_path_has_no_ray_certificate(ray_tree):
+    # the lion covers 3/4 < 1, so no ray point at distance 1 can be extracted
+    rep = lm.equivalence_report(ray_tree, lm.WholeSpace(), D=Fraction(1, 4), n_steps=3,
+                                tol=1e-9, lion_start=lm.vertex_point("r"),
+                                man_start=lm.vertex_point("r"), curve=lm.tree_ray_curve(ray_tree))
+    cert = rep.certificates["directional"]
+    assert cert["audit_passed"]
+    assert "ray_residual_max" not in cert
 
 
 def test_equivalence_certificate_is_the_analyze_report(ray_tree):

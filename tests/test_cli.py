@@ -150,6 +150,27 @@ def test_verify_curve_pass_and_fail(ray_curve_file, tmp_path, capsys):
     assert "first_lower_violation" in wit.read_text()
 
 
+@pytest.mark.parametrize("option", [["--k", "0"], ["--k", "-2"], ["--k", "nan"],
+                                    ["--lambda", "nan"], ["--epsilon", "nan"]])
+def test_verify_curve_rejects_vacuous_bounds(option, ray_curve_file, capsys):
+    # a k that admits no pair, or a NaN bound that every pair meets, once
+    # printed PASS
+    argv = ["verify-curve", "--curve", ray_curve_file, "--lambda", "1", "--grid", "64"]
+    assert main(argv + option) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("option, message", [(["--k-max", "0"], "k_max must be >= 1"),
+                                             (["--k-max", "-1"], "k_max must be >= 1"),
+                                             (["--alpha", "nan"], "alpha=nan")])
+def test_extract_ray_rejects_bad_options(option, message, ray_curve_file, capsys):
+    argv = ["extract-ray", "--curve", ray_curve_file, "--lambda", "1"]
+    assert main(argv + option) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_extract_ray_cli(ray_curve_file, tmp_path, capsys):
     out = tmp_path / "res.csv"
     code = main(["extract-ray", "--curve", ray_curve_file, "--lambda", "1",

@@ -87,6 +87,20 @@ def test_qg_report_verdict_matches_slacks(euclid2):
     assert rep.n_pairs > 0
 
 
+@pytest.mark.parametrize("lam, eps, k", [(1.0, 0.0, 0.0), (1.0, 0.0, -2.0), (1.0, 0.0, math.nan),
+                                         (math.nan, 0.0, None), (1.0, math.nan, None)])
+def test_qg_check_rejects_vacuous_bounds(euclid2, lam, eps, k):
+    c = lm.geodesic_segment_curve(euclid2, lm.epoint(0, 0), lm.epoint(5, 0))
+    with pytest.raises(InvalidInputError):
+        lm.check_quasi_geodesic(c, lam, eps, grid=30, k=k)
+
+
+def test_directional_curve_rejects_nan_b(euclid2):
+    c = lm.geodesic_segment_curve(euclid2, lm.epoint(0, 0), lm.epoint(5, 0))
+    with pytest.raises(InvalidInputError):
+        lm.check_directional_curve(c, math.nan, grid=30)
+
+
 def test_qg_local_restriction_changes_pair_count(euclid2):
     c = lm.geodesic_segment_curve(euclid2, lm.epoint(0, 0), lm.epoint(10, 0), n_samples=11)
     full = lm.check_quasi_geodesic(c, 1.0, 0.0, grid=11)
@@ -328,6 +342,22 @@ def test_directional_angle_bound(euclid2):
         assert lhs <= rhs + 1e-9
 
 
+@pytest.mark.parametrize("k_max", [0, -1, math.nan])
+def test_extractors_reject_k_max_below_one(ray_tree, euclid2, k_max):
+    with pytest.raises(InvalidInputError):
+        lm.extract_ray_from_quasi_geodesic(ray_tree, lm.tree_ray_curve(ray_tree), lam=1.0,
+                                           alpha=2, k_max=k_max)
+    pts = [lm.epoint(float(n), 0.0) for n in range(5)]
+    with pytest.raises(InvalidInputError):
+        lm.extract_ray_from_directional_sequence(euclid2, pts, 0.0, k_max=k_max)
+
+
+def test_extract_ray_rejects_nan_alpha(ray_tree):
+    with pytest.raises(InvalidAlphaError):
+        lm.extract_ray_from_quasi_geodesic(ray_tree, lm.tree_ray_curve(ray_tree), lam=1.0,
+                                           alpha=math.nan, k_max=3)
+
+
 def test_extract_directional_insufficient_data(euclid2):
     pts = [lm.epoint(0, 0), lm.epoint(0.5, 0)]
     with pytest.raises(InsufficientDataError):
@@ -408,6 +438,74 @@ def test_curve_file_generator_reconstruction(tmp_path):
     assert loaded2.space.distance(loaded2.at(Fraction(9)), lm.vertex_point("r")) == 9
 
 
+# -- grid placement ---------------------------------------------------------------------------
+#
+# `_merged_params` places every kept grid value among the samples in one
+# exact walk; the reference is one sort of the samples and the kept values,
+# with the points evaluated one by one through `Curve.at`.
+
+
+def merged_reference(curve, grid):
+    lo, hi = float(curve.t_min), float(curve.t_max)
+    ts = np.asarray([float(t) for t in curve.params])
+    inner = np.linspace(lo, hi, max(2, grid))[1:-1]
+    n = np.searchsorted(ts, inner).clip(1, len(ts) - 1)
+    far = np.minimum(inner - ts[n - 1], ts[n] - inner) > 1e-9 * (hi - lo) / max(1, grid - 1)
+    return sorted([*curve.params, *(float(t) for t in inner[far])])
+
+
+def exactly(values):
+    """Values with their types, so that Fraction 1/2 and float 0.5 differ."""
+    return [(v, type(v), type(getattr(v, "offset", None))) for v in values]
+
+
+def lion_path(D):
+    tree = lm.ray_tree()
+    man = lm.man_directional_strategy(lm.tree_ray_curve(tree), D)
+    cfg = lm.GameConfig(space=tree, domain=lm.WholeSpace(), D=D, n_steps=60, tol=1e-9,
+                        lion_start=lm.vertex_point("q"), man_start=man.start())
+    return lm.curve_from_transcript(tree, lm.run_game(cfg, man), 12 * D)[1]
+
+
+def placement_curves():
+    line = lm.EuclideanSpace(1)
+    far = tuple(10**8 + Fraction(k, 3) for k in range(31))
+    # samples one float step above, at, and a rational hair from grid values
+    # of a range whose float steps are wider than the rounding filter
+    g = np.linspace(1e8, 1e8 + 10.0, 1000)
+    near = (Fraction(10**8), Fraction(math.nextafter(g[10], math.inf)), Fraction(g[20]),
+            Fraction(g[30]) + Fraction(1, 10**12), Fraction(g[40]) - Fraction(1, 10**12),
+            Fraction(math.nextafter(g[50], 0.0)), Fraction(10**8 + 10))
+    return {
+        "fractions-far-from-0": lm.Curve(line, far, tuple(lm.epoint(float(t - 10**8)) for t in far)),
+        "lion-path-2/3": lion_path(Fraction(2, 3)),
+        "lion-path-1/7": lion_path(Fraction(1, 7)),
+        "one-sample": lm.Curve(lm.EuclideanSpace(2), (Fraction(1, 3),), (lm.epoint(1, 2),)),
+        "near-grid-values": lm.Curve(line, near, tuple(lm.epoint(float(t - 10**8)) for t in near)),
+        "box": lm.l2_example_curve(4, 5.0, samples_per_leg=1),
+    }
+
+
+@pytest.mark.parametrize("grid", [2, 7, 60, 1000])
+@pytest.mark.parametrize("name", sorted(placement_curves()))
+def test_merged_params_place_grid_values_as_the_sorted_merge(name, grid):
+    curve = placement_curves()[name]
+    params, points = lm.curves._merged_params(curve, grid)
+    assert exactly(params) == exactly(merged_reference(curve, grid))
+    assert exactly(points) == exactly([curve.at(t) for t in params])
+
+
+def test_grid_checks_evaluate_no_curve_point_one_by_one(monkeypatch):
+    path = lion_path(Fraction(2, 3))
+    calls = []
+    at = lm.Curve.at
+    monkeypatch.setattr(lm.Curve, "at", lambda self, t: calls.append(t) or at(self, t))
+    lm.check_quasi_geodesic(path, SQRT2, 0.0, 300, k=8)
+    lm.check_directional_curve(path, 0.0, 300)
+    lm.verify_promotion(path.space, path, 1.0, 0.0, 10.0, grid=300)
+    assert calls == []
+
+
 # -- reference pair loops --------------------------------------------------------------------
 #
 # Pure-Python loops over the pairs i < j with the checkers' own float
@@ -417,7 +515,7 @@ def test_curve_file_generator_reconstruction(tmp_path):
 
 def qg_reference(curve, lam, lower_eps, upper_eps, grid, k=None):
     tol = curve.space.rel_tol
-    params = lm.curves._merged_params(curve, grid)
+    params = lm.curves._merged_params(curve, grid)[0]
     dmat = curve.space.pairwise_distances([curve.at(t) for t in params])
     ts = [float(t) for t in params]
     n_pairs = 0

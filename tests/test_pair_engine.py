@@ -23,7 +23,7 @@ ROOT2 = math.sqrt(2.0)
 
 def dense_check_grid(curve, lam, lower_eps, upper_eps, grid, k, tol):
     tol = curve.space.rel_tol if tol is None else tol
-    params = _merged_params(curve, grid)
+    params = _merged_params(curve, grid)[0]
     dmat = curve.space.pairwise_distances([curve.at(t) for t in params])
     tarr = np.asarray([float(t) for t in params])
     i, j = np.triu_indices(len(params), 1)
@@ -97,7 +97,7 @@ def segments():
 @pytest.mark.parametrize("n", [B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 2 * B + 2])
 def test_blocks_around_multiples_of_the_block_size(name, n):
     curve = segments()[name]
-    assert len(_merged_params(curve, n)) == n  # two samples: the merged list is the grid
+    assert len(_merged_params(curve, n)[0]) == n  # two samples: the merged list is the grid
     length = float(curve.t_max - curve.t_min)
     step = length / (n - 1)
     for lam in (1.0, 1.3):
@@ -161,11 +161,11 @@ def test_first_violations_in_a_later_block():
     speedup = lm.Curve(plane, (0.0, 100.0, 101.0),
                        (lm.epoint(0, 0), lm.epoint(100, 0), lm.epoint(130, 0)))
     grid = 3 * B
-    rows = {float(t): r for r, t in enumerate(_merged_params(corner, grid))}
+    rows = {float(t): r for r, t in enumerate(_merged_params(corner, grid)[0])}
     rep = assert_engine_matches(corner, 1.2, grid)
     assert rows[rep.first_lower_violation[0]] >= B
     assert rep.first_upper_violation is None
-    rows = {float(t): r for r, t in enumerate(_merged_params(speedup, grid))}
+    rows = {float(t): r for r, t in enumerate(_merged_params(speedup, grid)[0])}
     rep = assert_engine_matches(speedup, 3.0, grid)
     assert rows[rep.first_upper_violation[0]] >= 2 * B
     for k in (5.0, 30.0):
