@@ -28,7 +28,7 @@ from .errors import (
     _bad_input,
 )
 from . import spaces
-from .spaces import (HyperbolicPlane, L2BoxSpace, Point, RAY_EDGE, RTreeSpace, Segment, Space,
+from .spaces import (HyperbolicPlane, L2BoxSpace, Point, RAY_EDGE, RTreeSpace, Space,
                      _flat_angle)
 
 
@@ -191,12 +191,14 @@ def _merged_params(curve: Curve, grid: int):
     kept values and the samples are then merged in one exact walk, so each
     grid value is placed by one comparison and each sample passed by one.
     """
+    if grid < 2:
+        raise InvalidInputError("grid must be >= 2")
     params, points = curve.params, curve.points
     lo, hi = float(curve.t_min), float(curve.t_max)
     ts = np.asarray([float(t) for t in params])
-    inner = np.linspace(lo, hi, max(2, grid))[1:-1]
+    inner = np.linspace(lo, hi, grid)[1:-1]
     n = np.searchsorted(ts, inner).clip(1, len(ts) - 1)
-    far = np.minimum(inner - ts[n - 1], ts[n] - inner) > 1e-9 * (hi - lo) / max(1, grid - 1)
+    far = np.minimum(inner - ts[n - 1], ts[n] - inner) > 1e-9 * (hi - lo) / (grid - 1)
     merged, at = [], []
     i = 0
     for t in inner[far].tolist():
@@ -217,24 +219,26 @@ def _first_min(values):
     return None if n is None or values[n] == np.inf else n
 
 
-_BLOCK = 64  # rows of the pair table held at once by _check_grid
+_BLOCK = 64  # rows of the pair table held at once by _check_pairs
 
 
 def _check_grid(curve: Curve, lam, lower_eps, upper_eps, grid: int, k, tol) -> QGReport:
-    """Grid check of |s-t|/lam - lower_eps <= d(c(s), c(t)) <= lam|s-t| + upper_eps.
+    """Grid check of |s-t|/lam - lower_eps <= d(c(s), c(t)) <= lam|s-t| + upper_eps."""
+    return _check_pairs(curve.space, *_merged_params(curve, grid),
+                        lam, lower_eps, upper_eps, k, tol)
 
-    The pairs i < j of the merged parameters are visited in lexicographic
-    order, ``_BLOCK`` rows at a time; each block of distances is one
-    rectangular `_table` call, and a k-local check reads only the columns
-    of the |s-t| <= k band.  A worst pair gives way only to a strictly
-    smaller value of a later block and the first violation found is kept, so
-    every witness is the first in that order.
+
+def _check_pairs(space: Space, params, points, lam, lower_eps, upper_eps, k, tol) -> QGReport:
+    """The bounds of `_check_grid` on the pairs of the merged (params, points).
+
+    The pairs i < j are visited in lexicographic order, ``_BLOCK`` rows at a
+    time; each block of distances is one rectangular `_table` call, and a
+    k-local check reads only the columns of the |s-t| <= k band.  A worst
+    pair gives way only to a strictly smaller value of a later block and the
+    first violation found is kept, so every witness is the first in that
+    order.
     """
-    if grid < 2:
-        raise InvalidInputError("grid must be >= 2")
-    space = curve.space
     tol = space.rel_tol if tol is None else tol
-    params, points = _merged_params(curve, grid)
     arrays = space._arrays(points)
     tarr = np.asarray([float(t) for t in params])
     n = len(params)
@@ -366,8 +370,11 @@ def promote_constants(lam: float, M: float, k: float):
     (lambda*, 2M)-quasi-geodesic with
     lambda* = (1/lambda - 4M/(k/2 + lambda*M))^-1, provided k > 8*lambda*M.
     """
-    if lam < 1 or M < 0:
+    # written so that NaN fails each guard
+    if not lam >= 1 or not M >= 0:
         raise InvalidInputError("need lambda >= 1 and M >= 0")
+    if math.isnan(k):
+        raise InvalidInputError("k must be a number, got nan")
     if k <= 8 * lam * M:
         raise PromotionPreconditionError(
             f"locality scale k={k} must exceed 8*lambda*M={8 * lam * M}")
@@ -385,12 +392,12 @@ def verify_promotion(space: Space, curve: Curve, lam: float, M: float,
     the geodesic segment joining the curve's endpoints.
     """
     lam_star, eps = promote_constants(lam, M, k)
-    report = check_quasi_geodesic(curve, lam_star, eps, grid)
-    chord = Segment(curve.points[0], curve.points[-1])
-    worst = 0.0
-    for p in _merged_params(curve, grid)[1]:
-        _, d = space.project_to_segment(p, chord)
-        worst = max(worst, float(d))
+    chord = [curve.points[0], curve.points[-1]]
+    for end in chord:
+        space.check_point(end, "chord end")
+    params, points = _merged_params(curve, grid)
+    report = _check_pairs(curve.space, params, points, lam_star, eps, eps, None, None)
+    worst = max([0.0] + [float(d) for d in space._to_chain(points, chord)])
     report.max_chord_dist = worst
     report.chord_bound = 2.0 * M
     report.chord_ok = worst <= 2.0 * M + space.rel_tol * max(1.0, worst)

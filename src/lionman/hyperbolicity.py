@@ -17,7 +17,7 @@ import numpy as np
 
 from .curves import zigzag_quasi_geodesic
 from .errors import DegenerateInputError, InvalidInputError
-from .spaces import EuclideanSpace, Point, PointSampler, Segment, Space, _flat_angle, epoint
+from .spaces import EuclideanSpace, Point, PointSampler, Space, _flat_angle, epoint
 
 
 def gromov_product(space: Space, x: Point, y: Point, z: Point):
@@ -143,22 +143,13 @@ class SlimnessReport:
     grid: int
 
 
-def _dist_to_chain(space: Space, p: Point, chain) -> float:
-    best = None
-    for a, b in zip(chain, chain[1:]):
-        _, d = space.project_to_segment(p, Segment(a, b))
-        if best is None or d < best:
-            best = d
-    return best
-
-
 def _chain_slimness(space: Space, chains, sample_sets, grid: int) -> SlimnessReport:
     worst = None
     for i, samples in enumerate(sample_sets):
         others = [c for j, c in enumerate(chains) if j != i]
-        for t, p in samples:
-            d = min(_dist_to_chain(space, p, others[0]),
-                    _dist_to_chain(space, p, others[1]))
+        points = [p for _, p in samples]
+        near = map(min, space._to_chain(points, others[0]), space._to_chain(points, others[1]))
+        for (t, p), d in zip(samples, near):
             if worst is None or d > worst[0]:
                 worst = (d, i, t, p)
     value, side, t, p = worst

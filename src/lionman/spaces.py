@@ -195,6 +195,15 @@ class Space:
 
     # -- bulk helpers -------------------------------------------------------
 
+    def _to_chain(self, points, chain) -> list:
+        """Distance from each point to the union of the chain's segments.
+
+        The chain lists two or more nodes, and a repeated node is a
+        degenerate segment.  One value per point, a float or, from exact
+        tree data, a `Fraction`, as `project_to_segment` would give it.
+        """
+        raise NotImplementedError
+
     def pairwise_distances(self, points) -> np.ndarray:
         """Float table of the distances between the points."""
         arrays = self._arrays(points)
@@ -309,14 +318,27 @@ class EuclideanSpace(Space):
         cs = tuple(a + t * (b - a) for a, b in zip(x.coords, y.coords))
         return Point(self.kind, cs)
 
-    def _project(self, p, seg):
-        a = np.asarray(seg.a.coords)
-        b = np.asarray(seg.b.coords)
+    @staticmethod
+    def _feet(rows, a, b):
+        """Table t[n, k] of the feet a[k] + t (b[k] - a[k]) of the rows, t clamped to [0, 1]."""
         v = b - a
-        t = float(np.dot(np.asarray(p.coords) - a, v) / np.dot(v, v))
-        t = min(1.0, max(0.0, t))
+        vv = (v * v).sum(-1)
+        t = ((rows[:, None] - a) * v).sum(-1) / np.where(vv > 0, vv, 1.0)
+        return t.clip(0.0, 1.0)
+
+    def _project(self, p, seg):
+        rows = self._arrays([p, seg.a, seg.b])
+        t = float(self._feet(rows[:1], rows[1:2], rows[2:])[0, 0])
         q = self.geodesic_point(seg.a, seg.b, t)
         return q, self._dist(p, q)
+
+    def _to_chain(self, points, chain):
+        nodes = self._arrays(chain)
+        rows, a, b = self._arrays(points), nodes[:-1], nodes[1:]
+        t = self._feet(rows, a, b)[..., None]
+        # the foot as _interpolate places it, and b itself at t = 1
+        gap = rows[:, None] - np.where(t < 1.0, a + t * (b - a), b)
+        return np.sqrt((gap * gap).sum(-1)).min(1).tolist()
 
     def _arrays(self, points):
         return np.asarray([p.coords for p in points], dtype=float)
@@ -493,27 +515,55 @@ class HyperbolicPlane(Space):
         z = math.tanh(0.5 * s) * direction
         return self._pt(self._from_origin(self._c(x), z))
 
-    def _project(self, p, seg):
+    def _foot(self, a, b, p):
+        """Where p's foot sits on the line through a and b, for complex arrays.
+
+        Returns the signed distance s of the foot from a and the line's unit
+        chart direction e at a (0 when a == b, whose foot is a).
+        """
         # Recentre at a and turn b onto the positive real axis.  In the Klein
         # model the perpendiculars to that diameter are vertical chords, so the
         # foot of p's chart point w sits at Klein abscissa Re 2w/(1 + |w|^2),
-        # i.e. at distance atanh of it = log(|1 + w| / |1 - w|) from a, which
-        # is then clamped to the segment.
-        a = self._c(seg.a)
-        u = self._to_origin(a, self._c(seg.b))
-        w = self._to_origin(a, self._c(p)) * (u.conjugate() / abs(u))
-        s = math.log(abs(1.0 + w) / abs(1.0 - w))
-        q = self.geodesic_point(seg.a, seg.b, min(1.0, max(0.0, s / self._dist(seg.a, seg.b))))
+        # i.e. at distance atanh of it = log(|1 + w| / |1 - w|) from a.
+        u = self._to_origin(a, b)
+        r = np.where(u != 0, np.abs(u), 1.0)
+        e = u.real / r + 1j * (u.imag / r)  # by parts, as a complex / float divides
+        w = self._to_origin(a, p) * e.conjugate()
+        return np.log(np.abs(1.0 + w) / np.abs(1.0 - w)), e
+
+    def _project(self, p, seg):
+        s, _ = self._foot(self._c(seg.a), self._c(seg.b), self._c(p))
+        t = min(1.0, max(0.0, float(s) / self._dist(seg.a, seg.b)))
+        q = self.geodesic_point(seg.a, seg.b, t)
         return q, self._dist(p, q)
+
+    def _to_chain(self, points, chain):
+        rows, nodes = self._arrays(points), self._arrays(chain)
+        z = (rows[:, 0] + 1j * rows[:, 1])[:, None]
+        c = nodes[:, 0] + 1j * nodes[:, 1]
+        a, b = c[:-1], c[1:]
+        s, e = self._foot(a, b, z)
+        # the foot clamped to the segment, whose ends are a and b themselves
+        length = np.diagonal(self._table(nodes, nodes), 1)
+        inner = self._from_origin(a, np.tanh(0.5 * s) * e)
+        q = np.where(s <= 0.0, a, np.where(s >= length, b, inner))
+        x, y = q.real, q.imag
+        gaps = (rows[:, 0, None] - x) ** 2 + (rows[:, 1, None] - y) ** 2
+        return self._from_gaps(gaps, rows[:, 2, None] * (1.0 - (x * x + y * y))).min(1).tolist()
 
     def _arrays(self, points):
         # the chart coordinates and 1 - |z|^2
         arr = np.asarray([p.coords for p in points], dtype=float)
         return np.column_stack([arr, 1.0 - (arr * arr).sum(axis=1)])
 
+    @staticmethod
+    def _from_gaps(gaps, den):
+        """Distances from squared chart gaps and products of the points' 1 - |z|^2."""
+        return 2.0 * np.arcsinh(np.sqrt(gaps / den))
+
     def _table(self, rows, cols):
         den = rows[:, 2, None] * cols[None, :, 2]
-        return 2.0 * np.arcsinh(np.sqrt(_squared_gaps(rows[:, :2], cols[:, :2]) / den))
+        return self._from_gaps(_squared_gaps(rows[:, :2], cols[:, :2]), den)
 
     def random_point(self, rng, scale=1.0):
         # uniform hyperbolic radius in [0, scale], uniform direction
@@ -681,8 +731,11 @@ class RTreeSpace(Space):
         return Point(self.kind, vertex=u if offset <= 0 else v)
 
     def _dist(self, x, y):
-        i, hx, rest_x = self._form(x)
-        j, hy, rest_y = self._form(y)
+        return self._gap(x, self._form(x), y, self._form(y))
+
+    def _gap(self, x, form_x, y, form_y):
+        """d(x, y) from the points and their rooted forms."""
+        (i, hx, rest_x), (j, hy, rest_y) = form_x, form_y
         if i == j and hx and hy:  # inside one edge
             return abs(x.offset - y.offset)
         ex, cx = self._exit(i, hx, rest_x, j)
@@ -727,6 +780,21 @@ class RTreeSpace(Space):
         r = (self._dist(a, p) + dab - self._dist(p, b)) / 2
         q = self._walk(a, b, min(max(r, 0), dab))
         return q, self._dist(p, q)
+
+    def _to_chain(self, points, chain):
+        # d(p, [a, b]) = (d(p, a) + d(p, b) - d(a, b)) / 2 in a tree, so the
+        # exact distances from p to the nodes suffice, each point read in its
+        # rooted form once; float rounding is clamped, a distance being never
+        # negative
+        nodes = [(c, self._form(c)) for c in chain]
+        links = [self._gap(*a, *b) for a, b in zip(nodes, nodes[1:])]
+        out = []
+        for p in points:
+            form = self._form(p)
+            to = [self._gap(p, form, *c) for c in nodes]
+            d = min((u + v - w) / 2 for u, v, w in zip(to, to[1:], links))
+            out.append(max(d, 0.0))
+        return out
 
     def _arrays(self, points):
         # float copies of the forms (i, h, rest) and of the edge offsets

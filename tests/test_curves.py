@@ -222,6 +222,34 @@ def test_promote_constants_monotone_limit():
     assert prev == pytest.approx(lam, rel=1e-2)
 
 
+@pytest.mark.parametrize("lam, M, k, name", [(math.nan, 0.0, 10.0, "lambda"),
+                                              (1.0, math.nan, 10.0, "M"),
+                                              (1.0, 0.1, math.nan, r"\bk\b")])
+def test_promote_constants_rejects_nan(lam, M, k, name):
+    with pytest.raises(InvalidInputError, match=name):
+        lm.promote_constants(lam, M, k)
+
+
+def test_verify_promotion_evaluates_each_grid_value_once(monkeypatch, hyper):
+    # the zigzag of demo 04: at grid 120 its 118 interior grid values are
+    # placed once, for the pair check and the chord distances alike
+    rng = np.random.default_rng(9)
+    a = hyper.point_toward(lm.hpoint(0, 0), complex(-1, 0), 17.0)
+    b = hyper.point_toward(lm.hpoint(0, 0), complex(1, 0), 17.0)
+    zz = lm.zigzag_quasi_geodesic(hyper, a, b, SQRT2, segments=16, rng=rng)
+    calls = []
+    between = lm.Curve._between
+    monkeypatch.setattr(lm.Curve, "_between",
+                        lambda self, i, t: calls.append(t) or between(self, i, t))
+    rep = lm.verify_promotion(hyper, zz, SQRT2, 0.892, 13.0, grid=120)
+    assert len(calls) == len(set(calls)) == 118
+    assert rep.passed
+    chord = lm.Segment(zz.points[0], zz.points[-1])
+    want = max(float(hyper.project_to_segment(p, chord)[1])
+               for p in lm.curves._merged_params(zz, 120)[1])
+    assert rep.max_chord_dist == pytest.approx(want, rel=hyper.rel_tol)
+
+
 def test_verify_promotion_trivial_geodesic(ray_tree):
     ray = lm.tree_ray_curve(ray_tree)
     samples = tuple(Fraction(i) for i in range(0, 30, 2))

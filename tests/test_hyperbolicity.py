@@ -303,6 +303,79 @@ def test_quasi_slim_sqrt2_hyperbolic_finite(hyper):
     assert m < 5.0
 
 
+# -- slimness against the per-point projection loop ------------------------------------------
+
+
+def dist_to_chain(space, p, chain):
+    """Reference: the smallest project_to_segment distance over the chain's segments."""
+    best = None
+    for a, b in zip(chain, chain[1:]):
+        _, d = space.project_to_segment(p, lm.Segment(a, b))
+        if best is None or d < best:
+            best = d
+    return best
+
+
+def slimness_by_projection(space, chains, sample_sets):
+    """Reference: each sample's distance to the other two sides, and the first largest."""
+    near, worst = {}, None
+    for i, samples in enumerate(sample_sets):
+        others = [c for j, c in enumerate(chains) if j != i]
+        for t, p in samples:
+            d = min(dist_to_chain(space, p, others[0]), dist_to_chain(space, p, others[1]))
+            near[i, float(t)] = d
+            if worst is None or d > worst[0]:
+                worst = (d, (i, float(t)))
+    return near, worst
+
+
+SLIM_SPACES = {
+    "disk": (lm.HyperbolicPlane(), 3.0),
+    "plane": (lm.EuclideanSpace(2), 3.0),
+    "tripod": (lm.tripod(), 2),
+    "tree40": (lm.random_tree(np.random.default_rng(5), n_vertices=40), 4),
+    "one-vertex": (lm.RTreeSpace(["v"], []), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLIM_SPACES))
+@pytest.mark.parametrize("lam", [1, 1.5, math.sqrt(2)])
+def test_slimness_matches_the_projection_loop(monkeypatch, name, lam):
+    # every slimness report of slim_defect (lambda = 1) and of the quasi
+    # triangles against the loop it replaced: exact trees agree exactly, in
+    # value, type and witness; elsewhere the values agree to 1e-12 and a
+    # witness may move only to a sample whose reference value ties the largest
+    space, scale = SLIM_SPACES[name]
+    chain_slimness = lm.hyperbolicity._chain_slimness
+    reports = []
+
+    def checked(space, chains, sample_sets, grid):
+        rep = chain_slimness(space, chains, sample_sets, grid)
+        near, (value, witness) = slimness_by_projection(space, chains, sample_sets)
+        got = rep.value
+        assert type(got) in (float, Fraction) and got >= 0
+        if isinstance(value, Fraction):
+            assert got == value and type(got) is Fraction
+            assert (rep.witness_side, rep.witness_param) == witness
+        else:
+            tol = 1e-12 * max(1.0, value)
+            assert abs(got - value) <= tol
+            assert abs(near[rep.witness_side, rep.witness_param] - value) <= tol
+        reports.append(value)
+        return rep
+
+    monkeypatch.setattr(lm.hyperbolicity, "_chain_slimness", checked)
+    for seed in (3, 8):
+        got = lm.estimate_quasi_slim_M(space, lam, lm.PointSampler(space, scale, seed=seed),
+                                       trials=3, grid=10)
+        want = max([0] + reports)
+        if isinstance(want, Fraction):
+            assert got == want and type(got) is Fraction
+        else:
+            assert abs(got - want) <= 1e-12 * max(1.0, want)
+        reports.clear()
+
+
 def cat_defect_by_blocks(space, x, y, z, grid):
     """Reference: one distance block per pair of sides, as three separate calls."""
     tri = lm.ComparisonTriangle.from_points(space, x, y, z)

@@ -132,6 +132,63 @@ def test_geodesic_points_are_members_splitting_the_distance(kind, data):
             assert close_to(space, space.distance(x, z), t * float(d))
 
 
+def far_points(kind):
+    """points(kind), with hyperbolic ones out to distance 10 from the origin."""
+    if kind != "hyperbolic":
+        return points(kind)
+    return st.builds(lambda s, th: lm.hpoint(math.tanh(s / 2) * math.cos(th),
+                                             math.tanh(s / 2) * math.sin(th)),
+                     st.floats(0, 10), st.floats(0, 2 * math.pi))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@PROPERTY
+@given(data=st.data())
+def test_to_chain_is_the_nearest_segment_distance(kind, data):
+    # the kernel against the smallest project_to_segment distance, on a chain
+    # with a repeated node whose end nodes lie on [x, ...] and [..., y], so
+    # that the probes x and y sit beyond its ends
+    # (on trees a float parameter gives float offsets, compared as floats)
+    space = SPACES[kind]
+    ts = st.one_of(params(kind), st.floats(0, 1))
+    x, y = data.draw(far_points(kind)), data.draw(far_points(kind))
+    chain = data.draw(st.lists(far_points(kind), min_size=2, max_size=4))
+    chain[0] = space.geodesic_point(x, chain[1], data.draw(ts))
+    chain[-1] = space.geodesic_point(y, chain[-2], data.draw(ts))
+    k = data.draw(st.integers(0, len(chain) - 1))
+    chain.insert(k, chain[k])
+    probes = [x, y] + data.draw(st.lists(far_points(kind), max_size=3))
+    probes += [space.geodesic_point(a, b, data.draw(ts)) for a, b in zip(chain, chain[1:])]
+    got = space._to_chain(probes, chain)
+    assert len(got) == len(probes)
+    for p, d in zip(probes, got):
+        want = min((space.project_to_segment(p, lm.Segment(a, b))[1]
+                    for a, b in zip(chain, chain[1:])), key=float)
+        assert type(d) in (float, Fraction) and d >= 0
+        if kind in TREES and all(isinstance(z.offset, Fraction) or z.vertex is not None
+                                 for z in chain + [p]):
+            assert d == want and type(d) is type(want)
+            continue
+        if kind in SMOOTH:
+            assert type(d) is type(want)
+        # in the disk both computations round in the chart, and the error in
+        # hyperbolic terms grows with the square of the conformal factor
+        # 1 / (1 - |z|^2) of the points involved (about 3e7 at distance 10)
+        rim = 1.0
+        if kind == "hyperbolic":
+            rim = max(1.0 / (1.0 - (z.coords[0] ** 2 + z.coords[1] ** 2)) for z in chain + [p])
+        assert abs(d - want) <= 1e-12 * max(1.0, want) * rim ** 2
+
+
+def test_tree_kernel_clamps_rounding_at_zero():
+    # a float point of [v0, v30] whose rounded d(p, a) + d(p, b) - d(a, b) is -2^-52
+    tree = lm.random_tree(np.random.default_rng(5), n_vertices=40)
+    a, b = lm.vertex_point("v0"), lm.vertex_point("v30")
+    p = tree.geodesic_point(a, b, 0.12340232816315366)
+    assert tree._dist(p, a) + tree._dist(p, b) - tree._dist(a, b) < 0
+    assert tree._to_chain([p], [a, b]) == [0.0]
+
+
 @pytest.mark.parametrize("kind", TREES)
 @PROPERTY
 @given(data=st.data())
