@@ -48,9 +48,12 @@ class BetaSequence:
 
 
 def beta_angles(space: Space, transcript: Transcript) -> BetaSequence:
-    """Angle sequences of a transcript, computed with the exact per-space angles."""
+    """Angle sequences of a transcript, computed with the exact per-space angles.
+
+    A game captured at its first lion step has one record and no angle.
+    """
     records = transcript.records
-    if len(records) < 2:
+    if len(records) < 2 and transcript.capture_step is None:
         raise InvalidInputError("need at least two recorded steps")
     steps, betas, alphas, gaps = [], [], [], []
     for n in range(1, len(records)):
@@ -195,8 +198,11 @@ def analyze_transcript(space: Space, transcript: Transcript, k, D=None, grid=256
     """
     D = transcript.D if D is None else D
     bs = beta_angles(space, transcript)
-    tail_min, tail_mean = bs.tail_stats()
-    report = {"beta_tail_min": tail_min, "beta_tail_mean": tail_mean, "angle_gaps": bs.gaps}
+    report = {}
+    if len(transcript.records) > 1:  # else a capture at the first lion step decided it
+        tail_min, tail_mean = bs.tail_stats()
+        report.update(beta_tail_min=tail_min, beta_tail_mean=tail_mean)
+    report["angle_gaps"] = bs.gaps
     passed, audit = True, None
     if transcript.capture_step is not None:
         report["capture_step"] = transcript.capture_step

@@ -11,8 +11,10 @@ the first violated pair.
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -80,13 +82,32 @@ class Curve:
                 f"parameter {t} beyond last sample {self.params[-1]} and no extension rule")
         if t < self.params[0]:
             raise InsufficientCurveError(f"parameter {t} precedes first sample {self.params[0]}")
-        return self._between(i, t)
+        return self._between(i, [t])[0]
 
-    def _between(self, i, t) -> Point:
-        """The point at t, which lies strictly between samples i - 1 and i."""
+    def _between(self, i, ts) -> list:
+        """The points at the parameters ts, which lie between samples i - 1 and i."""
         lo, hi = self.params[i - 1], self.params[i]
-        u = (t - lo) / (hi - lo)
-        return self.space.geodesic_point(self.points[i - 1], self.points[i], u)
+        us = [(t - lo) / (hi - lo) for t in ts]
+        return self.space.geodesic_points(self.points[i - 1], self.points[i], us)
+
+    def _at_sorted(self, ts, slots=None) -> list:
+        """The points at the ascending parameters ts, as `at` gives them.
+
+        slots[m] is the number of samples at or below ts[m] (found by
+        bisection when not given).  The parameters inside one sample
+        interval are placed by one `geodesic_points` call, a sample's own
+        parameter at u = 0; the others go to `at`.
+        """
+        if slots is None:
+            slots = [bisect.bisect_right(self.params, t) for t in ts]
+        out = []
+        for i, run in itertools.groupby(zip(slots, ts), key=operator.itemgetter(0)):
+            run = [t for _, t in run]
+            if 0 < i < len(self.params):
+                out += self._between(i, run)
+            else:
+                out += [self.at(t) for t in run]
+        return out
 
 
 def geodesic_segment_curve(space: Space, a: Point, b: Point, n_samples=2) -> Curve:
@@ -94,7 +115,7 @@ def geodesic_segment_curve(space: Space, a: Point, b: Point, n_samples=2) -> Cur
     d = float(space.distance(a, b))
     ts = np.linspace(0.0, 1.0, max(2, n_samples))
     params = tuple(t * d for t in ts)
-    points = tuple(space.geodesic_point(a, b, float(t)) for t in ts)
+    points = tuple(space.geodesic_points(a, b, ts.tolist()))
     return Curve(space, params, points, meta={"generator": "geodesic"})
 
 
@@ -189,7 +210,9 @@ def _merged_params(curve: Curve, grid: int):
     round outside the sampled range.  A grid value within rounding of a
     sample is left out, since it would pair with it at a gap near zero.  The
     kept values and the samples are then merged in one exact walk, so each
-    grid value is placed by one comparison and each sample passed by one.
+    grid value is placed by one comparison and each sample passed by one,
+    and the values inside one sample interval get their points from one
+    `geodesic_points` call.
     """
     if grid < 2:
         raise InvalidInputError("grid must be >= 2")
@@ -199,17 +222,22 @@ def _merged_params(curve: Curve, grid: int):
     inner = np.linspace(lo, hi, grid)[1:-1]
     n = np.searchsorted(ts, inner).clip(1, len(ts) - 1)
     far = np.minimum(inner - ts[n - 1], ts[n] - inner) > 1e-9 * (hi - lo) / (grid - 1)
+    kept = inner[far].tolist()
+    slots, i = [], 0  # the number of samples at or below each kept value
+    for t in kept:
+        while i < len(params) and params[i] <= t:
+            i += 1
+        slots.append(i)
+    # the filter keeps only values strictly inside the sampled range; one past
+    # either end goes to curve.at, whose error or extension rule decides
     merged, at = [], []
     i = 0
-    for t in inner[far].tolist():
-        while i < len(params) and params[i] <= t:
-            merged.append(params[i])
-            at.append(points[i])
-            i += 1
+    for t, slot, p in zip(kept, slots, curve._at_sorted(kept, slots)):
+        merged += params[i:slot]
+        at += points[i:slot]
         merged.append(t)
-        # the filter keeps only values strictly inside the sampled range; one
-        # past either end would go to curve.at, whose error or extension rule decides
-        at.append(curve._between(i, t) if 0 < i < len(params) else curve.at(t))
+        at.append(p)
+        i = slot
     return merged + list(params[i:]), at + list(points[i:])
 
 
@@ -596,41 +624,45 @@ def zigzag_quasi_geodesic(space: Space, a: Point, b: Point, lam: float,
     total = float(space.distance(a, b))
     if total == 0.0:
         raise InvalidInputError("zigzag endpoints must be distinct")
-    ts = np.linspace(0.0, 1.0, segments + 1)
+    ts = np.linspace(0.0, 1.0, segments + 1).tolist()
+    geodesic = space.geodesic_points(a, b, ts)
     if lam <= 1.0:
-        pts = [space.geodesic_point(a, b, float(t)) for t in ts]
-        params = _chord_params(space, pts)
-        return Curve(space, tuple(params), tuple(pts), meta={"generator": "zigzag", "lam": lam})
+        params = _chord_params(space, geodesic)
+        return Curve(space, tuple(params), tuple(geodesic),
+                     meta={"generator": "zigzag", "lam": lam})
 
     gap = total / segments
     amp = 0.45 * gap * (lam - 1.0) / lam
     signs = rng.choice([-1.0, 1.0])
     mags = rng.uniform(0.6, 1.0, segments + 1)
     for _ in range(_ZIGZAG_TRIES):
-        pts = []
-        for i, t in enumerate(ts):
-            if i == 0 or i == segments:
-                pts.append(space.geodesic_point(a, b, float(t)))
-                continue
+        pts = [a]
+        for i in range(1, segments):
+            t = ts[i]
             if away_from is None:
                 s = signs if i % 2 == 0 else -signs
-                pts.append(space.displace(a, b, float(t), amp * mags[i] * s))
-            else:
-                plus = space.displace(a, b, float(t), amp * mags[i])
-                minus = space.displace(a, b, float(t), -amp * mags[i])
-                far = plus if space.distance(plus, away_from) >= space.distance(minus, away_from) else minus
-                pts.append(far)
+                pts.append(space.displace(a, b, t, amp * mags[i] * s))
+                continue
+            plus = space.displace(a, b, t, amp * mags[i])
+            minus = space.displace(a, b, t, -amp * mags[i])
+            far = plus
+            if plus != minus:  # else both are the geodesic point, and no distance decides
+                d_plus, d_minus = space.distance(plus, away_from), space.distance(minus, away_from)
+                far = plus if d_plus >= d_minus else minus
+            pts.append(far)
+        pts.append(b)
         params = _chord_params(space, pts)
         if any(q <= p for p, q in zip(params, params[1:])):
             amp *= 0.5
             continue
         curve = Curve(space, tuple(params), tuple(pts),
                       meta={"generator": "zigzag", "lam": lam})
-        if check_quasi_geodesic(curve, lam, 0.0, 4 * segments).passed:
+        # where displace found no sideways room (on a tree, everywhere) the
+        # zigzag is the geodesic, which meets every (lambda >= 1, 0) bound
+        if pts == geodesic or check_quasi_geodesic(curve, lam, 0.0, 4 * segments).passed:
             return curve
         amp *= 0.5
-    pts = [space.geodesic_point(a, b, float(t)) for t in ts]
-    return Curve(space, tuple(_chord_params(space, pts)), tuple(pts),
+    return Curve(space, tuple(_chord_params(space, geodesic)), tuple(geodesic),
                  meta={"generator": "zigzag", "lam": lam, "fallback": True})
 
 

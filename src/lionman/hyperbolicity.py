@@ -171,7 +171,7 @@ def slim_defect(space: Space, x: Point, y: Point, z: Point, grid: int) -> Slimne
     ts = [Fraction(j, grid - 1) for j in range(grid)]  # rational: exact on trees
     sample_sets = []
     for a, b in verts:
-        sample_sets.append([(t, space.geodesic_point(a, b, t)) for t in ts])
+        sample_sets.append(list(zip(ts, space.geodesic_points(a, b, ts))))
     return _chain_slimness(space, chains, sample_sets, grid)
 
 
@@ -212,8 +212,8 @@ def estimate_quasi_slim_M(space: Space, lam: float, sampler: PointSampler,
             chains = [list(c.points) for c in sides]
             sample_sets = []
             for c in sides:
-                ts = np.linspace(float(c.t_min), float(c.t_max), grid)
-                sample_sets.append([(t, c.at(float(t))) for t in ts])
+                ts = np.linspace(float(c.t_min), float(c.t_max), grid).tolist()
+                sample_sets.append(list(zip(ts, c._at_sorted(ts))))
             value = _chain_slimness(space, chains, sample_sets, grid).value
         if value > best:
             best = value
@@ -260,10 +260,10 @@ def check_gromov_criterion(space: Space, triples, delta_prime, *,
         local = 0
         local_witness = None
         if g > 0 and dxy > 0 and dxz > 0:
-            for j in range(1, _CRITERION_LEVELS + 1):
-                r = g * j / _CRITERION_LEVELS
-                yp = space.geodesic_point(x, y, r / dxy)
-                zp = space.geodesic_point(x, z, r / dxz)
+            levels = [g * j / _CRITERION_LEVELS for j in range(1, _CRITERION_LEVELS + 1)]
+            ys = space.geodesic_points(x, y, [r / dxy for r in levels])
+            zs = space.geodesic_points(x, z, [r / dxz for r in levels])
+            for r, yp, zp in zip(levels, ys, zs):
                 d = space.distance(yp, zp)
                 if d > local:
                     local = d
@@ -300,7 +300,7 @@ def cat_defect(space: Space, x: Point, y: Point, z: Point, grid: int):
     for (i, j) in ((0, 1), (0, 2), (1, 2)):
         a, b = verts[i], verts[j]
         dij = float(space.distance(a, b))
-        pts += [space.geodesic_point(a, b, t) for t in ts]
+        pts += space.geodesic_points(a, b, ts)
         flat += [epoint(*tri.side(i, j, t * dij)) for t in ts]
 
     dmat = space.pairwise_distances(pts)

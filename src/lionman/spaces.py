@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -165,15 +166,28 @@ class Space:
 
     def geodesic_point(self, x: Point, y: Point, t) -> Point:
         """Point z on [x, y] with d(x, z) = t * d(x, y), for t in [0, 1]."""
+        return self.geodesic_points(x, y, (t,))[0]
+
+    def geodesic_points(self, x: Point, y: Point, ts) -> list:
+        """The point of [x, y] at each parameter of the sequence ts, in its order.
+
+        Each point is the one `geodesic_point` gives for that t: x at t = 0,
+        y at t = 1, and every other t placed by one `_along` call, which
+        reads the segment once.
+        """
         self.check_point(x, "x")
         self.check_point(y, "y")
-        if t < 0 or t > 1:
-            raise InvalidInputError(f"interpolation parameter {t} outside [0, 1]")
-        if t == 0:
-            return x
-        if t == 1:
-            return y
-        return self._interpolate(x, y, t)
+        for t in ts:
+            if not 0 < t < 1:
+                break
+        else:
+            return self._along(x, y, ts)
+        for t in ts:
+            if not 0 <= t <= 1:  # NaN fails too
+                raise InvalidInputError(f"interpolation parameter {t} outside [0, 1]")
+        inner = [t for t in ts if 0 < t < 1]
+        placed = iter(self._along(x, y, inner) if inner else ())
+        return [x if t == 0 else y if t == 1 else next(placed) for t in ts]
 
     def project_to_segment(self, p: Point, seg: Segment):
         """Nearest point of the segment, returned as (point, distance)."""
@@ -187,7 +201,11 @@ class Space:
     def _dist(self, x, y):
         raise NotImplementedError
 
-    def _interpolate(self, x, y, t):
+    def _along(self, x, y, ts) -> list:
+        """The points of [x, y] at the parameters ts, each strictly inside (0, 1).
+
+        Reads the segment's fixed data once, then places each t.
+        """
         raise NotImplementedError
 
     def _project(self, p, seg):
@@ -307,16 +325,19 @@ class EuclideanSpace(Space):
         return f"EuclideanSpace(dim={self.dim})"
 
     def contains_point(self, p):
-        return len(p.coords) == self.dim and all(math.isfinite(c) for c in p.coords)
+        return len(p.coords) == self.dim and all(map(math.isfinite, p.coords))
 
     def _dist(self, x, y):
         return math.dist(x.coords, y.coords)
 
-    def _interpolate(self, x, y, t):
+    def _along(self, x, y, ts):
         # a + t*(b - a) keeps each coordinate inside [min, max] in float64
-        t = float(t)
-        cs = tuple(a + t * (b - a) for a, b in zip(x.coords, y.coords))
-        return Point(self.kind, cs)
+        xs, ys = x.coords, y.coords
+        out = []
+        for t in ts:
+            t = float(t)
+            out.append(Point(self.kind, tuple([a + t * (b - a) for a, b in zip(xs, ys)])))
+        return out
 
     @staticmethod
     def _feet(rows, a, b):
@@ -336,7 +357,7 @@ class EuclideanSpace(Space):
         nodes = self._arrays(chain)
         rows, a, b = self._arrays(points), nodes[:-1], nodes[1:]
         t = self._feet(rows, a, b)[..., None]
-        # the foot as _interpolate places it, and b itself at t = 1
+        # the foot as _along places it, and b itself at t = 1
         gap = rows[:, None] - np.where(t < 1.0, a + t * (b - a), b)
         return np.sqrt((gap * gap).sum(-1)).min(1).tolist()
 
@@ -422,7 +443,8 @@ class L2BoxSpace(EuclideanSpace):
     def contains_point(self, p):
         if len(p.coords) != self.n:
             return False
-        return all(0.0 <= c <= b for c, b in zip(p.coords, self.bounds))
+        # a NaN fails the first test, so min sees numbers only
+        return all(map(operator.le, p.coords, self.bounds)) and min(p.coords) >= 0.0
 
     def random_point(self, rng, scale=1.0):
         cs = rng.uniform(0.0, 1.0, self.n) * np.asarray(self.bounds) * min(1.0, scale)
@@ -469,7 +491,7 @@ class HyperbolicPlane(Space):
 
     @staticmethod
     def _c(p: Point) -> complex:
-        return complex(p.coords[0], p.coords[1])
+        return complex(*p.coords)
 
     @staticmethod
     def _pt(z: complex) -> Point:
@@ -495,12 +517,19 @@ class HyperbolicPlane(Space):
     def _from_origin(self, a: complex, w: complex) -> complex:
         return (w + a) / (1.0 + a.conjugate() * w)
 
-    def _interpolate(self, x, y, t):
-        try:
-            direction = self.tangent_direction(x, y)
-        except DegenerateInputError:  # coincident points
-            return x
-        return self.point_toward(x, direction, float(t) * self._dist(x, y))
+    def _along(self, x, y, ts):
+        # point_toward from x, with the tangent direction and d(x, y) read once
+        a = self._c(x)
+        w = self._to_origin(a, self._c(y))
+        r = abs(w)
+        if r == 0.0:  # coincident points
+            return [x] * len(ts)
+        direction, d = w / r, self._dist(x, y)
+        out = []
+        for t in ts:
+            z = math.tanh(0.5 * (float(t) * d)) * direction
+            out.append(self._pt(self._from_origin(a, z)))
+        return out
 
     def tangent_direction(self, x: Point, y: Point) -> complex:
         """Unit tangent at x of the geodesic toward y, in the chart at x."""
@@ -740,37 +769,100 @@ class RTreeSpace(Space):
             return abs(x.offset - y.offset)
         ex, cx = self._exit(i, hx, rest_x, j)
         ey, cy = self._exit(j, hy, rest_y, i)
-        return cx + (self._rise[ex][ey] + self._rise[ey][ex]) + cy
+        # cx + (up + down) + cy, where an exact zero (a vertex's cost, an
+        # ancestor's rise) is left out: adding it would change neither the
+        # value nor the type of the sum
+        up, down = self._rise[ex][ey], self._rise[ey][ex]
+        d = down if up is _ZERO else up if down is _ZERO else up + down
+        if cx is not _ZERO:
+            d = cx + d
+        return d if cy is _ZERO else d + cy
 
-    def _interpolate(self, x, y, t):
-        total = self._dist(x, y)
+    def _along(self, x, y, ts):
+        form_x, form_y = self._form(x), self._form(y)
+        total = self._gap(x, form_x, y, form_y)
         if total == 0:
-            return x
-        return self._walk(x, y, t * total)
+            return [x] * len(ts)
+        return self._walk(form_x, form_y, [t * total for t in ts])
 
-    def _walk(self, x, y, s):
-        """Point at distance s from x on [x, y]; assumes 0 <= s <= d(x, y)."""
-        # s loses the exact edge remainders in path order, so a float s lands
-        # where a walk along the edges lands; first up from x to the meet
-        i, h, rest = self._form(x)
-        j, hy, _ = self._form(y)
-        while self._rise[i][j] and s >= rest:
-            s -= rest
+    def _legs(self, form_x, form_y):
+        """The path from x to y as legs (length, i, h, rest, up), in path order.
+
+        A point s into a leg is `_on_edge(i, h, rest, s)` going up and
+        `_on_edge(i, h, rest, -s)` going down; a walk moves past an up leg
+        when s >= length and past a down leg when s > length.  The last up
+        leg toward a y above its meet has no end.
+        """
+        # first up from x to the meet, then down through the vertices above j
+        (i, h, rest), (j, hy, _) = form_x, form_y
+        legs = []
+        while self._rise[i][j]:
+            legs.append((rest, i, h, rest, True))
             i = self._parent[i]
             h, rest = _ZERO, self._len[i]
-        if self._rise[i][j] or (i == j and hy > h):
-            return self._on_edge(i, h, rest, s)
-        # then down from the meet i through the vertices above j
+        if i == j and hy > h:
+            legs.append((math.inf, i, h, rest, True))
+            return legs
         below = [j]
         while below[-1] != i:
             below.append(self._parent[below[-1]])
         for c in reversed(below):
             if c != i:
                 h, rest = self._len[c], _ZERO
-            if s <= h:
-                return self._on_edge(c, h, rest, -s)
-            s -= h
-        return Point(self.kind, vertex=self.vertices[j])
+            legs.append((h, c, h, rest, False))
+        return legs
+
+    def _walk(self, form_x, form_y, ss) -> list:
+        """Points at the distances ss from x on [x, y]; assumes 0 <= s <= d(x, y).
+
+        A `Fraction` s is placed exactly against the sums of the leg lengths,
+        each sum formed once for all of ss; any other s loses the legs one by
+        one, as a walk along the edges does.
+        """
+        legs = self._legs(form_x, form_y)
+        n = len(legs)
+        ends = []    # exact distance from x to the far end of each leg reached so far
+        floats = []  # float(length) of each leg reached so far
+        out, k, last = [], 0, None
+        for s in ss:
+            if isinstance(s, Fraction):
+                # exact: merge s into the leg ends, from the last s when ts
+                # ascend; an s at a leg's end is the same vertex on either leg
+                if last is None or s < last:
+                    k = 0
+                last = s
+                while k < n:
+                    if k == len(ends):
+                        ends.append(ends[-1] + legs[k][0] if k else legs[0][0])
+                    if s <= ends[k]:
+                        break
+                    k += 1
+                if k == n:
+                    out.append(Point(self.kind, vertex=self.vertices[form_y[0]]))
+                    continue
+                _, i, h, rest, up = legs[k]
+                if k:
+                    s = s - ends[k - 1]
+                out.append(self._on_edge(i, h, rest, s if up else -s))
+                continue
+            # a float s loses the exact leg lengths in path order, as a walk
+            # along the edges does; float(length) decides every comparison but
+            # a tie with it, which the exact length breaks
+            for m, (length, i, h, rest, up) in enumerate(legs):
+                if m == len(floats):
+                    floats.append(float(length))
+                f = floats[m]
+                if s != f:
+                    on = s > f
+                else:
+                    on = s >= length if up else s > length
+                if not on:
+                    out.append(self._on_edge(i, h, rest, s if up else -s))
+                    break
+                s -= f
+            else:
+                out.append(Point(self.kind, vertex=self.vertices[form_y[0]]))
+        return out
 
     def _project(self, p, seg):
         # nearest point of [a, b] is the tree median m(a, b, p); its distance
@@ -778,7 +870,7 @@ class RTreeSpace(Space):
         a, b = seg.a, seg.b
         dab = self._dist(a, b)
         r = (self._dist(a, p) + dab - self._dist(p, b)) / 2
-        q = self._walk(a, b, min(max(r, 0), dab))
+        q, = self._walk(self._form(a), self._form(b), [min(max(r, 0), dab)])
         return q, self._dist(p, q)
 
     def _to_chain(self, points, chain):

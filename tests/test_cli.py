@@ -113,6 +113,24 @@ def test_analyze_captured_transcript_reports_step(tripod_cfg, tmp_path, capsys):
     assert rep["audit_passed"] is True
 
 
+def test_analyze_capture_at_the_first_lion_step(tripod_cfg, tmp_path, capsys):
+    # lion and man start exactly D apart: the lion lands on the man at once,
+    # and the one-record transcript is a decided game, not bad input
+    tr_path = tmp_path / "first.json"
+    assert main(["simulate", "--space", tripod_cfg, "--man", "greedy", "--D", "1",
+                 "--N", "10", "--lion", '{"vertex": "c"}', "--man-start", '{"vertex": "a"}',
+                 "--out", str(tr_path)]) == 0
+    assert len(json.loads(tr_path.read_text())["steps"]) == 1
+    capsys.readouterr()
+    report = tmp_path / "rep.json"
+    code = main(["analyze", "--space", tripod_cfg, "--transcript", str(tr_path),
+                 "--k", "2", "--out", str(report)])
+    assert code == 0
+    assert json.loads(report.read_text()) == {"angle_gaps": [], "audit_passed": True,
+                                              "capture_step": 0}
+    assert capsys.readouterr().out == "angle_gaps=[]\naudit_passed=True\ncapture_step=0\n"
+
+
 def test_analyze_threshold_not_met_nonzero_exit(tmp_path, capsys):
     cfg = tmp_path / "plane.json"
     cfg.write_text(json.dumps({"space": {"kind": "euclidean", "dim": 2}}))

@@ -240,7 +240,7 @@ def test_verify_promotion_evaluates_each_grid_value_once(monkeypatch, hyper):
     calls = []
     between = lm.Curve._between
     monkeypatch.setattr(lm.Curve, "_between",
-                        lambda self, i, t: calls.append(t) or between(self, i, t))
+                        lambda self, i, ts: calls.extend(ts) or between(self, i, ts))
     rep = lm.verify_promotion(hyper, zz, SQRT2, 0.892, 13.0, grid=120)
     assert len(calls) == len(set(calls)) == 118
     assert rep.passed
@@ -433,6 +433,53 @@ def test_zigzag_certified_by_construction(hyper, euclid2):
                           (euclid2, (lm.epoint(0, 0), lm.epoint(9, 0)))):
         zz = lm.zigzag_quasi_geodesic(space, a, b, SQRT2, segments=8, rng=rng)
         assert lm.check_quasi_geodesic(zz, SQRT2, 0.0, grid=50).passed
+
+
+def test_tree_zigzag_is_the_certified_geodesic_without_a_check():
+    # a tree has no sideways room: each side is the geodesic through the
+    # nodes, with the curve and the rng stream the grid check would pass on
+    rng = np.random.default_rng(21)
+    for tree in (lm.random_tree(rng, n_vertices=40), lm.ray_tree(), lm.tripod()):
+        sampler = sampler_for(tree, int(rng.integers(2**31)), scale=4)
+        for lam, segments in ((1.5, 6), (SQRT2, 8), (3.0, 3)):
+            x, y, z = sampler.draw(), sampler.draw(), sampler.draw()
+            if tree.distance(x, y) == 0:
+                continue
+            seed = int(rng.integers(2**31))
+            for away_from in (None, z):
+                stream = np.random.default_rng(seed)
+                zz = lm.zigzag_quasi_geodesic(tree, x, y, lam, segments, stream,
+                                              away_from=away_from)
+                nodes = [tree.geodesic_point(x, y, float(t))
+                         for t in np.linspace(0.0, 1.0, segments + 1)]
+                want = lm.Curve(tree, tuple(lm.curves._chord_params(tree, nodes)), tuple(nodes),
+                                meta={"generator": "zigzag", "lam": lam})
+                assert lm.check_quasi_geodesic(want, lam, 0.0, 4 * segments).passed
+                assert zz == want
+                assert [repr(p) for p in zz.points] == [repr(p) for p in nodes]
+                assert [type(p.offset) for p in zz.points] == [type(p.offset) for p in nodes]
+                again = np.random.default_rng(seed)
+                again.choice([-1.0, 1.0])
+                again.uniform(0.6, 1.0, segments + 1)
+                assert stream.random() == again.random()
+
+
+def test_only_zigzags_with_sideways_room_are_checked(monkeypatch, hyper, euclid2, tripod):
+    calls = []
+    check = lm.curves.check_quasi_geodesic
+    monkeypatch.setattr(lm.curves, "check_quasi_geodesic",
+                        lambda curve, *args: calls.append(curve.space.kind) or check(curve, *args))
+    rng = np.random.default_rng(8)
+    lm.zigzag_quasi_geodesic(tripod, lm.vertex_point("a"), lm.vertex_point("b"), 1.5, 6, rng,
+                             away_from=lm.vertex_point("d"))
+    lm.zigzag_quasi_geodesic(tripod, lm.vertex_point("a"), lm.vertex_point("d"), 1.5, 6, rng)
+    assert calls == []
+    for space, (a, b) in ((hyper, (lm.hpoint(-0.9, 0), lm.hpoint(0.9, 0))),
+                          (euclid2, (lm.epoint(0, 0), lm.epoint(9, 0)))):
+        zz = lm.zigzag_quasi_geodesic(space, a, b, 1.5, 6, rng, away_from=space.origin())
+        assert calls and calls[-1] == space.kind and "fallback" not in zz.meta
+        assert zz.points != tuple(space.geodesic_points(a, b, np.linspace(0, 1, 7).tolist()))
+        assert check(zz, 1.5, 0.0, 24).passed
 
 
 def test_zigzag_lambda_one_is_geodesic(euclid2):

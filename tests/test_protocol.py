@@ -1,6 +1,7 @@
 """Property tests of the Space protocol, across all four families."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -187,6 +188,114 @@ def test_tree_kernel_clamps_rounding_at_zero():
     p = tree.geodesic_point(a, b, 0.12340232816315366)
     assert tree._dist(p, a) + tree._dist(p, b) - tree._dist(a, b) < 0
     assert tree._to_chain([p], [a, b]) == [0.0]
+
+
+def same_point(p, q):
+    """p and q are equal and print alike, their numbers of one type."""
+    types = [type(c) for c in p.coords] + [type(p.offset)]
+    return p == q and repr(p) == repr(q) and types == [type(c) for c in q.coords] + [type(q.offset)]
+
+
+def sequential_walk(space, x, y, t):
+    """Tree point at 0 < t < 1 on [x, y] by one walk along the edges.
+
+    The distance s = t d(x, y) loses each edge as the walk passes it, up from
+    x to the meet and then down to y, comparing exactly with the edge.
+    """
+    s = t * space.distance(x, y)
+    i, h, rest = space._form(x)
+    j, hy, _ = space._form(y)
+    while space._rise[i][j] and s >= rest:
+        s -= rest
+        i = space._parent[i]
+        h, rest = Fraction(0), space._len[i]
+    if space._rise[i][j] or (i == j and hy > h):
+        return space._on_edge(i, h, rest, s)
+    below = [j]
+    while below[-1] != i:
+        below.append(space._parent[below[-1]])
+    for c in reversed(below):
+        if c != i:
+            h, rest = space._len[c], Fraction(0)
+        if s <= h:
+            return space._on_edge(c, h, rest, -s)
+        s -= h
+    return lm.vertex_point(space.vertices[j])
+
+
+def landing_params(space, x, y):
+    """ts whose point on [x, y] is a vertex: exact ones, and float ones whose
+    s = t d(x, y) rounds to exactly float(d(x, v))."""
+    d = space.distance(x, y)
+    out = []
+    for v in map(lm.vertex_point, space.vertices):
+        dv = space.distance(x, v)
+        if 0 < dv < d and dv + space.distance(v, y) == d:
+            out.append(dv / d)
+            t = float(dv) / float(d)
+            for _ in range(4):
+                if t * d == float(dv):
+                    out.append(t)
+                    break
+                t = math.nextafter(t, math.inf if t * d < float(dv) else -math.inf)
+    return out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@PROPERTY
+@given(data=st.data())
+def test_geodesic_points_place_each_t_as_geodesic_point_does(kind, data):
+    # one call for many ts against one call per t, by value, repr and type:
+    # Fraction and float ts in any order, repeated, with the ends 0 and 1, and
+    # on trees ts that land on a vertex of [x, y]; a tree point also equals
+    # the edge-by-edge walk
+    space = SPACES[kind]
+    x = data.draw(far_points(kind))
+    y = data.draw(st.one_of(st.just(x), far_points(kind)))
+    ends = st.sampled_from([0, 1, 0.0, 1.0, Fraction(0), Fraction(1)])
+    ts = data.draw(st.lists(st.one_of(params(kind), st.floats(0, 1), ends,
+                                      st.fractions(0, 1, max_denominator=48)),
+                            min_size=1, max_size=10))
+    if kind in TREES:
+        ts += landing_params(space, x, y)
+    ts = list(data.draw(st.permutations(ts)))
+    ts += ts[:data.draw(st.integers(0, len(ts)))]
+    got = space.geodesic_points(x, y, ts)
+    assert len(got) == len(ts)
+    for t, p in zip(ts, got):
+        assert same_point(p, space.geodesic_point(x, y, t))
+        if kind in TREES and 0 < t < 1 and space.distance(x, y) > 0:
+            assert same_point(p, sequential_walk(space, x, y, t))
+
+
+def test_geodesic_points_break_float_ties_exactly():
+    # on the caterpillar's 1/3 and 5/7 edges a float s can equal float(r) for a
+    # remainder r that float(r) only approximates; the exact r decides, as in
+    # the edge-by-edge walk
+    space = caterpillar()
+    pts = [lm.vertex_point(v) for v in space.vertices]
+    pts += [lm.edge_point(e, length * Fraction(k, 3)) for e, (_, _, length) in
+            enumerate(space.edges) for k in (1, 2)]
+    pts.append(lm.edge_point(lm.RAY_EDGE, Fraction(2, 3)))
+    ties = 0
+    for x in pts:
+        for y in pts:
+            ts = landing_params(space, x, y)
+            d, dists = space.distance(x, y), {space.distance(x, v) for v in pts}
+            ties += sum(isinstance(t, float) and Fraction(t * d) not in dists for t in ts)
+            for t, p in zip(ts, space.geodesic_points(x, y, ts)):
+                assert same_point(p, sequential_walk(space, x, y, t))
+                assert same_point(p, space.geodesic_point(x, y, t))
+    assert ties > 100
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("bad", [-0.25, 1.5, Fraction(5, 4), -1e-300, math.nan])
+def test_geodesic_points_reject_a_parameter_outside_the_unit_interval(kind, bad):
+    space = SPACES[kind]
+    x, y = space.origin(), space.random_point(np.random.default_rng(3))
+    with pytest.raises(lm.InvalidInputError, match=f"parameter {re.escape(str(bad))} outside"):
+        space.geodesic_points(x, y, [Fraction(1, 2), 0, bad, 1])
 
 
 @pytest.mark.parametrize("kind", TREES)
