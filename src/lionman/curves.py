@@ -367,6 +367,8 @@ def check_directional_sequence(space: Space, points, b: float, *, tol=None) -> D
     most that of the window with the same ends.  Divergence of d(x_0, x_n)
     is reported as a growth trend, not asserted.
     """
+    if not b >= 0:  # NaN fails too
+        raise InvalidInputError("b must be >= 0")
     if len(points) < 2:
         raise InvalidInputError("need at least two points")
     for m, p in enumerate(points):
@@ -488,12 +490,10 @@ def _ray_from_points(space: Space, points, dists, k_max: int, missing: str) -> R
         stopped[k] = stop
 
     dist_resid = [(k, abs(float(space.distance(x0, s)) - k)) for k, s in zip(ks, stars)]
-    nest = []
-    for a in range(len(ks)):
-        for b in range(a + 1, len(ks)):
-            kk, ll = ks[a], ks[b]
-            ref = space.geodesic_point(x0, stars[b], Fraction(kk, ll))
-            nest.append((kk, ll, float(space.distance(stars[a], ref))))
+    refs = {b: space.geodesic_points(x0, stars[b], [Fraction(kk, ks[b]) for kk in ks[:b]])
+            for b in range(1, len(ks))}  # refs[b][a] is at distance ks[a] on [x_0, stars[b]]
+    nest = [(ks[a], ks[b], float(space.distance(stars[a], refs[b][a])))
+            for a in range(len(ks)) for b in range(a + 1, len(ks))]
     return RayApprox(base=x0, ks=ks, stars=stars, residuals=residuals,
                      stopped=stopped, distance_residuals=dist_resid,
                      nesting_residuals=nest)
@@ -535,6 +535,8 @@ def extract_ray_from_directional_sequence(space: Space, points, b: float,
     records, for sampled index pairs m < n, the comparison-angle bound
     sin^2(angle/2) <= (b/2d_m)(b/(2d_n) + 1).
     """
+    if not b >= 0:  # NaN fails too
+        raise InvalidInputError("b must be >= 0")
     if len(points) < 2:
         raise InvalidInputError("need at least two points")
     x0 = points[0]
@@ -589,13 +591,10 @@ def l2_example_curve(n_dims=6, base=10.0, samples_per_leg=0) -> Curve:
     params, points = [], []
     for k in range(n_dims):
         leg = breaks[k + 1] - breaks[k]
-        params.append(breaks[k])
-        points.append(corners[k])
-        for j in range(1, samples_per_leg + 1):
-            t = breaks[k] + leg * j / (samples_per_leg + 1)
-            u = (t - breaks[k]) / leg
-            params.append(t)
-            points.append(space.geodesic_point(corners[k], corners[k + 1], u))
+        ts = [breaks[k] + leg * j / (samples_per_leg + 1) for j in range(1, samples_per_leg + 1)]
+        params += [breaks[k], *ts]
+        us = [(t - breaks[k]) / leg for t in ts]
+        points += [corners[k], *space.geodesic_points(corners[k], corners[k + 1], us)]
     params.append(breaks[-1])
     points.append(corners[-1])
     return Curve(space, tuple(params), tuple(points),
@@ -638,17 +637,14 @@ def zigzag_quasi_geodesic(space: Space, a: Point, b: Point, lam: float,
     for _ in range(_ZIGZAG_TRIES):
         pts = [a]
         for i in range(1, segments):
-            t = ts[i]
+            p, push = geodesic[i], amp * mags[i]
             if away_from is None:
-                s = signs if i % 2 == 0 else -signs
-                pts.append(space.displace(a, b, t, amp * mags[i] * s))
+                pts.append(space._push(a, b, p, push * (signs if i % 2 == 0 else -signs)))
                 continue
-            plus = space.displace(a, b, t, amp * mags[i])
-            minus = space.displace(a, b, t, -amp * mags[i])
-            far = plus
-            if plus != minus:  # else both are the geodesic point, and no distance decides
-                d_plus, d_minus = space.distance(plus, away_from), space.distance(minus, away_from)
-                far = plus if d_plus >= d_minus else minus
+            plus, minus = space._push(a, b, p, push), space._push(a, b, p, -push)
+            far = plus  # the side farther from away_from; plus == minus is the geodesic point
+            if plus != minus and space.distance(plus, away_from) < space.distance(minus, away_from):
+                far = minus
             pts.append(far)
         pts.append(b)
         params = _chord_params(space, pts)
@@ -657,7 +653,7 @@ def zigzag_quasi_geodesic(space: Space, a: Point, b: Point, lam: float,
             continue
         curve = Curve(space, tuple(params), tuple(pts),
                       meta={"generator": "zigzag", "lam": lam})
-        # where displace found no sideways room (on a tree, everywhere) the
+        # where _push found no sideways room (on a tree, everywhere) the
         # zigzag is the geodesic, which meets every (lambda >= 1, 0) bound
         if pts == geodesic or check_quasi_geodesic(curve, lam, 0.0, 4 * segments).passed:
             return curve
@@ -689,12 +685,9 @@ def hyperbolic_tube_curve(length=32.0, step=1.0, amplitude=0.15, seed=0) -> Curv
     for i in range(n + 1):
         s = i * step
         axis = Point("hyperbolic", (math.tanh(0.5 * s), 0.0))
-        if i == 0:
-            pts.append(axis)
-            continue
-        off = amplitude * float(rng.uniform(-1.0, 1.0))
-        direction = space.tangent_direction(axis, Point("hyperbolic", (math.tanh(0.5 * (s + 1.0)), 0.0)))
-        pts.append(space.point_toward(axis, direction * 1j, off))
+        ahead = Point("hyperbolic", (math.tanh(0.5 * (s + 1.0)), 0.0))
+        off = amplitude * float(rng.uniform(-1.0, 1.0)) if i else 0.0
+        pts.append(space._push(axis, ahead, axis, off))
     params = _chord_params(space, pts)
     return Curve(space, tuple(params), tuple(pts),
                  meta={"generator": "hyperbolic_tube",

@@ -250,6 +250,10 @@ class Space:
 
     def displace(self, a: Point, b: Point, t, amp) -> Point:
         """Point of [a, b] at parameter t, pushed sideways by amp where possible."""
+        return self._push(a, b, self.geodesic_point(a, b, t), amp)
+
+    def _push(self, a, b, p, amp) -> Point:
+        """The point p, already placed on [a, b], pushed sideways by amp where possible."""
         raise NotImplementedError
 
     def move_candidates(self, man: Point, D, directions: int) -> list:
@@ -376,18 +380,19 @@ class EuclideanSpace(Space):
         cosv = float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
         return math.acos(min(1.0, max(-1.0, cosv)))
 
-    def displace(self, a, b, t, amp):
-        p = self.geodesic_point(a, b, t)
+    def _push(self, a, b, p, amp):
         if amp == 0.0 or self.dim == 1:
             return p
         u = np.asarray(b.coords, dtype=float) - np.asarray(a.coords, dtype=float)
-        u = u / np.linalg.norm(u)
+        norm = np.linalg.norm(u)
+        if norm == 0.0:
+            raise DegenerateInputError("sideways direction undefined on a zero-length segment")
+        u = u / norm
         probe = np.zeros_like(u)
         probe[int(np.argmin(np.abs(u)))] = 1.0
         w = probe - np.dot(probe, u) * u
         w = w / np.linalg.norm(w)
-        cs = np.asarray(p.coords, dtype=float) + amp * w
-        return Point(self.kind, tuple(float(c) for c in cs))
+        return Point(self.kind, tuple((np.asarray(p.coords, dtype=float) + amp * w).tolist()))
 
     def move_candidates(self, man, D, directions):
         # evenly spread directions in the plane, a fixed seeded basis otherwise
@@ -452,8 +457,8 @@ class L2BoxSpace(EuclideanSpace):
 
     # the flat moves, restricted to the box; a sideways push is clipped back in
 
-    def displace(self, a, b, t, amp):
-        p = super().displace(a, b, t, amp)
+    def _push(self, a, b, p, amp):
+        p = super()._push(a, b, p, amp)
         if self.contains_point(p):
             return p
         return Point(self.kind, tuple(float(c) for c in np.clip(p.coords, 0.0, self.bounds)))
@@ -606,11 +611,12 @@ class HyperbolicPlane(Space):
         wz = self.tangent_direction(apex, z)
         return math.acos(min(1.0, max(-1.0, wy.real * wz.real + wy.imag * wz.imag)))
 
-    def displace(self, a, b, t, amp):
-        p = self.geodesic_point(a, b, t)
+    def _push(self, a, b, p, amp):
         if amp == 0.0:
             return p
-        return self.point_toward(p, self.tangent_direction(p, b) * 1j, amp)
+        # the direction of travel at p, read back from a at b itself
+        ahead = -self.tangent_direction(b, a) if p == b else self.tangent_direction(p, b)
+        return self.point_toward(p, ahead * 1j, amp)
 
     def move_candidates(self, man, D, directions):
         # evenly spread chart directions
@@ -938,8 +944,8 @@ class RTreeSpace(Space):
         shared = (self.distance(apex, y) + self.distance(apex, z) - self.distance(y, z)) / 2
         return 0.0 if shared > 0 else math.pi
 
-    def displace(self, a, b, t, amp):
-        return self.geodesic_point(a, b, t)  # no transverse directions in a tree
+    def _push(self, a, b, p, amp):
+        return p  # no transverse directions in a tree
 
     def move_candidates(self, man, D, directions):
         # walks toward every vertex, plus outward along the ray edge

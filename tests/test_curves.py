@@ -18,6 +18,7 @@ from lionman.errors import (
 )
 
 from conftest import sampler_for
+from test_protocol import SPACES
 
 SQRT2 = math.sqrt(2.0)
 LAM_BOX = math.sqrt(11.0 / 3.0)
@@ -99,6 +100,15 @@ def test_directional_curve_rejects_nan_b(euclid2):
     c = lm.geodesic_segment_curve(euclid2, lm.epoint(0, 0), lm.epoint(5, 0))
     with pytest.raises(InvalidInputError):
         lm.check_directional_curve(c, math.nan, grid=30)
+
+
+@pytest.mark.parametrize("b", [math.nan, -1.0])
+def test_directional_sequence_functions_reject_a_bad_b(euclid2, b):
+    pts = [lm.epoint(k, 0) for k in range(6)]
+    with pytest.raises(InvalidInputError, match="b must be >= 0"):
+        lm.check_directional_sequence(euclid2, pts, b)
+    with pytest.raises(InvalidInputError, match="b must be >= 0"):
+        lm.extract_ray_from_directional_sequence(euclid2, pts, b, k_max=2)
 
 
 def test_qg_local_restriction_changes_pair_count(euclid2):
@@ -480,6 +490,110 @@ def test_only_zigzags_with_sideways_room_are_checked(monkeypatch, hyper, euclid2
         assert calls and calls[-1] == space.kind and "fallback" not in zz.meta
         assert zz.points != tuple(space.geodesic_points(a, b, np.linspace(0, 1, 7).tolist()))
         assert check(zz, 1.5, 0.0, 24).passed
+
+
+def exact(curve):
+    """A curve's params, points and meta, every number at full precision and with its type."""
+    pts = [(p.kind, repr(p.coords), p.edge, repr(p.offset), type(p.offset), p.vertex)
+           for p in curve.points]
+    return repr(curve.params), pts, repr(curve.meta)
+
+
+def zigzag_by_displace(space, a, b, lam, segments, rng, away_from):
+    """The zigzag built with one `displace` call per node and sign, each placing its node."""
+    ts = np.linspace(0.0, 1.0, segments + 1).tolist()
+    geodesic = space.geodesic_points(a, b, ts)
+    gap = float(space.distance(a, b)) / segments
+    amp = 0.45 * gap * (lam - 1.0) / lam
+    signs = rng.choice([-1.0, 1.0])
+    mags = rng.uniform(0.6, 1.0, segments + 1)
+    for _ in range(lm.curves._ZIGZAG_TRIES):
+        pts = [a]
+        for i in range(1, segments):
+            if away_from is None:
+                s = signs if i % 2 == 0 else -signs
+                pts.append(space.displace(a, b, ts[i], amp * mags[i] * s))
+                continue
+            plus = space.displace(a, b, ts[i], amp * mags[i])
+            minus = space.displace(a, b, ts[i], -amp * mags[i])
+            far = plus
+            if plus != minus:
+                d_plus, d_minus = space.distance(plus, away_from), space.distance(minus, away_from)
+                far = plus if d_plus >= d_minus else minus
+            pts.append(far)
+        pts.append(b)
+        params = lm.curves._chord_params(space, pts)
+        if all(q > p for p, q in zip(params, params[1:])):
+            curve = lm.Curve(space, tuple(params), tuple(pts),
+                             meta={"generator": "zigzag", "lam": lam})
+            if pts == geodesic or lm.check_quasi_geodesic(curve, lam, 0.0, 4 * segments).passed:
+                return curve
+        amp *= 0.5
+    return lm.Curve(space, tuple(lm.curves._chord_params(space, geodesic)), tuple(geodesic),
+                    meta={"generator": "zigzag", "lam": lam, "fallback": True})
+
+
+@pytest.mark.parametrize("kind", list(SPACES))
+def test_zigzag_pushes_its_nodes_as_displace_places_and_pushes_them(kind):
+    space = SPACES[kind]
+    sampler = lm.PointSampler(space, scale=1.0 if kind == "l2box" else 3.0, seed=77)
+    for trial in range(3):
+        x, y, z = sampler.draw(), sampler.draw(), sampler.draw()
+        if space.distance(x, y) == 0:
+            continue
+        for lam in (1.2, 1.5, 2.0):
+            for away_from in (None, z):
+                seed = (trial, int(10 * lam))
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = lm.zigzag_quasi_geodesic(space, x, y, lam, 3 + 2 * trial, got_rng,
+                                               away_from=away_from)
+                want = zigzag_by_displace(space, x, y, lam, 3 + 2 * trial, want_rng, away_from)
+                assert exact(got) == exact(want)
+                assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("kind", ["hyperbolic", "rtree", "caterpillar"])
+def test_zigzags_away_from_a_point_place_no_single_point(monkeypatch, kind):
+    # every node comes from the one geodesic_points call; a push places nothing
+    space = SPACES[kind]
+    calls = []
+    place = lm.spaces.Space.geodesic_point
+    monkeypatch.setattr(lm.spaces.Space, "geodesic_point",
+                        lambda self, *args: calls.append(args) or place(self, *args))
+    sampler = lm.PointSampler(space, scale=3.0, seed=5)
+    for lam in (1.2, 2.0):
+        x, y, z = sampler.draw(), sampler.draw(), sampler.draw()
+        if space.distance(x, y) != 0:
+            lm.zigzag_quasi_geodesic(space, x, y, lam, 6, np.random.default_rng(3), away_from=z)
+    assert calls == []
+
+
+def tube_by_hand(length, step, amplitude, seed):
+    """The tube nodes with the sideways push written out as tangent times i."""
+    space = lm.HyperbolicPlane()
+    rng = np.random.default_rng(seed)
+    pts = []
+    for i in range(int(round(length / step)) + 1):
+        s = i * step
+        axis = lm.hpoint(math.tanh(0.5 * s), 0.0)
+        if i == 0:
+            pts.append(axis)
+            continue
+        off = amplitude * float(rng.uniform(-1.0, 1.0))
+        direction = space.tangent_direction(axis, lm.hpoint(math.tanh(0.5 * (s + 1.0)), 0.0))
+        pts.append(space.point_toward(axis, direction * 1j, off))
+    return pts
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11, 40])
+def test_tube_curve_pushes_as_the_hand_written_push_did(seed):
+    args = {"length": 6.0 + seed % 7, "step": (1.0, 0.5)[seed % 2], "amplitude": 0.1 + seed / 100,
+            "seed": seed}
+    tube = lm.hyperbolic_tube_curve(**args)
+    pts = tube_by_hand(**args)
+    want = lm.Curve(tube.space, tuple(lm.curves._chord_params(tube.space, pts)), tuple(pts),
+                    meta={"generator": "hyperbolic_tube", "args": args})
+    assert exact(tube) == exact(want)
 
 
 def test_zigzag_lambda_one_is_geodesic(euclid2):

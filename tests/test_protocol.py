@@ -1,5 +1,6 @@
 """Property tests of the Space protocol, across all four families."""
 
+import inspect
 import math
 import re
 from fractions import Fraction
@@ -112,6 +113,28 @@ def test_displace_stays_within_amp_of_the_geodesic(kind, data):
     q = space.displace(a, b, t, amp)
     assert space.contains_point(q)
     assert float(space.distance(p, q)) <= abs(amp) + space.rel_tol
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("t", [0, 1])
+@PROPERTY
+@given(data=st.data())
+def test_displace_at_a_segment_end_pushes_that_end(kind, t, data):
+    # sideways is perpendicular to the segment at its ends too
+    space = SPACES[kind]
+    a, b = data.draw(points(kind)), data.draw(points(kind))
+    assume(float(space.distance(a, b)) > 1e-3)
+    end, other = (a, b) if t == 0 else (b, a)
+    amp = data.draw(st.floats(0.05, 1.0))
+    q = space.displace(a, b, t, amp)
+    assert space.contains_point(q)
+    if kind in TREES:
+        assert q == end
+        return
+    assert float(space.distance(end, q)) <= amp + space.rel_tol
+    if kind != "l2box":  # the box may clip the push back in
+        assert close_to(space, space.distance(end, q), amp)
+        assert abs(space.angle(end, other, q) - math.pi / 2) < 1e-6
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -366,6 +389,19 @@ def test_tree_foot_is_the_branch_point(legs, ks):
     assert space.distance(q, lm.vertex_point("c")) == 0
     for y, z in ((p, a), (p, b), (a, b)):
         assert lm.alexandrov_angle(space, q, y, z) == math.pi
+
+
+def test_every_family_implements_each_member_the_base_leaves_open():
+    base = lm.spaces.Space
+    open_members = [name for name, member in vars(base).items()
+                    if inspect.isfunction(member) and "raise NotImplementedError" in inspect.getsource(member)]
+    assert "_push" in open_members and "displace" not in open_members
+    families = {type(lm.spaces.space_from_config(SPACES[kind].to_config())) for kind in KINDS}
+    assert families == {lm.EuclideanSpace, lm.L2BoxSpace, lm.HyperbolicPlane, lm.RTreeSpace}
+    for family in families:
+        assert "displace" not in vars(family)
+        for name in open_members:
+            assert getattr(family, name) is not getattr(base, name), (family.__name__, name)
 
 
 @pytest.mark.parametrize("kind", KINDS)

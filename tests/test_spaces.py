@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 import lionman as lm
-from lionman.errors import InvalidInputError, InvalidPointError, SpaceMismatchError
+from lionman.errors import (
+    DegenerateInputError,
+    InvalidInputError,
+    InvalidPointError,
+    SpaceMismatchError,
+)
 
 from conftest import (
     poincare_distance_oracle,
@@ -148,6 +153,15 @@ def test_rtree_exact_walk_keeps_fractions(tripod):
 
 
 # -- projection ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("space, p", [(lm.EuclideanSpace(2), lm.epoint(1, 2)),
+                                      (lm.L2BoxSpace(n=3, base=4.0), lm.boxpoint(1, 2, 3)),
+                                      (lm.HyperbolicPlane(), lm.hpoint(0.1, 0.2))])
+def test_displace_on_a_zero_length_segment_has_no_sideways_direction(space, p):
+    assert space.displace(p, p, 0.5, 0.0) == p
+    with pytest.raises(DegenerateInputError):
+        space.displace(p, p, 0.5, 0.3)
 
 
 def test_projection_orthogonal_foot(euclid2):
