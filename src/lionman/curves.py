@@ -31,7 +31,7 @@ from .errors import (
 )
 from . import spaces
 from .spaces import (HyperbolicPlane, L2BoxSpace, Point, RAY_EDGE, RTreeSpace, Space,
-                     _flat_angle)
+                     _flat_angle, _shadow)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,12 @@ class Curve:
     def _between(self, i, ts) -> list:
         """The points at the parameters ts, which lie between samples i - 1 and i."""
         lo, hi = self.params[i - 1], self.params[i]
-        us = [(t - lo) / (hi - lo) for t in ts]
+        span = hi - lo
+        # Fraction's fallbacks meet a float t with float(lo) and float(span);
+        # exact ts never float them
+        floats = any(type(t) is float for t in ts)
+        lo_f, span_f = (_shadow(lo), _shadow(span)) if floats else (lo, span)
+        us = [(t - lo_f) / span_f if type(t) is float else (t - lo) / span for t in ts]
         return self.space.geodesic_points(self.points[i - 1], self.points[i], us)
 
     def _at_sorted(self, ts, slots=None) -> list:
@@ -113,9 +118,9 @@ class Curve:
 def geodesic_segment_curve(space: Space, a: Point, b: Point, n_samples=2) -> Curve:
     """Unit-speed geodesic from a to b, sampled at n_samples parameters."""
     d = float(space.distance(a, b))
-    ts = np.linspace(0.0, 1.0, max(2, n_samples))
+    ts = np.linspace(0.0, 1.0, max(2, n_samples)).tolist()
     params = tuple(t * d for t in ts)
-    points = tuple(space.geodesic_points(a, b, ts.tolist()))
+    points = tuple(space.geodesic_points(a, b, ts))
     return Curve(space, params, points, meta={"generator": "geodesic"})
 
 
@@ -209,10 +214,9 @@ def _merged_params(curve: Curve, grid: int):
     The curve's own params supply both ends: float() of a Fraction end can
     round outside the sampled range.  A grid value within rounding of a
     sample is left out, since it would pair with it at a gap near zero.  The
-    kept values and the samples are then merged in one exact walk, so each
-    grid value is placed by one comparison and each sample passed by one,
-    and the values inside one sample interval get their points from one
-    `geodesic_points` call.
+    search that finds each value's neighbouring samples in float also
+    places it among the exact samples, and the values inside one sample
+    interval get their points from one `geodesic_points` call.
     """
     if grid < 2:
         raise InvalidInputError("grid must be >= 2")
@@ -223,13 +227,10 @@ def _merged_params(curve: Curve, grid: int):
     n = np.searchsorted(ts, inner).clip(1, len(ts) - 1)
     far = np.minimum(inner - ts[n - 1], ts[n] - inner) > 1e-9 * (hi - lo) / (grid - 1)
     kept = inner[far].tolist()
-    slots, i = [], 0  # the number of samples at or below each kept value
-    for t in kept:
-        while i < len(params) and params[i] <= t:
-            i += 1
-        slots.append(i)
-    # the filter keeps only values strictly inside the sampled range; one past
-    # either end goes to curve.at, whose error or extension rule decides
+    # a kept value t lies strictly between float(params[n - 1]) and
+    # float(params[n]), and rounding to float keeps order, so exactly n
+    # samples are at or below it
+    slots = n[far].tolist()
     merged, at = [], []
     i = 0
     for t, slot, p in zip(kept, slots, curve._at_sorted(kept, slots)):
@@ -669,6 +670,9 @@ def _chord_params(space: Space, pts):
     return params
 
 
+_TUBE_REACH = 36.0  # farthest axis node of a tube, in hyperbolic distance from the origin
+
+
 def hyperbolic_tube_curve(length=32.0, step=1.0, amplitude=0.15, seed=0) -> Curve:
     """Quasi-geodesic ray wobbling inside a tube around a hyperbolic axis.
 
@@ -677,7 +681,18 @@ def hyperbolic_tube_curve(length=32.0, step=1.0, amplitude=0.15, seed=0) -> Curv
     amount (zero at the base), then re-parameterized by cumulative chord
     length.  The true axis point at distance k from the origin is
     (tanh(k/2), 0), which extraction results can be compared against.
+    The last node may lie at most ``_TUBE_REACH`` from the origin: in
+    float64 tanh(s/2) rounds to the rim 1.0 from s = 55 ln 2 = 38.12 on,
+    each node reads the axis one unit ahead of it, and a node pushed
+    sideways at s = 37 already rounds onto the rim now and then.
     """
+    # written so that NaN fails each guard
+    if not step > 0:
+        raise InvalidInputError(f"tube step must be > 0, got {step}")
+    if not 0 <= length <= _TUBE_REACH or not round(length / step) * step <= _TUBE_REACH:
+        raise InvalidInputError(
+            f"tube length {length} (step {step}) must stay within [0, {_TUBE_REACH}]: "
+            f"farther out its axis rounds onto the disk rim")
     space = HyperbolicPlane()
     rng = np.random.default_rng(seed)
     n = int(round(length / step))

@@ -72,6 +72,11 @@ RAY_EDGE = -1
 _ZERO = Fraction(0)
 
 
+def _shadow(v):
+    """float(v) for a Fraction, else v: what Fraction's fallbacks give a float to meet."""
+    return float(v) if isinstance(v, Fraction) else v
+
+
 def epoint(*coords) -> Point:
     """Euclidean point from coordinates."""
     return Point("euclidean", tuple(float(c) for c in coords))
@@ -712,6 +717,15 @@ class RTreeSpace(Space):
         self._span = np.array([[float(self._rise[i][j] + self._rise[j][i]) for j in range(n)]
                                for i in range(n)])
 
+        # float shadows, read when an offset or a t is a float: float(length)
+        # of each vertex's parent edge and whether it is that length exactly,
+        # and each edge's child vertex
+        self._flen = [float(length) for length in self._len]
+        self._exact = [f == length for f, length in zip(self._flen, self._len)]
+        self._child = [None] * len(self.edges)
+        for i in order[1:]:
+            self._child[self._edge[i]] = i
+
     def __repr__(self):
         ray = f", ray_at={self.ray_at!r}" if self.ray_at is not None else ""
         return f"RTreeSpace({len(self.vertices)} vertices, {len(self.edges)} edges{ray})"
@@ -725,6 +739,13 @@ class RTreeSpace(Space):
             return self.ray_at is not None and p.offset >= 0
         if not 0 <= p.edge < len(self.edges):
             return False
+        if type(p.offset) is float:
+            # float(length) decides every comparison but a tie, which the
+            # exact length breaks
+            c = self._child[p.edge]
+            f = self._flen[c]
+            return 0 <= p.offset <= f and (p.offset < f or self._exact[c]
+                                           or p.offset <= self._len[c])
         return 0 <= p.offset <= self.edges[p.edge][2]
 
     # -- rooted form (i, h, rest): h above vertex i, rest below i's parent
@@ -733,14 +754,23 @@ class RTreeSpace(Space):
         if p.vertex is not None:
             i = self._index[p.vertex]
             return i, _ZERO, self._len[i]
+        off = p.offset
         if p.edge == RAY_EDGE:
-            return self._root, p.offset, math.inf
+            return self._root, off, math.inf
         u, v, length = self.edges[p.edge]
-        if p.offset == 0 or p.offset == length:
-            return self._form(Point(self.kind, vertex=u if p.offset == 0 else v))
-        if self._edge[self._index[u]] == p.edge:
-            return self._index[u], p.offset, length - p.offset
-        return self._index[v], length - p.offset, p.offset
+        c = self._child[p.edge]
+        if type(off) is float:
+            # Fraction meets a float as float(length) does, but in equality
+            at_end = off == self._flen[c] and self._exact[c]
+            length = self._flen[c]
+        else:
+            at_end = off == length
+        if off == 0 or at_end:
+            i = self._index[u if off == 0 else v]
+            return i, _ZERO, self._len[i]
+        if self.vertices[c] == u:
+            return c, off, length - off
+        return c, length - off, off
 
     def _exit(self, i, h, rest, j):
         """Vertex where the point (i, h, rest) leaves toward vertex j, and its cost."""
@@ -759,9 +789,13 @@ class RTreeSpace(Space):
         if e is None:  # the root of a tree without a ray
             return Point(self.kind, vertex=self.vertices[i])
         u, v, length = self.edges[e] if e != RAY_EDGE else (self.vertices[i], None, math.inf)
-        up = up or _ZERO  # a float zero would round an exact offset
+        f, exact = length, True
+        if up and type(up) is float:  # a float offset, placed by float(length) but in a tie
+            f, exact = self._flen[i], self._exact[i]
+        else:
+            up = up or _ZERO  # a float zero would round an exact offset
         offset = h + up if u == self.vertices[i] else rest - up
-        if 0 < offset < length:
+        if 0 < offset < f or (not exact and offset == f and offset < length):
             return Point(self.kind, edge=e, offset=offset)
         return Point(self.kind, vertex=u if offset <= 0 else v)
 
@@ -772,9 +806,16 @@ class RTreeSpace(Space):
         """d(x, y) from the points and their rooted forms."""
         (i, hx, rest_x), (j, hy, rest_y) = form_x, form_y
         if i == j and hx and hy:  # inside one edge
+            if type(x.offset) is float or type(y.offset) is float:
+                return abs(_shadow(x.offset) - _shadow(y.offset))
             return abs(x.offset - y.offset)
         ex, cx = self._exit(i, hx, rest_x, j)
         ey, cy = self._exit(j, hy, rest_y, i)
+        if type(cx) is float or (cx is _ZERO and type(cy) is float):
+            # Fraction's float fallback would add float(up + down), the span
+            span = self._span.item(ex, ey)
+            d = span if cx is _ZERO else cx + span
+            return d if cy is _ZERO else d + _shadow(cy)
         # cx + (up + down) + cy, where an exact zero (a vertex's cost, an
         # ancestor's rise) is left out: adding it would change neither the
         # value nor the type of the sum
@@ -789,7 +830,10 @@ class RTreeSpace(Space):
         total = self._gap(x, form_x, y, form_y)
         if total == 0:
             return [x] * len(ts)
-        return self._walk(form_x, form_y, [t * total for t in ts])
+        # a float t meets float(total), as in Fraction's fallback; exact ts never float it
+        total_f = _shadow(total) if any(type(t) is float for t in ts) else total
+        return self._walk(form_x, form_y, [t * total_f if type(t) is float else t * total
+                                           for t in ts])
 
     def _legs(self, form_x, form_y):
         """The path from x to y as legs (length, i, h, rest, up), in path order.
@@ -827,8 +871,8 @@ class RTreeSpace(Space):
         """
         legs = self._legs(form_x, form_y)
         n = len(legs)
-        ends = []    # exact distance from x to the far end of each leg reached so far
-        floats = []  # float(length) of each leg reached so far
+        ends = []        # exact distance from x to the far end of each leg reached so far
+        shadows = None   # float(length), float(h) and float(rest) of each leg
         out, k, last = [], 0, None
         for s in ss:
             if isinstance(s, Fraction):
@@ -853,16 +897,19 @@ class RTreeSpace(Space):
                 continue
             # a float s loses the exact leg lengths in path order, as a walk
             # along the edges does; float(length) decides every comparison but
-            # a tie with it, which the exact length breaks
-            for m, (length, i, h, rest, up) in enumerate(legs):
-                if m == len(floats):
-                    floats.append(float(length))
-                f = floats[m]
+            # a tie with it, which the exact length breaks, and a nonzero float
+            # s meets the leg's float h and rest, as Fraction's fallback would
+            if shadows is None:
+                shadows = [(float(length), _shadow(h), _shadow(rest))
+                           for length, _, h, rest, _ in legs]
+            for (length, i, h, rest, up), (f, fh, frest) in zip(legs, shadows):
                 if s != f:
                     on = s > f
                 else:
                     on = s >= length if up else s > length
                 if not on:
+                    if s and type(s) is float:
+                        h, rest = fh, frest
                     out.append(self._on_edge(i, h, rest, s if up else -s))
                     break
                 s -= f
@@ -899,24 +946,39 @@ class RTreeSpace(Space):
         rows = []
         for p in points:
             i, h, rest = self._form(p)
-            rows.append((i, float(h), float(rest), float(p.offset) if h else 0.0))
+            if h is _ZERO:  # a vertex
+                rows.append((i, 0.0, self._flen[i], 0.0))
+            else:
+                rows.append((i, float(h), float(rest), float(p.offset) if h else 0.0))
         return np.array(rows, dtype=float).reshape(-1, 4)
 
     def _table(self, rows, cols):
-        # _dist on the float forms and the float vertex distances
+        # _dist on the float forms and the float vertex distances.  A row
+        # point x leaves toward a column point y as toward y's exit vertex
+        # ey, so with exits[x, k] = cx + span[ex, k] over the vertices k,
+        # where (ex, cx) is x's exit toward k, d(x, y) = exits[x, ey] + cy:
+        # _dist's cx + span[ex, ey] + cy, term for term.  y's exit (ey, cy)
+        # toward x depends on x only through its vertex, so it is read once
+        # for all the rows at one vertex
         parent = np.array(self._parent)
-        i, j = rows[:, 0].astype(int)[:, None], cols[:, 0].astype(int)[None, :]
-
-        def leave(i, h, rest, j):
-            # exits toward j of the points (i, h, rest), and their costs
-            up = self._below[i, j] & (h > 0)
-            return np.where(up, parent[i], i), np.where(up, rest, h)
-
-        ex, cx = leave(i, rows[:, 1, None], rows[:, 2, None], j)
-        ey, cy = leave(j, cols[None, :, 1], cols[None, :, 2], i)
-        out = cx + self._span[ex, ey] + cy
-        inside = (i == j) & (rows[:, 1, None] > 0) & (cols[None, :, 1] > 0)
-        return np.where(inside, np.abs(rows[:, 3, None] - cols[None, :, 3]), out)
+        i, h, rest = rows[:, 0].astype(int), rows[:, 1, None], rows[:, 2, None]
+        j, hy, rest_y = cols[:, 0].astype(int), cols[:, 1], cols[:, 2]
+        up = self._below[i] & (h > 0)
+        ex = np.where(up, parent[i, None], i[:, None])
+        exits = np.where(up, rest, h) + self._span[ex, np.arange(len(parent))]
+        inner = hy > 0
+        out = np.empty((len(rows), len(cols)))
+        for v in set(i.tolist()):
+            at = np.flatnonzero(i == v)
+            # y leaves up through j's parent when j lies below its meet with v
+            up_y = self._below[j, v] & inner
+            near = np.take(exits[at], np.where(up_y, parent[j], j), axis=1)
+            near += np.where(up_y, rest_y, hy)
+            out[at] = near
+            # two points inside one edge: the gap of their offsets
+            r, c = at[h[at, 0] > 0], np.flatnonzero((j == v) & inner)
+            out[np.ix_(r, c)] = np.abs(rows[r, 3, None] - cols[c, 3])
+        return out
 
     def random_point(self, rng, scale=4):
         """Seeded rational point: uniform edge, offset on a 1/16 grid."""

@@ -168,6 +168,21 @@ def test_verify_curve_pass_and_fail(ray_curve_file, tmp_path, capsys):
     assert "first_lower_violation" in wit.read_text()
 
 
+def test_verify_curve_rejects_a_tube_reaching_the_rim(tmp_path, capsys):
+    # the file rebuilds its tube from the stored args, which once ended in
+    # a ZeroDivisionError traceback
+    path = tmp_path / "tube.json"
+    lm.save_curve(lm.hyperbolic_tube_curve(length=8.0), path)
+    data = json.loads(path.read_text())
+    data["generator"]["args"]["length"] = 40.0
+    path.write_text(json.dumps(data))
+    assert main(["verify-curve", "--curve", str(path), "--lambda", "1.5", "--grid", "32"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: tube length 40.0 (step 1.0) must stay within [0, 36.0]: "
+                       "farther out its axis rounds onto the disk rim\n")
+
+
 @pytest.mark.parametrize("option", [["--k", "0"], ["--k", "-2"], ["--k", "nan"],
                                     ["--lambda", "nan"], ["--epsilon", "nan"]])
 def test_verify_curve_rejects_vacuous_bounds(option, ray_curve_file, capsys):

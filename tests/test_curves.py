@@ -596,6 +596,41 @@ def test_tube_curve_pushes_as_the_hand_written_push_did(seed):
     assert exact(tube) == exact(want)
 
 
+@pytest.mark.parametrize("length", [-1.0, -0.5, math.nan, math.inf, 36.5, 38.0, 40.0, 46.0])
+def test_tube_rejects_a_length_whose_axis_reaches_the_rim(length):
+    # 38 once failed on the rounded point (1.0, 0.0), 40 with a bare
+    # ZeroDivisionError and NaN with a bare ValueError
+    with pytest.raises(lm.InvalidInputError, match=rf"tube length {length} .*\[0, 36\.0\]"):
+        lm.hyperbolic_tube_curve(length=length)
+
+
+def test_tube_keeps_its_last_node_within_reach():
+    # 35.7 rounds up to 36 nodes of step 1, and to 36.0 with step 0.6
+    for step in (1.0, 0.6, 0.25):
+        assert lm.hyperbolic_tube_curve(length=35.7, step=step, amplitude=1.0).meta
+    assert len(lm.hyperbolic_tube_curve(length=36.0).params) == 37
+    assert len(lm.hyperbolic_tube_curve(length=0.0).params) == 1
+    with pytest.raises(lm.InvalidInputError, match="step 10.0"):
+        lm.hyperbolic_tube_curve(length=35.0, step=10.0)  # its last node sits at 40
+    for step in (0.0, -1.0, math.nan):
+        with pytest.raises(lm.InvalidInputError, match="step must be > 0"):
+            lm.hyperbolic_tube_curve(length=10.0, step=step)
+
+
+def test_geodesic_segment_curve_params_are_python_floats(ray_tree):
+    curve = lm.geodesic_segment_curve(ray_tree, lm.vertex_point("q"),
+                                      lm.edge_point(lm.RAY_EDGE, Fraction(5)), n_samples=9)
+    assert {type(t) for t in curve.params} == {float}
+    assert {type(p.offset) for p in curve.points[1:-1] if p.vertex is None} == {float}
+    rep = lm.check_quasi_geodesic(curve, 1.0, 0.0, 40)
+    pairs = (rep.min_ratio_pair, rep.worst_lower_pair, rep.worst_upper_pair)
+    assert {type(t) for pair in pairs for t in pair} == {float}
+    assert "np.float64" not in repr(rep)
+    # the params keep the values numpy gave them
+    d = float(ray_tree.distance(curve.points[0], curve.points[-1]))
+    assert curve.params == tuple(t * d for t in np.linspace(0.0, 1.0, 9))
+
+
 def test_zigzag_lambda_one_is_geodesic(euclid2):
     zz = lm.zigzag_quasi_geodesic(euclid2, lm.epoint(0, 0), lm.epoint(4, 0), 1.0, segments=4)
     for p in zz.points:

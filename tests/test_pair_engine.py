@@ -5,7 +5,10 @@ pair array at full size from the square distance table; it stays here as
 the oracle that the blocked engine must reproduce field by field.
 """
 
+import bisect
+import fractions
 import math
+import sys
 import tracemalloc
 from dataclasses import astuple
 from fractions import Fraction
@@ -255,6 +258,192 @@ def test_rectangular_tiles_are_slices_of_the_square_table(name):
         tile = space._table(arrays[r0:r1], arrays[c0:c1])
         assert tile.shape == (r1 - r0, c1 - c0)
         assert tile.tobytes() == square[r0:r1, c0:c1].tobytes()
+
+
+# -- the tree tiles, against the exit formula written out pair by pair
+
+
+def exact_form(space, p):
+    # the rooted form (i, h, rest) in exact arithmetic, a float offset meeting
+    # the exact edge length through Fraction's own mixed-type operators
+    if p.vertex is not None:
+        i = space._index[p.vertex]
+        return i, Fraction(0), space._len[i]
+    if p.edge == lm.RAY_EDGE:
+        return space._root, p.offset, math.inf
+    u, v, length = space.edges[p.edge]
+    if p.offset == 0 or p.offset == length:
+        return exact_form(space, lm.vertex_point(u if p.offset == 0 else v))
+    if space._edge[space._index[u]] == p.edge:
+        return space._index[u], p.offset, length - p.offset
+    return space._index[v], length - p.offset, p.offset
+
+
+def reference_arrays(space, points):
+    rows = []
+    for p in points:
+        i, h, rest = exact_form(space, p)
+        rows.append((i, float(h), float(rest), float(p.offset) if h else 0.0))
+    return np.array(rows, dtype=float).reshape(-1, 4)
+
+
+def reference_table(space, rows, cols):
+    # d = cx + span[ex, ey] + cy, where a point (i, h, rest) leaves toward
+    # vertex j up through i's parent at cost rest when it sits inside an
+    # edge below their meet, else through i at cost h
+    def leave(i, h, rest, j):
+        return (space._parent[i], rest) if h > 0 and space._below[i, j] else (i, h)
+
+    out = np.empty((len(rows), len(cols)))
+    for r, (i, h, rest, off) in enumerate(rows.tolist()):
+        for c, (j, hy, rest_y, off_y) in enumerate(cols.tolist()):
+            i, j = int(i), int(j)
+            if i == j and h > 0 and hy > 0:
+                out[r, c] = abs(off - off_y)
+                continue
+            ex, cx = leave(i, h, rest, j)
+            ey, cy = leave(j, hy, rest_y, i)
+            out[r, c] = cx + space._span[ex, ey] + cy
+    return out
+
+
+def tree_points():
+    rng = np.random.default_rng(29)
+    thirds = lm.RTreeSpace(["a", "b", "c", "d", "e"],
+                           [("a", "b", Fraction(1, 3)), ("c", "b", Fraction(1, 10)),
+                            ("c", "d", Fraction(5, 7)), ("e", "a", Fraction(3, 2))], ray_at="c")
+    base = lm.random_tree(rng, n_vertices=14)
+    trees = {"lone": lm.RTreeSpace(["a"], []), "ray": lm.ray_tree(), "thirds": thirds,
+             "random": base, "random-ray": lm.RTreeSpace(base.vertices, base.edges, ray_at="v5")}
+    out = {}
+    for name, tree in trees.items():
+        pts = [lm.vertex_point(v) for v in tree.vertices]
+        sampler = lm.PointSampler(tree, scale=3, seed=4)
+        pts += [sampler.draw() for _ in range(12)]  # Fraction offsets on a 1/16 grid
+        for e, (_, _, length) in enumerate(tree.edges):
+            f = float(length)
+            # float offsets: the float length itself (a tie with the exact
+            # length unless it is dyadic), its neighbours and inside, those
+            # that the exact length admits
+            for x in (f, math.nextafter(f, 0.0), math.nextafter(f, 2.0 * f), f / 3, 0.0):
+                if x <= length:
+                    pts.append(lm.edge_point(e, x))
+        if tree.ray_at is not None:
+            pts += [lm.edge_point(lm.RAY_EDGE, x) for x in (0.0, 0.1, 2.75)]
+            pts.append(lm.edge_point(lm.RAY_EDGE, Fraction(7, 3)))
+        if len(pts) > 1:
+            for k in range(12):  # float ts walk to float offsets on every edge kind
+                a, b = pts[int(rng.integers(len(pts)))], pts[int(rng.integers(len(pts)))]
+                pts += tree.geodesic_points(a, b, sorted(rng.uniform(0.0, 1.0, 2).tolist()))
+        out[name] = (tree, pts)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(tree_points()))
+def test_tree_tiles_keep_the_bits_of_the_exit_formula(name):
+    tree, pts = tree_points()[name]
+    assert all(tree.contains_point(p) for p in pts)
+    offsets = {type(p.offset) for p in pts if p.vertex is None}
+    assert name == "lone" or offsets == {Fraction, float}
+    arrays = tree._arrays(pts)
+    want = reference_arrays(tree, pts)
+    assert arrays.tobytes() == want.tobytes()
+    n = len(pts)
+    for r0, r1, c0, c1 in ((0, n, 0, n), (0, 1, 0, n), (3, 17, 5, 6), (n // 2, n, 1, n - 2)):
+        tile = tree._table(arrays[r0:r1], arrays[c0:c1])
+        assert tile.tobytes() == reference_table(tree, want[r0:r1], want[c0:c1]).tobytes()
+
+
+def reference_gap(space, x, y):
+    # _dist as one exact sum, whose mixed terms go through Fraction's operators
+    (i, hx, rest_x), (j, hy, rest_y) = exact_form(space, x), exact_form(space, y)
+    if i == j and hx and hy:
+        return abs(x.offset - y.offset)
+
+    def leave(i, h, rest, j):
+        return (space._parent[i], rest) if h and space._rise[i][j] else (i, h)
+
+    (ex, cx), (ey, cy) = leave(i, hx, rest_x, j), leave(j, hy, rest_y, i)
+    return cx + (space._rise[ex][ey] + space._rise[ey][ex]) + cy
+
+
+def typed(values):
+    return [(repr(v), type(v)) for v in values]
+
+
+@pytest.mark.parametrize("name", sorted(tree_points()))
+def test_tree_distances_keep_the_value_and_type_of_the_exact_sum(name):
+    tree, pts = tree_points()[name]
+    pts = pts[::2]
+    assert typed(tree.distance(p, q) for p in pts for q in pts) == \
+        typed(reference_gap(tree, p, q) for p in pts for q in pts)
+    if len(pts) > 7:
+        chain = pts[1::7]
+        want = [max(min((reference_gap(tree, p, a) + reference_gap(tree, p, b)
+                         - reference_gap(tree, a, b)) / 2 for a, b in zip(chain, chain[1:])), 0.0)
+                for p in pts]
+        assert typed(tree._to_chain(pts, chain)) == typed(want)
+
+
+def test_float_offsets_at_a_float_length_tie_as_the_exact_length_says():
+    tree = lm.RTreeSpace(["a", "b", "c"], [("a", "b", Fraction(1, 3)), ("b", "c", Fraction(1, 10))])
+    third, tenth = float(Fraction(1, 3)), float(Fraction(1, 10))
+    assert third < Fraction(1, 3) and tenth > Fraction(1, 10)
+    a, b, c = (lm.vertex_point(v) for v in "abc")
+    on_third = lm.edge_point(0, third)
+    # a float offset of float(1/3) sits a hair short of b; float(1/10) is past c
+    assert tree.contains_point(on_third) and not tree.contains_point(lm.edge_point(1, tenth))
+    assert tree._form(on_third) == exact_form(tree, on_third)
+    assert typed(tree._form(on_third)) == typed(exact_form(tree, on_third))
+    # a float walk that ends its s on the float length lands where the
+    # exact length puts it: inside [a, b], and on c itself
+    assert typed(tree._walk(tree._form(a), tree._form(c), [third])) == typed([on_third])
+    assert tree._walk(tree._form(b), tree._form(c), [tenth]) == [c]
+    assert tree._walk(tree._form(c), tree._form(a), [tenth]) == [b]
+
+
+# -- the float path never reaches fractions.py once per grid value
+
+
+def fraction_calls(run):
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code.co_filename == fractions.__file__
+
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_tree_grid_checks_touch_fractions_once_per_sample_not_per_grid_value():
+    rng = np.random.default_rng(6)
+    base = lm.random_tree(rng, n_vertices=20)
+    tree = lm.RTreeSpace(base.vertices, base.edges, ray_at="v3")
+    ray = lm.tree_ray_curve(tree)
+    # float offsets at every sample but the two ends
+    segment = lm.geodesic_segment_curve(tree, lm.vertex_point("v17"), ray.at(Fraction(9)),
+                                        n_samples=12)
+    D = Fraction(3, 4)
+    man = lm.man_directional_strategy(ray, D)
+    cfg = lm.GameConfig(space=tree, domain=lm.WholeSpace(), D=D, n_steps=30, tol=1e-9,
+                        lion_start=lm.vertex_point("v17"), man_start=man.start())
+    path = lm.curve_from_transcript(tree, lm.run_game(cfg, man), 12 * D)[1]
+    assert {type(t) for t in path.params} == {Fraction}
+    for curve, lam, k in ((segment, 1.0, None), (segment, 1.0, 2.5), (path, 1.0, None),
+                          (path, ROOT2, 12 * D)):
+        # at grid 100 every sample interval already holds grid values
+        samples = set(curve.params)
+        slots = {bisect.bisect(curve.params, t) for t in _merged_params(curve, 100)[0]
+                 if t not in samples}
+        assert len(slots) == len(curve.params) - 1 < 40
+        counts = [fraction_calls(lambda: lm.check_quasi_geodesic(curve, lam, 0.0, grid, k=k))
+                  for grid in (100, 400)]
+        assert counts[0] == counts[1] > 0, (curve.meta, k, counts)
 
 
 # -- memory

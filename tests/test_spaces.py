@@ -152,6 +152,17 @@ def test_rtree_exact_walk_keeps_fractions(tripod):
     assert tripod.distance(lm.vertex_point("a"), z) == Fraction(3, 2)
 
 
+
+def test_exact_walks_never_round_a_distance_to_float(ray_tree):
+    # past 1e308 no float holds the distance, yet exact points and
+    # parameters still place exactly
+    far = lm.edge_point(lm.RAY_EDGE, Fraction(10**400))
+    z = ray_tree.geodesic_point(lm.vertex_point("q"), far, Fraction(1, 2))
+    assert z == lm.edge_point(lm.RAY_EDGE, (10**400 - 2) / Fraction(2))
+    curve = lm.Curve(ray_tree, (Fraction(0), Fraction(10**400) + 2), (lm.vertex_point("q"), far))
+    assert curve.at(Fraction(10**400)) == lm.edge_point(lm.RAY_EDGE, Fraction(10**400) - 2)
+
+
 # -- projection ----------------------------------------------------------------
 
 
