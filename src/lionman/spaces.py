@@ -760,7 +760,8 @@ class RTreeSpace(Space):
         u, v, length = self.edges[p.edge]
         c = self._child[p.edge]
         if type(off) is float:
-            # Fraction meets a float as float(length) does, but in equality
+            # a float offset meets float(length) in arithmetic, and equals
+            # the length only where float(length) is exact
             at_end = off == self._flen[c] and self._exact[c]
             length = self._flen[c]
         else:
