@@ -9,7 +9,6 @@ exceeds D the path is laying out a geodesic at speed exactly D.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -17,7 +16,7 @@ from .curves import Curve, QGReport, check_quasi_geodesic, extract_ray_from_dire
 from .errors import InvalidInputError, ThresholdNotMetError
 from .game import (DirectionalStrategy, GameConfig, GreedyStrategy, StationaryStrategy,
                    Transcript, classify_outcome, run_game)
-from . import spaces
+from . import files, spaces
 from .spaces import RTreeSpace, Space
 
 
@@ -292,16 +291,12 @@ def equivalence_report(space: Space, domain, D, n_steps, tol, lion_start,
 
 
 def write_beta_csv(bs: BetaSequence, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "beta_n", "alpha_n"])
-        for n, b, a in zip(bs.steps, bs.beta, bs.alpha):
-            w.writerow([n, b, "" if a is None else a])
+    files.write_csv(path, ["n", "beta_n", "alpha_n"],
+                    ([n, b, "" if a is None else a]
+                     for n, b, a in zip(bs.steps, bs.beta, bs.alpha)))
 
 
 def write_audit_csv(audit: CaptureAudit, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "colinearity_residual", "distance_residual"])
-        for (n, rc), (_, rd) in zip(audit.colinearity, audit.dist_residuals):
-            w.writerow([n, float(rc), float(rd)])
+    files.write_csv(path, ["n", "colinearity_residual", "distance_residual"],
+                    ([n, float(rc), float(rd)]
+                     for (n, rc), (_, rd) in zip(audit.colinearity, audit.dist_residuals)))

@@ -24,23 +24,21 @@ points as {"vertex": "a"} or {"edge": 0, "offset": "1/2"}.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
 
-from . import analysis, curves, game, hyperbolicity, spaces
-from .errors import GeometryError, InvalidInputError, StrategyFaultError, _bad_input
+from . import analysis, curves, files, game, hyperbolicity, spaces
+from .errors import GeometryError, InvalidInputError, StrategyFaultError
 
 _SWEEP_DRAWS = 1000  # start pairs a sweep run may draw before giving up
 
 
 def _parse_point(text, space, flag):
-    data = json.loads(text)
-    if isinstance(data, list):
-        data = {"coords": data}
-    with _bad_input(f"{flag}: malformed point"):
+    def build(data):
+        if isinstance(data, list):
+            data = {"coords": data}
         return spaces.point_from_json({"kind": space.kind, **data})
+    return files.parse_json(text, flag, "point", build)
 
 
 def _scalar(space, text, flag):
@@ -93,6 +91,10 @@ def cmd_simulate(args):
     n0 = "" if outcome.n0 is None else f" n0={outcome.n0}"
     print(f"outcome={outcome.classification}{n0} steps={len(tr.records)} "
           f"stop={tr.stop_reason} tail_min={outcome.tail_min:.6g}")
+    if tr.stop_reason == "numeric-horizon":
+        print(f"numeric horizon after {len(tr.records)} steps: a placed point "
+              f"rounded out of the space", file=sys.stderr)
+        return 5
     return 0
 
 
@@ -108,9 +110,7 @@ def cmd_analyze(args):
     if args.audit_csv and audit is not None:
         analysis.write_audit_csv(audit, args.audit_csv)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        files.write_json(args.out, report)
     for key in sorted(report):
         print(f"{key}={report[key]}")
     return 0 if ok else 4
@@ -127,18 +127,12 @@ def cmd_verify_curve(args):
         s, t, d = report.first_lower_violation
         print(f"first lower violation: s={float(s):.6g} t={float(t):.6g} dist={d:.9g}")
     if args.witness_csv:
-        with open(args.witness_csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["which", "s", "t", "value"])
-            if report.min_ratio_pair:
-                w.writerow(["min_ratio", float(report.min_ratio_pair[0]),
-                            float(report.min_ratio_pair[1]), report.min_ratio])
-            if report.first_lower_violation:
-                s, t, d = report.first_lower_violation
-                w.writerow(["first_lower_violation", float(s), float(t), d])
-            if report.first_upper_violation:
-                s, t, d = report.first_upper_violation
-                w.writerow(["first_upper_violation", float(s), float(t), d])
+        pair = report.min_ratio_pair
+        witnesses = [("min_ratio", pair and (*pair, report.min_ratio)),
+                     ("first_lower_violation", report.first_lower_violation),
+                     ("first_upper_violation", report.first_upper_violation)]
+        files.write_csv(args.witness_csv, ["which", "s", "t", "value"],
+                        ([which, float(w[0]), float(w[1]), w[2]] for which, w in witnesses if w))
     return 0 if report.passed else 4
 
 
@@ -147,12 +141,10 @@ def cmd_extract_ray(args):
     ray = curves.extract_ray_from_quasi_geodesic(
         curve.space, curve, lam=args.lam, alpha=args.alpha, k_max=args.k_max)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["k", "distance_residual", "last_cauchy_residual", "stopped"])
-            for k, (kk, dres) in zip(ray.ks, ray.distance_residuals):
-                hist = ray.residuals[k]
-                w.writerow([k, dres, hist[-1] if hist else 0.0, ray.stopped[k]])
+        files.write_csv(args.out, ["k", "distance_residual", "last_cauchy_residual", "stopped"],
+                        ([k, dres, ray.residuals[k][-1] if ray.residuals[k] else 0.0,
+                          ray.stopped[k]]
+                         for k, (_, dres) in zip(ray.ks, ray.distance_residuals)))
     worst = max(r for _, r in ray.distance_residuals)
     print(f"extracted k=1..{args.k_max} worst |d(x0,x*_k)-k|={worst:.3g}")
     return 0
@@ -209,10 +201,7 @@ def cmd_sweep(args):
         rows.append([i, outcome.classification,
                      "" if outcome.n0 is None else outcome.n0, len(tr.records)])
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["run", "outcome", "n0", "steps"])
-            w.writerows(rows)
+        files.write_csv(args.out, ["run", "outcome", "n0", "steps"], rows)
     counts = {}
     for row in rows:
         counts[row[1]] = counts.get(row[1], 0) + 1
@@ -308,7 +297,7 @@ def main(argv=None) -> int:
         parser.error("--seed is required with the random strategy")
     try:
         return args.func(args)
-    except (GeometryError, OSError, json.JSONDecodeError) as exc:
+    except (GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

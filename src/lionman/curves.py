@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -27,9 +26,8 @@ from .errors import (
     InvalidInputError,
     PromotionPreconditionError,
     UnsupportedSpaceError,
-    _bad_input,
 )
-from . import spaces
+from . import files, spaces
 from .spaces import (HyperbolicPlane, L2BoxSpace, Point, RAY_EDGE, RTreeSpace, Space,
                      _flat_angle, _shadow)
 
@@ -731,16 +729,11 @@ def save_curve(curve: Curve, path) -> None:
         data["generator"] = {"name": gen, "args": curve.meta.get("args", {})}
     elif gen == "tree_ray":
         data["generator"] = {"name": "tree_ray"}
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    files.write_json(path, data)
 
 
 def load_curve(path) -> Curve:
-    with open(path) as fh:
-        data = json.load(fh)
-    with _bad_input(f"{path}: malformed curve"):
-        return _curve_from_json(data)
+    return files.read_json(path, "curve", _curve_from_json)
 
 
 def _curve_from_json(data) -> Curve:

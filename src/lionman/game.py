@@ -10,8 +10,6 @@ the fact.  On trees with rational data the whole run is exact.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,8 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .curves import Curve
-from .errors import InvalidInputError, StrategyFaultError, _bad_input
-from . import spaces
+from .errors import InvalidInputError, InvalidPointError, StrategyFaultError
+from . import files, spaces
 from .spaces import Point, Space, domain_contains
 
 
@@ -54,6 +52,9 @@ class GameConfig:
     stop_on_capture: bool = True
 
     def __post_init__(self):
+        if isinstance(self.D, int):
+            # the space's number type, so that a saved tree game reloads exact
+            object.__setattr__(self, "D", self.space.scalar(self.D))
         if not self.D > 0:
             raise InvalidInputError("step size D must be positive")
         if not self.tol > 0:
@@ -119,7 +120,9 @@ def run_game(config: GameConfig, strategy) -> Transcript:
 
     Man proposals outside the domain raise StrategyFaultError with the step
     index; proposals faster than D are clamped back to the geodesic point
-    at distance exactly D and flagged in the record.
+    at distance exactly D and flagged in the record.  A lion step or clamp
+    whose point rounds out of the space (the disk rim in floats) ends the
+    run with stop reason "numeric-horizon" before that point is used.
     """
     space, domain, D = config.space, config.domain, config.D
     speed_guard = 1e-9 * max(1.0, float(D))
@@ -129,9 +132,15 @@ def run_game(config: GameConfig, strategy) -> Transcript:
     stop_reason = "step-budget"
 
     for n in range(config.n_steps):
-        dist = space.distance(lion, man)
-        lion_next = lion_step(space, lion, man, D)
-        gap = space.distance(lion_next, man)
+        try:
+            dist = space.distance(lion, man)
+            lion_next = lion_step(space, lion, man, D)
+            gap = space.distance(lion_next, man)
+        except InvalidPointError:
+            # the starts and every proposal are checked members, so the
+            # point at fault is a clamped man or lion_next
+            stop_reason = "numeric-horizon"
+            break
         captured = gap <= config.tol
         if captured and capture_step is None:
             capture_step = n
@@ -307,7 +316,7 @@ def transcript_to_json(tr: Transcript) -> dict:
     return {
         "header": {
             "space": spaces.space_to_config(tr.space),
-            "domain": spaces.domain_to_config(tr.domain),
+            "domain": tr.domain.to_config(),
             "D": _num_to_json(tr.D),
             "tol": tr.tol,
             "n_steps": tr.n_steps,
@@ -356,22 +365,13 @@ def transcript_from_json(data: dict) -> Transcript:
 
 
 def save_transcript(tr: Transcript, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(transcript_to_json(tr), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    files.write_json(path, transcript_to_json(tr))
 
 
 def load_transcript(path) -> Transcript:
-    with open(path) as fh:
-        data = json.load(fh)
-    with _bad_input(f"{path}: malformed transcript"):
-        return transcript_from_json(data)
+    return files.read_json(path, "transcript", transcript_from_json)
 
 
 def write_dist_csv(tr: Transcript, path) -> None:
     """Plot-ready projection with columns n, D_n."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "D_n"])
-        for r in tr.records:
-            w.writerow([r.n, float(r.dist)])
+    files.write_csv(path, ["n", "D_n"], ([r.n, float(r.dist)] for r in tr.records))

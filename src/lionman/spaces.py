@@ -23,7 +23,6 @@ above meets stay private to the class.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -37,8 +36,8 @@ from .errors import (
     InvalidInputError,
     InvalidPointError,
     SpaceMismatchError,
-    _bad_input,
 )
+from . import files
 
 
 # ---------------------------------------------------------------------------
@@ -1185,25 +1184,14 @@ def space_to_config(space: Space) -> dict:
     return space.to_config()
 
 
-def domain_to_config(domain) -> dict:
-    if not hasattr(domain, "to_config"):
-        raise ConfigError(f"cannot serialize domain {domain!r}")
-    return domain.to_config()
-
-
 def load_space_config(path):
     """Read a JSON space/domain file, returning (space, domain)."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    with _bad_input(f"{path}: malformed config", ConfigError):
+    def build(data):
         if "space" not in data:
             raise ConfigError(f"{path}: missing 'space' section")
         space = space_from_config(data["space"])
-        domain = domain_from_config(space, data.get("domain"))
-    return space, domain
+        return space, domain_from_config(space, data.get("domain"))
+    return files.read_json(path, "config", build, ConfigError)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -313,6 +314,7 @@ def test_malformed_config_diagnostics(tmp_path, capsys):
 PLANE = {"space": {"kind": "euclidean", "dim": 2}}
 SEGMENT_TREE = {"space": {"kind": "rtree", "vertices": ["c", "a"], "edges": [["c", "a", "1"]]}}
 STATIONARY = ["--man", "stationary", "--D", "1", "--man-start"]
+BROKEN = '{"space":\n'  # JSON that ends before a value: line 2, column 1
 
 
 @pytest.mark.parametrize("config, argv", [
@@ -326,21 +328,38 @@ STATIONARY = ["--man", "stationary", "--D", "1", "--man-start"]
     (5, ["simulate", *STATIONARY, "[3, 0]"]),
     (PLANE, ["analyze", "--transcript", "{}", "--k", "12"]),
     (PLANE, ["verify-curve", "--curve", "{}", "--lambda", "1"]),
+    (BROKEN, ["simulate", *STATIONARY, "[3, 0]"]),
+    (PLANE, ["analyze", "--transcript", "broken", "--k", "12"]),
+    (PLANE, ["verify-curve", "--curve", "broken", "--lambda", "1"]),
+    (PLANE, ["simulate", *STATIONARY, "[3, 0]", "--lion", BROKEN]),
+    (PLANE, ["simulate", *STATIONARY, BROKEN]),
+    (PLANE, ["analyze", "--transcript", "latin1", "--k", "12"]),
 ], ids=["lion-number", "lion-word-coord", "lion-number-coords", "tree-lion-no-offset",
-        "dim-word", "radius-word", "config-number", "transcript-empty", "curve-empty"])
+        "dim-word", "radius-word", "config-number", "transcript-empty", "curve-empty",
+        "config-broken", "transcript-broken", "curve-broken", "lion-broken",
+        "man-start-broken", "transcript-not-utf8"])
 def test_malformed_outside_json_exits_2(config, argv, tmp_path, capsys):
-    # every reader of outside JSON reports a wrong shape or value as bad input
+    # every reader of outside JSON reports a wrong shape or value as bad input,
+    # and JSON that does not decode as <source>: line L, column C: <msg>
     cfg = tmp_path / "space.json"
-    cfg.write_text(json.dumps(config))
-    empty = tmp_path / "empty.json"
-    empty.write_text("{}")
-    argv = [str(empty) if a == "{}" else a for a in argv]
+    cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+    files = {"{}": b"{}", "broken": BROKEN.encode(), "latin1": '{"\xe9"'.encode("latin-1")}
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_bytes(data)
+    argv = [str(tmp_path / f"{a}.json") if a in files else a for a in argv]
     if argv[0] != "verify-curve":
         argv[1:1] = ["--space", str(cfg)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+    source = next((flag if a == BROKEN else a for flag, a in zip(argv, argv[1:])
+                   if a == BROKEN or a.endswith(("broken.json", "latin1.json"))),
+                  str(cfg) if config == BROKEN else None)
+    if source:
+        assert err.startswith(f"error: {source}: ")
+    if source and "latin1" not in source:
+        assert err.endswith(": line 2, column 1: Expecting value\n")
 
 
 def test_analyze_without_measurable_angles_exits_2(tmp_path, capsys):
@@ -356,6 +375,27 @@ def test_analyze_without_measurable_angles_exits_2(tmp_path, capsys):
     assert err.startswith("error:")
     assert "no measurable angles" in err
     assert "Traceback" not in err
+
+
+def test_simulate_stops_at_the_disk_numeric_horizon(tmp_path, capsys):
+    # a greedy man fleeing across the whole disk is clamped onto the float rim
+    # at the end of step 39; the run stops there instead of exiting as bad input
+    cfg = tmp_path / "disk.json"
+    cfg.write_text(json.dumps({"space": {"kind": "hyperbolic"}}))
+    runs = {}
+    for n, code in ((40, 0), (60, 5)):
+        out = tmp_path / f"tr{n}.json"
+        assert main(["simulate", "--space", str(cfg), "--man", "greedy", "--D", "1",
+                     "--N", str(n), "--man-start", "[0.5, 0]", "--out", str(out)]) == code
+        runs[n] = out
+    err = capsys.readouterr().err
+    assert "numeric horizon after 40 steps" in err
+    assert hashlib.sha256(runs[40].read_bytes()).hexdigest() == (
+        "8550af4e3a38ef00b11b544d3a8164f0790b7e54239e950f7505d35fdeb9fe20")
+    short, cut = (json.loads(runs[n].read_text()) for n in (40, 60))
+    assert (short["stop_reason"], cut["stop_reason"]) == ("step-budget", "numeric-horizon")
+    assert cut["steps"] == short["steps"]
+    assert cut["final_lion"] == short["final_lion"]
 
 
 def test_strategy_fault_exit_code(tmp_path, capsys):

@@ -302,6 +302,29 @@ def test_transcript_round_trip(tmp_path, ray_tree):
     assert path.read_text() == path2.read_text()
 
 
+def test_int_D_takes_the_space_number_type(tmp_path, ray_tree, euclid2):
+    # an int D reloads exact on a tree, and writes the bytes of D=1.0 on the plane
+    strat = lm.man_directional_strategy(lm.tree_ray_curve(ray_tree), 1)
+    cfg = lm.GameConfig(space=ray_tree, domain=lm.WholeSpace(), D=1, n_steps=12,
+                        tol=1e-9, lion_start=lm.vertex_point("r"), man_start=strat.start())
+    assert type(cfg.D) is Fraction
+    path = tmp_path / "tree.json"
+    lm.save_transcript(lm.run_game(cfg, strat), path)
+    loaded = lm.load_transcript(path)
+    assert type(loaded.D) is Fraction
+    _, curve = lm.curve_from_transcript(ray_tree, loaded, 4)
+    assert all(type(t) is Fraction for t in curve.params)
+
+    plane = []
+    for D in (1, 1.0):
+        cfg = lm.GameConfig(space=euclid2, domain=lm.WholeSpace(), D=D, n_steps=20,
+                            tol=1e-9, lion_start=lm.epoint(0, 0), man_start=lm.epoint(3, 1))
+        path = tmp_path / f"plane-{D!r}.json"
+        lm.save_transcript(lm.run_game(cfg, lm.GreedyStrategy(lm.WholeSpace())), path)
+        plane.append(path.read_bytes())
+    assert plane[0] == plane[1]
+
+
 def test_dist_csv(tmp_path):
     tr = synthetic_transcript([3.0, 2.0, 1.5])
     out = tmp_path / "d.csv"
