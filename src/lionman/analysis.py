@@ -46,11 +46,25 @@ class BetaSequence:
         return min(tail), sum(tail) / len(tail)
 
 
+def _check_records(space: Space, transcript: Transcript) -> None:
+    """Check each point of the transcript once; the passes then call `_dist` directly."""
+    for r in transcript.records:
+        space.check_point(r.lion, f"step {r.n} lion")
+        space.check_point(r.man, f"step {r.n} man")
+    space.check_point(transcript.final_lion, "final lion")
+
+
 def beta_angles(space: Space, transcript: Transcript) -> BetaSequence:
     """Angle sequences of a transcript, computed with the exact per-space angles.
 
     A game captured at its first lion step has one record and no angle.
     """
+    _check_records(space, transcript)
+    return _angles(space, transcript)
+
+
+def _angles(space: Space, transcript: Transcript) -> BetaSequence:
+    """`beta_angles` of a transcript whose points are checked members."""
     records = transcript.records
     if len(records) < 2 and transcript.capture_step is None:
         raise InvalidInputError("need at least two recorded steps")
@@ -58,13 +72,13 @@ def beta_angles(space: Space, transcript: Transcript) -> BetaSequence:
     for n in range(1, len(records)):
         prev, cur = records[n - 1], records[n]
         lion = cur.lion
-        if space.distance(lion, prev.lion) == 0 or space.distance(lion, cur.man) == 0:
+        if space._dist(lion, prev.lion) == 0 or space._dist(lion, cur.man) == 0:
             gaps.append(n)
             continue
         # both sides of each angle are nonzero, as the closed forms require
         beta = space.angle(lion, prev.lion, cur.man)
         alpha = None
-        if space.distance(lion, prev.man) > 0:
+        if space._dist(lion, prev.man) > 0:
             alpha = space.angle(lion, prev.man, cur.man)
         steps.append(n)
         betas.append(beta)
@@ -90,11 +104,12 @@ def curve_from_transcript(space: Space, transcript: Transcript, k, D=None):
     """
     D = transcript.D if D is None else D
     theta = beta_threshold(k, D)
-    return _win_curve(space, transcript, beta_angles(space, transcript), theta, D)
+    _check_records(space, transcript)
+    return _win_curve(space, transcript, _angles(space, transcript), theta, D)
 
 
 def _win_curve(space: Space, transcript: Transcript, bs: BetaSequence, theta, D):
-    """``curve_from_transcript`` on the transcript's measured angles ``bs``."""
+    """``curve_from_transcript`` on the checked transcript's measured angles ``bs``."""
     if not bs.steps:
         raise InvalidInputError("transcript has no measurable angles")
 
@@ -120,7 +135,7 @@ def _win_curve(space: Space, transcript: Transcript, bs: BetaSequence, theta, D)
     lions = transcript.lion_path()
     pts = [lions[n_k]]
     for p, q in zip(lions[n_k:], lions[n_k + 1:]):
-        hop = space.distance(p, q)
+        hop = space._dist(p, q)
         if abs(float(hop) - float(D)) > 1e-9 * max(1.0, float(D)):
             break
         pts.append(q)
@@ -155,12 +170,21 @@ class CaptureAudit:
 
 
 def rtree_capture_audit(space: RTreeSpace, transcript: Transcript, D=None) -> CaptureAudit:
+    _check_tree(space, transcript)
+    _check_records(space, transcript)
+    return _audit(space, transcript, transcript.D if D is None else D)
+
+
+def _check_tree(space: Space, transcript: Transcript) -> None:
+    """Raise unless the transcript was played on the tree ``space``."""
     if not isinstance(space, RTreeSpace) or transcript.space.kind != "rtree":
         raise InvalidInputError("capture audit requires a tree-space transcript")
     if spaces.space_to_config(space) != spaces.space_to_config(transcript.space):
         raise InvalidInputError("transcript was produced on a different tree")
-    D = transcript.D if D is None else D
 
+
+def _audit(space: RTreeSpace, transcript: Transcript, D) -> CaptureAudit:
+    """`rtree_capture_audit` of a checked transcript played on that tree."""
     lions = transcript.lion_path()
     L0 = lions[0]
     steps, colin, dist_res = [], [], []
@@ -169,8 +193,8 @@ def rtree_capture_audit(space: RTreeSpace, transcript: Transcript, D=None) -> Ca
     for n, rec in enumerate(transcript.records):
         if not rec.dist > D:
             break
-        d0n = space.distance(L0, lions[n])
-        resid_c = d0n + space.distance(lions[n], lions[n + 1]) - space.distance(L0, lions[n + 1])
+        d0n = space._dist(L0, lions[n])
+        resid_c = d0n + space._dist(lions[n], lions[n + 1]) - space._dist(L0, lions[n + 1])
         resid_d = abs(d0n - n * D)
         steps.append(n)
         colin.append((n, resid_c))
@@ -180,7 +204,7 @@ def rtree_capture_audit(space: RTreeSpace, transcript: Transcript, D=None) -> Ca
     else:
         # no capture inside the record: the final lion position closes the ray
         n = len(transcript.records)
-        final_distance = space.distance(L0, lions[n])
+        final_distance = space._dist(L0, lions[n])
         if abs(final_distance - n * D) > 0 and first_failure is None:
             first_failure = n
     return CaptureAudit(passed=first_failure is None, steps=steps, colinearity=colin,
@@ -189,14 +213,15 @@ def rtree_capture_audit(space: RTreeSpace, transcript: Transcript, D=None) -> Ca
 
 
 def analyze_transcript(space: Space, transcript: Transcript, k, D=None, grid=256):
-    """Every certificate of one transcript, from one pass over its angles.
+    """Every certificate of one transcript, from one check of its points.
 
     Returns (report, angles, audit, passed): the report `lionman analyze`
     writes, the BetaSequence, the tree CaptureAudit (None off trees), and
     whether every certificate that applies holds.
     """
     D = transcript.D if D is None else D
-    bs = beta_angles(space, transcript)
+    _check_records(space, transcript)
+    bs = _angles(space, transcript)
     report = {}
     if len(transcript.records) > 1:  # else a capture at the first lion step decided it
         tail_min, tail_mean = bs.tail_stats()
@@ -215,7 +240,8 @@ def analyze_transcript(space: Space, transcript: Transcript, k, D=None, grid=256
             report.update(threshold_not_met=True, best_tail=exc.best_tail)
             passed = False
     if isinstance(space, RTreeSpace):
-        audit = rtree_capture_audit(space, transcript, D)
+        _check_tree(space, transcript)
+        audit = _audit(space, transcript, D)
         report["audit_passed"] = audit.passed
         if audit.final_distance is not None:
             report["final_distance"] = float(audit.final_distance)

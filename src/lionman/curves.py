@@ -748,6 +748,6 @@ def _curve_from_json(data) -> Curve:
         raise InvalidInputError(f"unknown curve generator {name!r}")
     params, points = [], []
     for t, pj in data["samples"]:
-        params.append(Fraction(t) if isinstance(t, str) else float(t))
+        params.append(files.read_fraction(t) if isinstance(t, str) else float(t))
         points.append(spaces.point_from_json(pj))
     return Curve(space, tuple(params), tuple(points))

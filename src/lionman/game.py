@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .curves import Curve
-from .errors import InvalidInputError, InvalidPointError, StrategyFaultError
+from .errors import InvalidInputError, StrategyFaultError
 from . import files, spaces
 from .spaces import Point, Space, domain_contains
 
@@ -27,7 +27,7 @@ def _num_to_json(x):
 
 
 def _num_from_json(x):
-    return Fraction(x) if isinstance(x, str) else float(x)
+    return files.read_fraction(x) if isinstance(x, str) else float(x)
 
 
 @dataclass(frozen=True)
@@ -109,10 +109,16 @@ def lion_step(space: Space, lion: Point, man: Point, D) -> Point:
     """Lion's forced move: distance min(D, gap) along the geodesic to the man."""
     if not D > 0:
         raise InvalidInputError("step size D must be positive")
-    gap = space.distance(lion, man)
-    if gap <= D:
-        return man
-    return space.geodesic_point(lion, man, D / gap)
+    space.check_point(lion, "lion")
+    space.check_point(man, "man")
+    return _lion_move(space, lion, man, D, space._dist(lion, man))
+
+
+def _lion_move(space: Space, lion: Point, man: Point, D, gap) -> Point:
+    """`lion_step` between checked members gap = d(lion, man) apart."""
+    # the lion lands on the man when gap <= D, or when a float D / gap rounds up to 1
+    t = D / gap if D < gap else 1
+    return space._along(lion, man, (t,))[0] if t < 1 else man
 
 
 def run_game(config: GameConfig, strategy) -> Transcript:
@@ -123,6 +129,10 @@ def run_game(config: GameConfig, strategy) -> Transcript:
     at distance exactly D and flagged in the record.  A lion step or clamp
     whose point rounds out of the space (the disk rim in floats) ends the
     run with stop reason "numeric-horizon" before that point is used.
+
+    The starts and the proposals are checked once, as domain members; every
+    other point is the space's own, so the loop measures and places through
+    the family's `_dist` and `_along`.
     """
     space, domain, D = config.space, config.domain, config.D
     speed_guard = 1e-9 * max(1.0, float(D))
@@ -132,15 +142,16 @@ def run_game(config: GameConfig, strategy) -> Transcript:
     stop_reason = "step-budget"
 
     for n in range(config.n_steps):
-        try:
-            dist = space.distance(lion, man)
-            lion_next = lion_step(space, lion, man, D)
-            gap = space.distance(lion_next, man)
-        except InvalidPointError:
-            # the starts and every proposal are checked members, so the
-            # point at fault is a clamped man or lion_next
+        # only a clamped man or a lion step can round out of the space
+        if not space.contains_point(man):
             stop_reason = "numeric-horizon"
             break
+        dist = space._dist(lion, man)
+        lion_next = _lion_move(space, lion, man, D, dist)
+        if not space.contains_point(lion_next):
+            stop_reason = "numeric-horizon"
+            break
+        gap = space._dist(lion_next, man)
         captured = gap <= config.tol
         if captured and capture_step is None:
             capture_step = n
@@ -157,9 +168,9 @@ def run_game(config: GameConfig, strategy) -> Transcript:
             raise StrategyFaultError(
                 f"strategy proposed {proposal!r} outside the domain at step {n}", step=n)
         man_next = proposal
-        move = space.distance(man, proposal)
+        move = space._dist(man, proposal)
         if move > D and float(move - D) > speed_guard:
-            man_next = space.geodesic_point(man, proposal, D / move)
+            man_next = space._along(man, proposal, (D / move,))[0]
             note = "clamped"
         records.append(StepRecord(n, lion, man, dist, gap, note))
         lion, man = lion_next, man_next
@@ -270,12 +281,13 @@ class GreedyStrategy:
         self.directions = directions
 
     def propose(self, space, n, lion, man, D):
+        space.check_point(lion, "lion")
         best = None
         best_gap = None
         for cand in space.move_candidates(man, D, self.directions):
             if not domain_contains(space, self.domain, cand):
                 continue
-            gap = space.distance(cand, lion)
+            gap = space._dist(cand, lion)
             if best_gap is None or gap > best_gap:
                 best, best_gap = cand, gap
         return man if best is None else best

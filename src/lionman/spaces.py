@@ -127,7 +127,7 @@ def point_from_json(data: dict) -> Point:
             return vertex_point(data["vertex"])
         off = data["offset"]
         if isinstance(off, str):
-            off = Fraction(off)
+            off = files.read_fraction(off)
         return edge_point(data["edge"], off)
     return Point(kind, tuple(float(c) for c in data["coords"]))
 
@@ -651,9 +651,9 @@ class RTreeSpace(Space):
     Internally the tree hangs from a root, the ray anchor or else the first
     vertex, and a point is read as (i, h): height h above vertex i on the
     edge toward i's parent, the ray being the root's endless parent edge.
-    One table, ``rise[i][j]`` = height of vertex i above the meet of i and
-    j, says whether a point leaves toward another point up through its
-    parent or down through i; a distance is then one sum, and a walk or a
+    Tables ``rise[i][j]`` (height of vertex i above the meet of i and j) and
+    ``climbs[i][j]`` (rise > 0: a point leaves toward j up through i's
+    parent, not down through i) make a distance one sum; a walk or a
     projection climbs parent links from x to the meet and descends to y.
     """
 
@@ -692,38 +692,42 @@ class RTreeSpace(Space):
         self._parent = [root] * n
         self._edge = [None if ray_at is None else RAY_EDGE] * n  # kept by the root only
         self._len = [math.inf] * n
-        ancestors = {root: {root}}
+        self._child = [None] * len(self.edges)  # each edge's child vertex
+        above = {root: {root: _ZERO}}  # each vertex's heights above its ancestors
         order = [root]
         for v in order:
             for e, w in adj[v]:
-                if w not in ancestors:
-                    ancestors[w] = ancestors[v] | {w}
+                if w not in above:
                     self._parent[w], self._edge[w], self._len[w] = v, e, self.edges[e][2]
+                    self._child[e] = w
+                    above[w] = {a: self._len[w] + h for a, h in above[v].items()} | {w: _ZERO}
                     order.append(w)
         if len(order) != n:
             raise InvalidInputError("edge graph is not connected")
 
-        # rise[i][j] is 0 when i is an ancestor of j, else one edge more than
-        # its parent's; _table reads numpy copies of where it is positive
-        # and of the vertex distances rise[i][j] + rise[j][i], each rounded
-        # once
-        self._rise = [None] * n
-        for i in order:
-            p = self._parent[i]
-            self._rise[i] = [_ZERO if i in ancestors[j] else self._len[i] + self._rise[p][j]
-                             for j in range(n)]
-        self._below = np.array([[r > 0 for r in row] for row in self._rise])
-        self._span = np.array([[float(self._rise[i][j] + self._rise[j][i]) for j in range(n)]
-                               for i in range(n)])
+        # rise[i][j], i's height above meet(i, j), is _ZERO where i is an
+        # ancestor of j (climbs[i][j] false).  _table reads numpy copies of
+        # climbs and of rise[i][j] + rise[j][i], each rounded once: with exact
+        # lengths by one int division over their common denominator q
+        meets = {root: [root] * n}
+        for i in order[1:]:
+            meets[i] = [i if i in above[j] else m for j, m in enumerate(meets[self._parent[i]])]
+        self._rise = [[above[i][m] for m in meets[i]] for i in range(n)]
+        self._climbs = [[m != i for m in meets[i]] for i in range(n)]
+        self._below = np.array(self._climbs)
+        if all(type(length) is Fraction for _, _, length in self.edges):
+            q = math.lcm(*(length.denominator for _, _, length in self.edges))
+            depth = [int(above[i][root] * q) for i in range(n)]  # q times the root distance
+            self._span = np.array([[(depth[i] + depth[j] - 2 * depth[m]) / q
+                                    for j, m in enumerate(meets[i])] for i in range(n)])
+        else:
+            self._span = np.array([[float(self._rise[i][j] + self._rise[j][i]) for j in range(n)]
+                                   for i in range(n)])
 
         # float shadows, read when an offset or a t is a float: float(length)
-        # of each vertex's parent edge and whether it is that length exactly,
-        # and each edge's child vertex
+        # of each vertex's parent edge and whether it is that length exactly
         self._flen = [float(length) for length in self._len]
         self._exact = [f == length for f, length in zip(self._flen, self._len)]
-        self._child = [None] * len(self.edges)
-        for i in order[1:]:
-            self._child[self._edge[i]] = i
 
     def __repr__(self):
         ray = f", ray_at={self.ray_at!r}" if self.ray_at is not None else ""
@@ -777,7 +781,7 @@ class RTreeSpace(Space):
         # inside an edge below the meet it leaves up through i's parent; a
         # vertex leaves through itself at cost 0, so a float distance from a
         # vertex is one table entry plus the other point's cost
-        if h and self._rise[i][j]:
+        if h and self._climbs[i][j]:
             return self._parent[i], rest
         return i, h
 
@@ -827,7 +831,10 @@ class RTreeSpace(Space):
 
     def _along(self, x, y, ts):
         form_x, form_y = self._form(x), self._form(y)
-        total = self._gap(x, form_x, y, form_y)
+        return self._placed(x, form_x, form_y, self._gap(x, form_x, y, form_y), ts)
+
+    def _placed(self, x, form_x, form_y, total, ts) -> list:
+        """`_along` from the rooted forms of x and y and d(x, y) = total."""
         if total == 0:
             return [x] * len(ts)
         # a float t meets float(total), as in Fraction's fallback; exact ts never float it
@@ -846,7 +853,7 @@ class RTreeSpace(Space):
         # first up from x to the meet, then down through the vertices above j
         (i, h, rest), (j, hy, _) = form_x, form_y
         legs = []
-        while self._rise[i][j]:
+        while self._climbs[i][j]:
             legs.append((rest, i, h, rest, True))
             i = self._parent[i]
             h, rest = _ZERO, self._len[i]
@@ -1003,29 +1010,37 @@ class RTreeSpace(Space):
     def angle(self, apex, y, z):
         # the segments toward y and z share an initial piece exactly when the
         # Gromov product (y|z)_apex is positive; otherwise they branch apart
-        shared = (self.distance(apex, y) + self.distance(apex, z) - self.distance(y, z)) / 2
-        return 0.0 if shared > 0 else math.pi
+        for p, name in ((apex, "apex"), (y, "y"), (z, "z")):
+            self.check_point(p, name)
+        fa, fy, fz = self._form(apex), self._form(y), self._form(z)
+        shared = self._gap(apex, fa, y, fy) + self._gap(apex, fa, z, fz) - self._gap(y, fy, z, fz)
+        return 0.0 if shared / 2 > 0 else math.pi
 
     def _push(self, a, b, p, amp):
         return p  # no transverse directions in a tree
 
     def move_candidates(self, man, D, directions):
         # walks toward every vertex, plus outward along the ray edge
+        self.check_point(man, "man")
         targets = [vertex_point(v) for v in self.vertices]
         if self.ray_at is not None:
             base = man.offset if man.edge == RAY_EDGE else Fraction(0)
             targets.append(Point(self.kind, edge=RAY_EDGE, offset=base + 2 * D))
-        gaps = [(tgt, self.distance(man, tgt)) for tgt in targets]
-        return [self.geodesic_point(man, tgt, D / gap if D < gap else 1)
-                for tgt, gap in gaps if gap != 0]
+        form = self._form(man)
+        paths = [(tgt, to, self._gap(man, form, tgt, to))
+                 for tgt, to in zip(targets, map(self._form, targets))]
+        return [self._placed(man, form, to, gap, (D / gap,))[0] if D / gap < 1 else tgt
+                for tgt, to, gap in paths if gap != 0]
 
     def random_move(self, rng, man, D):
+        self.check_point(man, "man")
         tgt = vertex_point(self.vertices[int(rng.integers(0, len(self.vertices)))])
-        gap = self.distance(man, tgt)
+        form, to = self._form(man), self._form(tgt)
+        gap = self._gap(man, form, tgt, to)
         if gap == 0:
             return None
-        step = D * Fraction(int(rng.integers(0, 17)), 16)
-        return self.geodesic_point(man, tgt, min(step / gap, Fraction(1)))
+        t = min(D * Fraction(int(rng.integers(0, 17)), 16) / gap, Fraction(1))
+        return man if t == 0 else tgt if t == 1 else self._placed(man, form, to, gap, (t,))[0]
 
     def origin(self):
         return vertex_point(self.vertices[0])
@@ -1044,7 +1059,7 @@ class RTreeSpace(Space):
     def from_config(cls, data):
         try:
             vertices = data["vertices"]
-            edges = [(u, v, Fraction(str(length))) for u, v, length in data["edges"]]
+            edges = [(u, v, files.read_fraction(str(length))) for u, v, length in data["edges"]]
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"rtree config: {exc}") from None
         return cls(vertices, edges, ray_at=data.get("ray_at"))
@@ -1097,7 +1112,7 @@ class SubtreeDomain:
         object.__setattr__(self, "include_ray", include_ray)
 
     def contains(self, space: Space, p: Point) -> bool:
-        if not isinstance(space, RTreeSpace):
+        if space.kind != "rtree":
             raise SpaceMismatchError("subtree domain requires a tree space")
         if not space.contains_point(p):
             return False

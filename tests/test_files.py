@@ -1,12 +1,17 @@
 """The file layer: one module reads and writes JSON and CSV, byte-stable."""
 
 import ast
+import json
+import math
 import pathlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import lionman as lm
+from lionman import files
 
 
 PACKAGE = pathlib.Path(lm.__file__).parent
@@ -68,3 +73,61 @@ def test_curve_save_load_save_is_byte_identical(make, tmp_path):
     lm.save_curve(make(), first)
     lm.save_curve(lm.load_curve(first), again)
     assert first.read_bytes() == again.read_bytes()
+
+
+# -- the JSON writer and the exact-number reader
+
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(min_value=-2**80, max_value=2**80),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=False).map(np.float64),
+    st.text(max_size=8),
+)
+VALUES = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=6), inner, max_size=4)), max_leaves=24)
+EDGES = {"empty": [{}, [], ()], "nested": {"a": {"b": [[], {}, ({"c": ()},)]}, "": 0},
+         "text": ["café ☃ \U0001f981", "tab\t\"quote\" \\ \x00\x1f  "],
+         "ints": [2**63, -2**63 - 1, 2**100, 0, -1],
+         "floats": [-0.0, 1e-300, 5e-324, 1e300, math.nan, math.inf, -math.inf, 0.1],
+         "numpy": [np.float64(2.5), np.float64(-0.0), np.float64(math.nan)],
+         "bools": [True, False, None, {"t": True, "f": False}]}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@example(data=EDGES)
+@example(data="top-level text")
+@example(data=-0.0)
+@given(data=VALUES)
+def test_write_json_writes_the_bytes_of_json_dumps(data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("json") / "out.json"
+    files.write_json(path, data)
+    assert path.read_bytes() == (json.dumps(data, indent=1, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("data", [{"a": object()}, [1, {2, 3}], {(1, 2): 0}, {1: 0, "a": 1}])
+def test_write_json_rejects_what_json_rejects(data, tmp_path):
+    with pytest.raises(TypeError):
+        json.dumps(data, indent=1, sort_keys=True)
+    with pytest.raises(TypeError):
+        files.write_json(tmp_path / "out.json", data)
+
+
+@pytest.mark.parametrize("text", ["3/4", "-3/4", "6/8", "0/5", "-0", "7", "-12",
+                                  "123456789012345678901234567890/7", "1.5", "-2e3", " 3/4 ",
+                                  "+3/4", "3_000/7", "٣/4"])
+def test_read_fraction_is_fraction_of_the_text(text):
+    got = files.read_fraction(text)
+    assert type(got) is Fraction
+    assert got == Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["3/", "/4", "3/-4", "-", "", "a/b", "1 / 2", "3/0", "0/0",
+                                  "1/2/3", "nan", "²/3"])
+def test_read_fraction_fails_as_fraction_does(text):
+    with pytest.raises(Exception) as want:
+        Fraction(text)
+    with pytest.raises(want.type):
+        files.read_fraction(text)

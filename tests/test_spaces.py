@@ -412,3 +412,68 @@ def test_hyperbolic_midpoint_accuracy_near_rim(hyper):
     m = hyper.geodesic_point(a, b, 0.5)
     half = float(hyper.distance(a, b)) / 2
     assert abs(float(hyper.distance(a, m)) - half) <= 1e-8
+
+
+# -- tree tables from one pass over the meets
+
+
+def recursive_tables(tree):
+    """rise, below and span as the recursion over parent rows built them."""
+    n, zero = len(tree.vertices), lm.spaces._ZERO
+    ancestors = []
+    for j in range(n):
+        chain = {j}
+        while j != tree._root:
+            j = tree._parent[j]
+            chain.add(j)
+        ancestors.append(chain)
+    rise = [None] * n
+    for i in sorted(range(n), key=lambda i: len(ancestors[i])):  # parents first
+        p = tree._parent[i]
+        rise[i] = [zero if i in ancestors[j] else tree._len[i] + rise[p][j] for j in range(n)]
+    below = np.array([[r > 0 for r in row] for row in rise])
+    span = np.array([[float(rise[i][j] + rise[j][i]) for j in range(n)] for i in range(n)])
+    return rise, below, span
+
+
+def table_trees():
+    third, seventh = Fraction(1, 3), Fraction(1, 7)
+    rng = np.random.default_rng(17)
+    big = lm.random_tree(rng, n_vertices=40)
+    # the 40-vertex shape again, over edges of thirds and sevenths
+    odd = [(u, v, Fraction(int(rng.integers(1, 12)), int(rng.choice([3, 7]))))
+           for u, v, _ in big.edges]
+    return {
+        "lone-vertex": lm.RTreeSpace(["v"], []),
+        "lone-vertex-ray": lm.RTreeSpace(["v"], [], ray_at="v"),
+        "ray-tree": lm.ray_tree(),
+        "ray-tree-thirds": lm.ray_tree(third),
+        "thirds-sevenths": lm.RTreeSpace(
+            ["a", "b", "c", "d", "e", "f"],
+            [("a", "b", third), ("c", "b", 2 * seventh), ("b", "d", 5 * third),
+             ("e", "d", seventh), ("d", "f", third + seventh)], ray_at="d"),
+        "float-lengths": lm.RTreeSpace(
+            ["a", "b", "c", "d", "e"],
+            [("a", "b", 0.1), ("b", "c", 0.7), ("b", "d", 1 / 3), ("d", "e", 0.2)]),
+        "mixed-lengths": lm.RTreeSpace(
+            ["a", "b", "c", "d"], [("a", "b", 0.1), ("b", "c", third), ("c", "d", 0.3)],
+            ray_at="c"),
+        "tree40": big,
+        "tree40-ray": lm.RTreeSpace(big.vertices, big.edges, ray_at="v23"),
+        "tree40-thirds-sevenths": lm.RTreeSpace(big.vertices, odd, ray_at="v7"),
+    }
+
+
+@pytest.mark.parametrize("name", list(table_trees()))
+def test_tree_tables_equal_the_recursion_over_parent_rows(name):
+    tree = table_trees()[name]
+    rise, below, span = recursive_tables(tree)
+    zero = lm.spaces._ZERO
+    for row, ref_row in zip(tree._rise, rise):
+        assert [type(r) for r in row] == [type(r) for r in ref_row]
+        assert row == ref_row
+        assert [r is zero for r in row] == [r is zero for r in ref_row]
+    assert tree._climbs == below.tolist()
+    assert tree._below.dtype == below.dtype and (tree._below == below).all()
+    assert tree._span.dtype == span.dtype and tree._span.shape == span.shape
+    assert tree._span.tobytes() == span.tobytes()
