@@ -3,11 +3,11 @@
 JSON files have sorted keys, one-space indents and one trailing newline, so
 identical data gives identical bytes: those the standard `json` module
 dumps with ``indent=1`` and ``sort_keys=True``, and a newline, built by one
-recursive writer into one list of chunks.  Exact numbers are stored as ``"p/q"`` text.  Outside JSON
-that does not decode fails as ``<source>: line L, column C: <msg>``; JSON
-that decodes into the wrong shape fails as ``<source>: malformed <what>
-(...)``.  The source is the file path or the command-line flag the text
-came from.
+recursive writer into one list of chunks.  Exact numbers are stored as
+``"p/q"`` text.  Outside JSON that does not decode fails as ``<source>:
+line L, column C: <msg>``; JSON that decodes into the wrong shape fails as
+``<source>: malformed <what> (...)``.  The source is the file path or the
+command-line flag the text came from.
 """
 
 import csv
