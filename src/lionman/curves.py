@@ -91,7 +91,8 @@ class Curve:
         floats = any(type(t) is float for t in ts)
         lo_f, span_f = (_shadow(lo), _shadow(span)) if floats else (lo, span)
         us = [(t - lo_f) / span_f if type(t) is float else (t - lo) / span for t in ts]
-        return self.space.geodesic_points(self.points[i - 1], self.points[i], us)
+        # the samples were checked when the curve was made
+        return self.space._geodesic_points(self.points[i - 1], self.points[i], us)
 
     def _at_sorted(self, ts, slots=None) -> list:
         """The points at the ascending parameters ts, as `at` gives them.
@@ -260,56 +261,93 @@ def _check_pairs(space: Space, params, points, lam, lower_eps, upper_eps, k, tol
 
     The pairs i < j are visited in lexicographic order, ``_BLOCK`` rows at a
     time; each block of distances is one rectangular `_table` call, and a
-    k-local check reads only the columns of the |s-t| <= k band.  A worst
-    pair gives way only to a strictly smaller value of a later block and the
-    first violation found is kept, so every witness is the first in that
-    order.
+    k-local check reads only the columns of the |s-t| <= k band.  A block is
+    held whole, in views of four buffers made once per check: its pairs
+    outside the check (j <= i, and past the band) read inf in every
+    statistic, so the row-major first minimum of a block is that of its
+    checked pairs.  A worst pair gives way only to a strictly smaller value
+    of a later block and the first violation found is kept, so every witness
+    is the first in that order.
     """
     tol = space.rel_tol if tol is None else tol
+    lam, lower_eps, upper_eps = float(lam), float(lower_eps), float(upper_eps)
     arrays = space._arrays(points)
     tarr = np.asarray([float(t) for t in params])
     n = len(params)
+    los = np.arange(0, n - 1, _BLOCK)
+    his = np.minimum(los + _BLOCK, n - 1)
     reach = None if k is None else float(k) * (1.0 + 1e-12)
+    if k is None:
+        ends = np.full(len(los), n)
+    else:
+        # past the reach of each block's last row, widened so that rounding
+        # in this sum never drops a column the exact mask below keeps
+        last = tarr[his - 1]
+        ends = np.searchsorted(tarr, last + reach + 1e-9 * (abs(last) + reach), "right")
+    sizes = (his - los) * (ends - los - 1)
+    gaps_buf, scale_buf, slack_buf, value_buf = np.empty((4, int(sizes.max(initial=0))))
+    head = np.tri(_BLOCK, _BLOCK, -1, dtype=bool)  # column c < row r: the pair j <= i
+    tied = np.diff(tarr) == 0  # a pair i < j has gap 0 only if tarr[i] == tarr[i + 1]
+    # a block whose least scaled slack exceeds bar has no pair with
+    # slack < -tol * scale, since scale >= 1: it is not scanned for one
+    bar = 0.5 * abs(tol) - tol
     n_pairs = 0
     worst = {}  # statistic -> (value, pair, ratio or slack, distance)
     first = {}  # bound -> (s, t, distance)
-    for lo in range(0, n - 1, _BLOCK):
-        hi = min(lo + _BLOCK, n - 1)
-        end = n
+    for lo, hi, end, size in zip(los.tolist(), his.tolist(), ends.tolist(), sizes.tolist()):
+        rows, cols = hi - lo, end - lo - 1
+        if size == 0:
+            continue
+        gaps, scale, slack, value = (buf[:size].reshape(rows, cols)
+                                     for buf in (gaps_buf, scale_buf, slack_buf, value_buf))
+        np.subtract(tarr[lo + 1:end], tarr[lo:hi, None], out=gaps)  # params are sorted: |s - t|
+        np.maximum(gaps, 1.0, out=scale)
+        h = min(rows, cols)
+        skip = head[:rows, :h]
         if k is not None:
-            # past the reach of the block's last row, widened so that rounding
-            # in this sum never drops a column the exact mask below keeps
-            last = tarr[hi - 1]
-            end = int(np.searchsorted(tarr, last + reach + 1e-9 * (abs(last) + reach), "right"))
-        gaps = tarr[lo + 1:end] - tarr[lo:hi, None]  # params are sorted, so this is |s - t|
-        keep = np.arange(lo + 1, end) > np.arange(lo, hi)[:, None]
-        if k is not None:
-            keep &= gaps <= reach
-        flat = np.flatnonzero(keep)
-        n_pairs += len(flat)
-        gaps = gaps.ravel()[flat]
-        dist = space._table(arrays[lo:hi], arrays[lo + 1:end]).ravel()[flat]
-        scale = np.maximum(1.0, gaps)
+            skip = gaps > reach
+            skip[:, :h] |= head[:rows, :h]
+        n_pairs += size - int(np.count_nonzero(skip))
+        dist = space._table(arrays[lo:hi], arrays[lo + 1:end])
+        flat_value, flat_dist = value.ravel(), dist.ravel()
 
         def pair(m):
-            r, c = divmod(int(flat[m]), end - lo - 1)
+            r, c = divmod(m, cols)
             return params[lo + r], params[lo + 1 + c]
 
-        lower_slack = dist - (gaps / lam - lower_eps)
-        upper_slack = (lam * gaps + upper_eps) - dist
+        def least(name, raw):
+            # the first minimum of the statistic in value, raw its unscaled form
+            np.copyto(value[:, :skip.shape[1]], np.inf, where=skip)
+            m = _first_min(flat_value)
+            if m is not None and flat_value[m] < worst.get(name, (math.inf,))[0]:
+                worst[name] = (flat_value[m], pair(m), float(raw.flat[m]), float(flat_dist[m]))
+            return m
+
+        def scan(name, m):
+            # NaN fails the comparison with bar, so a NaN block is scanned
+            if name in first or m is None or flat_value[m] > bar:
+                return
+            bad = slack < -tol * scale
+            np.copyto(bad[:, :skip.shape[1]], False, where=skip)
+            hits = np.flatnonzero(bad)
+            if len(hits):
+                first[name] = (*pair(int(hits[0])), float(flat_dist[hits[0]]))
+
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(gaps > 0, dist / np.where(gaps > 0, gaps, 1.0), np.inf)
-        for name, value, raw in (("ratio", ratios, ratios),
-                                 ("lower", lower_slack / scale, lower_slack),
-                                 ("upper", upper_slack / scale, upper_slack)):
-            m = _first_min(value)
-            if m is not None and value[m] < worst.get(name, (math.inf,))[0]:
-                worst[name] = (value[m], pair(m), float(raw[m]), float(dist[m]))
-        for name, slack in (("lower", lower_slack), ("upper", upper_slack)):
-            if name not in first:
-                hits = np.flatnonzero(slack < -tol * scale)
-                if len(hits):
-                    first[name] = (*pair(hits[0]), float(dist[hits[0]]))
+            np.divide(dist, gaps, out=value)
+        if tied[lo:hi].any():
+            np.copyto(value, np.inf, where=gaps == 0)
+        least("ratio", value)
+        np.divide(gaps, lam, out=slack)  # dist - (gaps / lam - lower_eps)
+        slack -= lower_eps
+        np.subtract(dist, slack, out=slack)
+        np.divide(slack, scale, out=value)
+        scan("lower", least("lower", slack))
+        np.multiply(gaps, lam, out=slack)  # (lam * gaps + upper_eps) - dist
+        slack += upper_eps
+        slack -= dist
+        np.divide(slack, scale, out=value)
+        scan("upper", least("upper", slack))
 
     ratio, lower, upper = (worst.get(name) for name in ("ratio", "lower", "upper"))
     return QGReport(
@@ -364,7 +402,9 @@ def check_directional_sequence(space: Space, points, b: float, *, tol=None) -> D
     Every contiguous window is tested exactly, which decides every
     subsequence: by the triangle inequality a subsequence's gap sum is at
     most that of the window with the same ends.  Divergence of d(x_0, x_n)
-    is reported as a growth trend, not asserted.
+    is reported as a growth trend, not asserted.  The windows are walked in
+    the row blocks of `_check_pairs`, and the witness is the first pair of
+    least slack in lexicographic order.
     """
     if not b >= 0:  # NaN fails too
         raise InvalidInputError("b must be >= 0")
@@ -373,17 +413,34 @@ def check_directional_sequence(space: Space, points, b: float, *, tol=None) -> D
     for m, p in enumerate(points):
         space.check_point(p, f"points[{m}]")
     tol = space.rel_tol if tol is None else tol
-    dmat = space.pairwise_distances(points)
-    prefix = np.concatenate([[0.0], np.cumsum(np.diagonal(dmat, 1))])
-
-    i, j = np.triu_indices(len(points), 1)
-    slack = dmat[i, j] - (prefix[j] - prefix[i] - b)
-    w = _first_min(slack)
-    worst, witness = (math.inf, None) if w is None else (slack[w], (int(i[w]), int(j[w])))
+    arrays = space._arrays(points)
+    n = len(points)
+    blocks = [(lo, min(lo + _BLOCK, n - 1)) for lo in range(0, n - 1, _BLOCK)]
+    # the consecutive distances d(x_i, x_i+1): the diagonal of each block's square head
+    steps = [np.diagonal(space._table(arrays[lo:hi], arrays[lo + 1:hi + 1])) for lo, hi in blocks]
+    prefix = np.concatenate([[0.0], np.cumsum(np.concatenate(steps))])
+    head = np.tri(_BLOCK, _BLOCK, -1, dtype=bool)  # column c < row r: the pair j <= i
+    worst, witness = math.inf, None
+    for lo, hi in blocks:
+        dist = space._table(arrays[lo:hi], arrays[lo + 1:])
+        if lo == 0:
+            far = float(dist[0, -1])
+        slack = prefix[lo + 1:] - prefix[lo:hi, None]  # dist - (prefix[j] - prefix[i] - b)
+        slack -= float(b)
+        np.subtract(dist, slack, out=slack)
+        np.copyto(slack[:, :hi - lo], np.inf, where=head[:hi - lo, :hi - lo])
+        m = _first_min(slack.ravel())
+        if m is None:
+            continue
+        # a NaN is least, as it is to np.argmin over all the pairs at once
+        v = slack.flat[m]
+        if v < worst or (v != v and worst == worst):
+            r, c = divmod(m, n - lo - 1)
+            worst, witness = v, (lo + r, lo + 1 + c)
     return DirectionalityReport(
-        b=float(b), n_checked=len(slack), passed=bool(worst >= -tol),
+        b=float(b), n_checked=n * (n - 1) // 2, passed=bool(worst >= -tol),
         worst_lower_slack=float(worst), worst_lower_witness=witness,
-        growth=(float(dmat[0, 1]), float(dmat[0, -1])),
+        growth=(float(steps[0][0]), far),
     )
 
 

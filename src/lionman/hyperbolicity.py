@@ -303,7 +303,10 @@ def cat_defect(space: Space, x: Point, y: Point, z: Point, grid: int):
         pts += space.geodesic_points(a, b, ts)
         flat += [epoint(*tri.side(i, j, t * dij)) for t in ts]
 
-    dmat = space.pairwise_distances(pts)
-    fmat = EuclideanSpace(2).pairwise_distances(flat)
-    side = np.repeat(np.arange(3), grid)
-    return float((dmat - fmat)[side[:, None] < side[None, :]].max())
+    plane = EuclideanSpace(2)
+    arrays, flats = space._arrays(pts), plane._arrays(flat)
+    # each side's rows against the sides after it: every cross-side pair once.
+    # np.max, not max: a NaN of any pair is the result
+    return float(np.max([(space._table(arrays[s:s + grid], arrays[s + grid:])
+                          - plane._table(flats[s:s + grid], flats[s + grid:])).max()
+                         for s in (0, grid)]))

@@ -181,6 +181,10 @@ class Space:
         """
         self.check_point(x, "x")
         self.check_point(y, "y")
+        return self._geodesic_points(x, y, ts)
+
+    def _geodesic_points(self, x, y, ts) -> list:
+        """`geodesic_points` on the member points x and y, which it does not check."""
         for t in ts:
             if not 0 < t < 1:
                 break
@@ -292,31 +296,44 @@ def _squared_gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sum takes a short last axis: term by term below 8 terms, in 8 lanes up to
     128, in halves above.  The table thus has the bits of
     ``((a[:, None] - b[None]) ** 2).sum(-1)`` without its rows x cols x dim
-    difference tensor.
+    difference tensor.  A column's square that is added to a running sum
+    is written into one scratch table.
     """
-    def square(c):
-        diff = a[:, c, None] - b[None, :, c]
-        return diff * diff
+    return _column_sum(a, b, 0, a.shape[1], np.empty((len(a), len(b))))
 
-    def total(lo, n):
-        if n < 8:
-            out = square(lo)
-            for c in range(lo + 1, lo + n):
-                out += square(c)
-            return out
-        if n <= 128:
-            lanes = [square(c) for c in range(lo, lo + 8)]
-            for c in range(lo + 8, lo + n - n % 8):
-                lanes[(c - lo) % 8] += square(c)
-            pairs = [lanes[c] + lanes[c + 1] for c in (0, 2, 4, 6)]
-            out = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
-            for c in range(lo + n - n % 8, lo + n):
-                out += square(c)
-            return out
-        half = n // 2 - n // 2 % 8
-        return total(lo, half) + total(lo + half, n - half)
 
-    return total(0, a.shape[1])
+def _square(a, b, c, out):
+    """The squared gaps of coordinate column c, written into out."""
+    np.subtract(a[:, c, None], b[None, :, c], out=out)
+    return np.multiply(out, out, out=out)
+
+
+def _column_sum(a, b, lo, n, scratch):
+    """A new table of the squares of columns lo .. lo + n - 1, summed as `_squared_gaps` says."""
+    shape = scratch.shape
+    if n < 8:
+        out = _square(a, b, lo, np.empty(shape))
+        for c in range(lo + 1, lo + n):
+            out += _square(a, b, c, scratch)
+        return out
+    if n <= 128:
+        lanes = [_square(a, b, c, np.empty(shape)) for c in range(lo, lo + 8)]
+        for c in range(lo + 8, lo + n - n % 8):
+            lanes[(c - lo) % 8] += _square(a, b, c, scratch)
+        # ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)), summed in place
+        for c in (0, 2, 4, 6):
+            lanes[c] += lanes[c + 1]
+        lanes[0] += lanes[2]
+        lanes[4] += lanes[6]
+        out = lanes[0]
+        out += lanes[4]
+        for c in range(lo + n - n % 8, lo + n):
+            out += _square(a, b, c, scratch)
+        return out
+    half = n // 2 - n // 2 % 8
+    out = _column_sum(a, b, lo, half, scratch)
+    out += _column_sum(a, b, lo + half, n - half, scratch)
+    return out
 
 
 class EuclideanSpace(Space):
@@ -373,7 +390,8 @@ class EuclideanSpace(Space):
         return np.asarray([p.coords for p in points], dtype=float)
 
     def _table(self, rows, cols):
-        return np.sqrt(_squared_gaps(rows, cols))
+        table = _squared_gaps(rows, cols)
+        return np.sqrt(table, out=table)
 
     def random_point(self, rng, scale=1.0):
         return Point(self.kind, tuple(float(c) for c in rng.normal(0.0, scale, self.dim)))
@@ -596,8 +614,15 @@ class HyperbolicPlane(Space):
 
     @staticmethod
     def _from_gaps(gaps, den):
-        """Distances from squared chart gaps and products of the points' 1 - |z|^2."""
-        return 2.0 * np.arcsinh(np.sqrt(gaps / den))
+        """Distances from squared chart gaps and products of the points' 1 - |z|^2.
+
+        The distances overwrite the float array gaps.
+        """
+        np.divide(gaps, den, out=gaps)
+        np.sqrt(gaps, out=gaps)
+        np.arcsinh(gaps, out=gaps)
+        gaps *= 2.0
+        return gaps
 
     def _table(self, rows, cols):
         den = rows[:, 2, None] * cols[None, :, 2]

@@ -1,8 +1,11 @@
 """The row-block pair engine of the grid checks and the distance tiles it reads.
 
-`dense_check_grid` is the earlier one-shot `_check_grid`, which built every
-pair array at full size from the square distance table; it stays here as
-the oracle that the blocked engine must reproduce field by field.
+Two earlier engines stay here as oracles that the engine must reproduce:
+`dense_check_grid`, the one-shot `_check_grid` that built every pair array
+at full size from the square distance table (compared field by field), and
+`compacting_check_pairs`, the row-block engine that gathered each block's
+checked pairs into fresh arrays before taking its statistics (compared by
+repr, so types and the sign of zero count too).
 """
 
 import bisect
@@ -72,11 +75,75 @@ def dense_check_grid(curve, lam, lower_eps, upper_eps, grid, k, tol):
     )
 
 
+def compacting_check_pairs(space, params, points, lam, lower_eps, upper_eps, k, tol):
+    tol = space.rel_tol if tol is None else tol
+    arrays = space._arrays(points)
+    tarr = np.asarray([float(t) for t in params])
+    n = len(params)
+    reach = None if k is None else float(k) * (1.0 + 1e-12)
+    n_pairs = 0
+    worst = {}  # statistic -> (value, pair, ratio or slack, distance)
+    first = {}  # bound -> (s, t, distance)
+    for lo in range(0, n - 1, B):
+        hi = min(lo + B, n - 1)
+        end = n
+        if k is not None:
+            last = tarr[hi - 1]
+            end = int(np.searchsorted(tarr, last + reach + 1e-9 * (abs(last) + reach), "right"))
+        gaps = tarr[lo + 1:end] - tarr[lo:hi, None]
+        keep = np.arange(lo + 1, end) > np.arange(lo, hi)[:, None]
+        if k is not None:
+            keep &= gaps <= reach
+        flat = np.flatnonzero(keep)
+        n_pairs += len(flat)
+        gaps = gaps.ravel()[flat]
+        dist = space._table(arrays[lo:hi], arrays[lo + 1:end]).ravel()[flat]
+        scale = np.maximum(1.0, gaps)
+
+        def pair(m):
+            r, c = divmod(int(flat[m]), end - lo - 1)
+            return params[lo + r], params[lo + 1 + c]
+
+        lower_slack = dist - (gaps / lam - lower_eps)
+        upper_slack = (lam * gaps + upper_eps) - dist
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(gaps > 0, dist / np.where(gaps > 0, gaps, 1.0), np.inf)
+        for name, value, raw in (("ratio", ratios, ratios),
+                                 ("lower", lower_slack / scale, lower_slack),
+                                 ("upper", upper_slack / scale, upper_slack)):
+            m = _first_min(value)
+            if m is not None and value[m] < worst.get(name, (math.inf,))[0]:
+                worst[name] = (value[m], pair(m), float(raw[m]), float(dist[m]))
+        for name, slack in (("lower", lower_slack), ("upper", upper_slack)):
+            if name not in first:
+                hits = np.flatnonzero(slack < -tol * scale)
+                if len(hits):
+                    first[name] = (*pair(hits[0]), float(dist[hits[0]]))
+
+    ratio, lower, upper = (worst.get(name) for name in ("ratio", "lower", "upper"))
+    return lm.QGReport(
+        lam=float(lam), eps=float(lower_eps), k=None if k is None else float(k),
+        n_pairs=n_pairs, passed=not any(w is not None and w[0] < -tol for w in (lower, upper)),
+        min_ratio=math.inf if ratio is None else ratio[2],
+        min_ratio_pair=None if ratio is None else ratio[1],
+        worst_lower_slack=math.inf if lower is None else lower[2],
+        worst_lower_pair=None if lower is None else lower[1],
+        worst_lower_dist=None if lower is None else lower[3],
+        worst_upper_excess=-math.inf if upper is None else -upper[2],
+        worst_upper_pair=None if upper is None else upper[1],
+        first_lower_violation=first.get("lower"),
+        first_upper_violation=first.get("upper"),
+    )
+
+
 def assert_engine_matches(curve, lam, grid, k=None, eps=0.0, upper_eps=None, tol=None):
     upper_eps = eps if upper_eps is None else upper_eps
     got = curves._check_grid(curve, lam, eps, upper_eps, grid, k, tol)
     want = dense_check_grid(curve, lam, eps, upper_eps, grid, k, tol)
     assert astuple(got) == astuple(want), (lam, grid, k, eps, upper_eps)
+    merged = _merged_params(curve, grid)
+    want = compacting_check_pairs(curve.space, *merged, lam, eps, upper_eps, k, tol)
+    assert repr(got) == repr(want), (lam, grid, k, eps, upper_eps, tol)
     return got
 
 
@@ -176,6 +243,55 @@ def test_first_violations_in_a_later_block():
         assert_engine_matches(speedup, 3.0, grid, k=k)
 
 
+@pytest.mark.parametrize("name", sorted(segments()))
+def test_zero_tolerance_counts_every_rounding_as_a_violation(name):
+    curve = segments()[name]
+    n = 2 * B + 11
+    step = float(curve.t_max - curve.t_min) / (n - 1)
+    for lam in (1.0, 1.3):
+        for k in (None, 5 * step, (B + 7) * step):
+            assert_engine_matches(curve, lam, n, k=k, tol=0.0)
+            assert_engine_matches(curve, lam, n, k=k, eps=0.2, upper_eps=0.0, tol=0.0)
+
+
+def test_fraction_params_that_round_to_one_float_have_a_zero_gap():
+    tree = lm.ray_tree()
+    ray = lm.tree_ray_curve(tree)
+    tiny = Fraction(1, 10**30)
+    # one tied pair in the first block, one in the third; the second pair
+    # repeats its point, so its distance is zero too
+    params = (Fraction(0), Fraction(1, 3), Fraction(1, 3) + tiny, Fraction(5), Fraction(5) + tiny,
+              Fraction(7))
+    points = [ray.at(t) for t in params]
+    points[4] = points[3]
+    curve = lm.Curve(tree, params, tuple(points))
+    merged = _merged_params(curve, 3 * B)[0]
+    tarr = [float(t) for t in merged]
+    ties = [r for r in range(len(tarr) - 1) if tarr[r] == tarr[r + 1]]
+    assert len(ties) == 2 and ties[0] < B and ties[1] >= 2 * B
+    for lam in (1.0, 2.0):
+        for k in (None, 0.5, 3.0):
+            rep = assert_engine_matches(curve, lam, 3 * B, k=k)
+            assert rep.min_ratio < math.inf
+
+
+def test_slack_exactly_at_the_tolerance_is_no_violation():
+    # dyadic params and points, unit speed and then speed 3/4: a pair inside
+    # the slow leg has lower slack -gap/4 exactly, which equals -tol * scale
+    # for every gap >= 1 when tol = 1/4.  The slow leg starts at row 2B of
+    # the grid, in the third block
+    line = lm.EuclideanSpace(1)
+    curve = lm.Curve(line, (0.0, 4.0, 6.0), (lm.epoint(0.0), lm.epoint(4.0), lm.epoint(5.5)))
+    grid = 3 * B + 1
+    assert _merged_params(curve, grid)[0][2 * B] == 4.0
+    for k in (None, 1.5):
+        rep = assert_engine_matches(curve, 1.0, grid, k=k, tol=0.25)
+        assert rep.passed and rep.first_lower_violation is None
+        assert (rep.worst_lower_slack, rep.worst_lower_pair) == (-0.25, (4.0, 5.0))
+        rep = assert_engine_matches(curve, 1.0, grid, k=k, tol=math.nextafter(0.25, 0.0))
+        assert not rep.passed and rep.first_lower_violation == (4.0, 5.0, 0.75)
+
+
 def test_band_keeps_pairs_that_round_into_it():
     # from -0.9 the next sample sits a few ulps past fl(-0.9 + k(1 + 1e-12)),
     # yet its gap rounds to k(1 + 1e-12) and the pair belongs to the band
@@ -198,6 +314,49 @@ def test_public_checks_go_through_the_engine():
     assert (rep.n_checked, rep.passed, rep.worst_lower_slack, rep.worst_lower_witness,
             rep.worst_upper_witness) == (want.n_pairs, want.passed, want.worst_lower_slack,
                                          want.worst_lower_pair, want.worst_upper_pair)
+
+
+# -- directional sequences in the same row blocks
+
+
+def dense_directional_sequence(space, points, b):
+    # the square table and every upper-triangle pair at once
+    dmat = space.pairwise_distances(points)
+    prefix = np.concatenate([[0.0], np.cumsum(np.diagonal(dmat, 1))])
+    i, j = np.triu_indices(len(points), 1)
+    slack = dmat[i, j] - (prefix[j] - prefix[i] - b)
+    w = _first_min(slack)
+    worst, witness = (math.inf, None) if w is None else (slack[w], (int(i[w]), int(j[w])))
+    return lm.DirectionalityReport(
+        b=float(b), n_checked=len(slack), passed=bool(worst >= -space.rel_tol),
+        worst_lower_slack=float(worst), worst_lower_witness=witness,
+        growth=(float(dmat[0, 1]), float(dmat[0, -1])))
+
+
+@pytest.mark.parametrize("name", sorted(segments()))
+def test_directional_sequences_match_the_square_table(name):
+    curve = segments()[name]
+    space = curve.space
+    rng = np.random.default_rng(12)
+    for n in (2, B, B + 1, 2 * B + 1, 3 * B + 5):
+        # points along the segment, ahead and back: windows of every slack
+        ts = np.sort(rng.uniform(0.0, 1.0, n))
+        ts[rng.integers(n, size=n // 5)] *= 0.5
+        pts = [curve.at(float(t) * float(curve.t_max)) for t in ts]
+        for b in (0.0, 0.5, Fraction(3, 2)):
+            want = dense_directional_sequence(space, pts, b)
+            assert repr(lm.check_directional_sequence(space, pts, b)) == repr(want), (n, b)
+
+
+def test_a_sequence_with_inf_steps_keeps_the_first_nan_slack():
+    # finite points whose gaps overflow: the prefix sums meet inf - inf
+    line = lm.EuclideanSpace(1)
+    pts = [lm.epoint(x) for x in [0.0] * B + [1e308, -1e308, 1e308] + [0.0] * B]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = dense_directional_sequence(line, pts, 1.0)
+        got = lm.check_directional_sequence(line, pts, 1.0)
+    assert math.isnan(want.worst_lower_slack) and not want.passed
+    assert repr(got) == repr(want)
 
 
 # -- distance tiles
@@ -459,10 +618,24 @@ def traced_peak_mib(run):
 
 
 def test_grid_checks_hold_no_square_pair_arrays():
-    # the dense pair arrays took 399.5 MiB (box, grid 2000) and 187.0 MiB (tube)
+    # the dense pair arrays took 399.5 MiB (box, grid 2000) and 187.0 MiB
+    # (tube); blocks compacted into fresh arrays took 11.5, 2.4 and, at grid
+    # 5000, 29.2 MiB, where whole blocks in per-check buffers take 7.8, 2.1
+    # and 19.0 MiB
     box = lm.l2_example_curve()
     tube = lm.hyperbolic_tube_curve(length=20.0, step=1.0, amplitude=0.2, seed=1)
     lam = math.sqrt(11.0 / 3.0)
-    assert traced_peak_mib(lambda: lm.check_quasi_geodesic(box, lam, 0.0, 2000)) < 60.0
-    assert traced_peak_mib(lambda: lm.check_quasi_geodesic(tube, ROOT2, 0.0, 2000, k=3)) < 20.0
-    assert traced_peak_mib(lambda: lm.check_quasi_geodesic(box, lam, 0.0, 5000)) < 100.0
+    assert traced_peak_mib(lambda: lm.check_quasi_geodesic(box, lam, 0.0, 2000)) < 10.0
+    assert traced_peak_mib(lambda: lm.check_quasi_geodesic(tube, ROOT2, 0.0, 2000, k=3)) < 4.0
+    assert traced_peak_mib(lambda: lm.check_quasi_geodesic(box, lam, 0.0, 5000)) <= 24.0
+
+
+def test_sequences_and_defects_hold_no_square_tables():
+    # with the square tables: 427.3 MiB for the sequence, 99.6 MiB for the
+    # 3g x 3g defect tables; now 9.8 and 17.3 MiB
+    plane = lm.EuclideanSpace(2)
+    rng = np.random.default_rng(0)
+    pts = [lm.epoint(float(i), float(rng.uniform(-0.3, 0.3))) for i in range(4000)]
+    assert traced_peak_mib(lambda: lm.check_directional_sequence(plane, pts, 1.0)) < 30.0
+    x, y, z = lm.epoint(0, 0), lm.epoint(5, 0), lm.epoint(1, 4)
+    assert traced_peak_mib(lambda: lm.cat_defect(plane, x, y, z, 600)) < 30.0
