@@ -189,12 +189,14 @@ def test_bands_cross_block_edges_on_curved_paths():
                     lm.edge_point(lm.RAY_EDGE, Fraction(3))))
     for curve, ks, lams in ((tube, (0.5, 3.0, 9.0), (1.0, ROOT2)),
                             (box, (1.0, 40.0, 700.0), (1.0, math.sqrt(11.0 / 3.0))),
-                            (zig, (0.7, 2.0, 6.0), (1.0, 3.0))):
+                            (zig, (0.7, 2.0, 6.0, Fraction(5, 2)), (1.0, 3.0, Fraction(3, 2)))):
         for grid in (3 * B - 7, 4 * B + 3):
             for lam in lams:
                 for k in ks:
                     assert_engine_matches(curve, lam, grid, k=k)
                 assert_engine_matches(curve, lam, grid)
+    # exact constants meet the float gaps as their float values
+    assert_engine_matches(zig, Fraction(3, 2), 3 * B, eps=Fraction(1, 10), upper_eps=0)
 
 
 def integer_line(space, n):
