@@ -72,14 +72,17 @@ def _angles(space: Space, transcript: Transcript) -> BetaSequence:
     for n in range(1, len(records)):
         prev, cur = records[n - 1], records[n]
         lion = cur.lion
-        if space._dist(lion, prev.lion) == 0 or space._dist(lion, cur.man) == 0:
+        back = space._dist(lion, prev.lion)
+        if back == 0 or (ahead := space._dist(lion, cur.man)) == 0:
             gaps.append(n)
             continue
-        # both sides of each angle are nonzero, as the closed forms require
-        beta = space.angle(lion, prev.lion, cur.man)
+        # both sides of each angle are nonzero, as the closed forms require;
+        # each angle reuses the sides measured here
+        beta = space._angle(lion, prev.lion, cur.man, back, ahead)
         alpha = None
-        if space._dist(lion, prev.man) > 0:
-            alpha = space.angle(lion, prev.man, cur.man)
+        man_back = space._dist(lion, prev.man)
+        if man_back > 0:
+            alpha = space._angle(lion, prev.man, cur.man, man_back, ahead)
         steps.append(n)
         betas.append(beta)
         alphas.append(alpha)

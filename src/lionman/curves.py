@@ -207,38 +207,66 @@ class RayApprox:
 # grid machinery
 
 
-def _merged_params(curve: Curve, grid: int):
-    """The curve's samples merged with ``grid`` evenly spaced values, and their points.
+def _grid_values(curve: Curve, grid: int):
+    """The ``grid`` evenly spaced values kept among the curve's samples.
 
-    The curve's own params supply both ends: float() of a Fraction end can
-    round outside the sampled range.  A grid value within rounding of a
-    sample is left out, since it would pair with it at a gap near zero.  The
-    search that finds each value's neighbouring samples in float also
-    places it among the exact samples, and the values inside one sample
-    interval get their points from one `geodesic_points` call.
+    Returns three arrays: the kept values, their slots (the number of
+    samples at or below each) and their parameters u in their sample
+    intervals, as `Curve._between` computes them.  The curve's own params
+    supply both ends: float() of a Fraction end can round outside the
+    sampled range.  A grid value within rounding of a sample is left out,
+    since it would pair with it at a gap near zero.
     """
     if grid < 2:
         raise InvalidInputError("grid must be >= 2")
-    params, points = curve.params, curve.points
+    params = curve.params
     lo, hi = float(curve.t_min), float(curve.t_max)
     ts = np.asarray([float(t) for t in params])
     inner = np.linspace(lo, hi, grid)[1:-1]
     n = np.searchsorted(ts, inner).clip(1, len(ts) - 1)
     far = np.minimum(inner - ts[n - 1], ts[n] - inner) > 1e-9 * (hi - lo) / (grid - 1)
-    kept = inner[far].tolist()
     # a kept value t lies strictly between float(params[n - 1]) and
     # float(params[n]), and rounding to float keeps order, so exactly n
     # samples are at or below it
-    slots = n[far].tolist()
-    merged, at = [], []
-    i = 0
-    for t, slot, p in zip(kept, slots, curve._at_sorted(kept, slots)):
-        merged += params[i:slot]
-        at += points[i:slot]
-        merged.append(t)
-        at.append(p)
+    kept, slots = inner[far], n[far]
+    # (t - float(lo)) / float(hi - lo), with the span taken exactly
+    spans = np.array([float(b - a) for a, b in zip(params, params[1:])])
+    return kept, slots, (kept - ts[slots - 1]) / spans[slots - 1]
+
+
+def _merge(samples, values, slots) -> list:
+    """The samples with values[m] inserted after the first slots[m] of them."""
+    merged, i = [], 0
+    for v, slot in zip(values, slots):
+        merged += samples[i:slot]
+        merged.append(v)
         i = slot
-    return merged + list(params[i:]), at + list(points[i:])
+    return merged + list(samples[i:])
+
+
+def _merged_params(curve: Curve, grid: int):
+    """The curve's samples merged with the kept grid values, and the `_arrays` rows of their points.
+
+    The samples' rows come from one `_arrays` call and the values' rows from
+    one `_rows_along` call over every sample interval, with no `Point` per
+    value; both are the rows of the points `Curve.at` gives.  A parameter
+    that rounds to an end of its interval is placed by `Curve._at_sorted`.
+    """
+    kept, slots, us = _grid_values(curve, grid)
+    space, points = curve.space, curve.points
+    rows = space._arrays(points)
+    if len(kept):
+        if ((0.0 < us) & (us < 1.0)).all():
+            placed = space._rows_along(points, rows, slots, us)
+        else:
+            placed = space._arrays(curve._at_sorted(kept.tolist(), slots.tolist()))
+        at = slots + np.arange(len(slots))  # each value's row in the merge
+        merged = np.empty((len(rows) + len(at), rows.shape[1]))
+        sample = np.ones(len(merged), dtype=bool)
+        sample[at] = False
+        merged[at], merged[sample] = placed, rows
+        rows = merged
+    return _merge(curve.params, kept.tolist(), slots.tolist()), rows
 
 
 def _first_min(values):
@@ -256,8 +284,10 @@ def _check_grid(curve: Curve, lam, lower_eps, upper_eps, grid: int, k, tol) -> Q
                         lam, lower_eps, upper_eps, k, tol)
 
 
-def _check_pairs(space: Space, params, points, lam, lower_eps, upper_eps, k, tol) -> QGReport:
-    """The bounds of `_check_grid` on the pairs of the merged (params, points).
+def _check_pairs(space: Space, params, arrays, lam, lower_eps, upper_eps, k, tol) -> QGReport:
+    """The bounds of `_check_grid` on the pairs of the merged params.
+
+    arrays holds the `_arrays` rows of their points, one per param.
 
     The pairs i < j are visited in lexicographic order, ``_BLOCK`` rows at a
     time; each block of distances is one rectangular `_table` call, and a
@@ -271,7 +301,6 @@ def _check_pairs(space: Space, params, points, lam, lower_eps, upper_eps, k, tol
     """
     tol = space.rel_tol if tol is None else tol
     lam, lower_eps, upper_eps = float(lam), float(lower_eps), float(upper_eps)
-    arrays = space._arrays(points)
     tarr = np.asarray([float(t) for t in params])
     n = len(params)
     los = np.arange(0, n - 1, _BLOCK)
@@ -481,8 +510,13 @@ def verify_promotion(space: Space, curve: Curve, lam: float, M: float,
     chord = [curve.points[0], curve.points[-1]]
     for end in chord:
         space.check_point(end, "chord end")
-    params, points = _merged_params(curve, grid)
-    report = _check_pairs(curve.space, params, points, lam_star, eps, eps, None, None)
+    # the chord distances need the points themselves
+    kept, slots, _ = _grid_values(curve, grid)
+    kept, slots = kept.tolist(), slots.tolist()
+    params = _merge(curve.params, kept, slots)
+    points = _merge(curve.points, curve._at_sorted(kept, slots), slots)
+    report = _check_pairs(curve.space, params, curve.space._arrays(points),
+                          lam_star, eps, eps, None, None)
     worst = max([0.0] + [float(d) for d in space._to_chain(points, chord)])
     report.max_chord_dist = worst
     report.chord_bound = 2.0 * M

@@ -102,9 +102,10 @@ def alexandrov_angle(space: Space, apex: Point, y: Point, z: Point) -> float:
     angles in the disk, and 0 or pi in a tree depending on whether the two
     segments share an initial subsegment.
     """
-    if space.distance(apex, y) == 0 or space.distance(apex, z) == 0:
+    ay = space.distance(apex, y)
+    if ay == 0 or (az := space.distance(apex, z)) == 0:
         raise DegenerateInputError("angle undefined when the apex equals an endpoint")
-    return space.angle(apex, y, z)
+    return space._angle(apex, y, z, ay, az)
 
 
 def alexandrov_angle_by_halving(space: Space, apex: Point, y: Point, z: Point,

@@ -23,6 +23,7 @@ above meets stay private to the class.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -239,6 +240,21 @@ class Space:
         """Float array with one row per point, built once for `_table`."""
         raise NotImplementedError
 
+    def _rows_along(self, points, sample_rows, slots, us) -> np.ndarray:
+        """The `_arrays` rows of the points at us[m] on [points[q - 1], points[q]], q = slots[m].
+
+        sample_rows is `_arrays(points)`; slots (an int array) ascend, as do
+        the floats us within one slot, each strictly inside (0, 1).  Each
+        row has the bits `_arrays` gives the point `_along` places.  This
+        default places the points, one `_along` call per sample interval; a
+        family computes the same rows in arrays, with no `Point` per value.
+        """
+        placed = []
+        for q, run in itertools.groupby(zip(slots.tolist(), us.tolist()),
+                                        key=operator.itemgetter(0)):
+            placed += self._along(points[q - 1], points[q], [u for _, u in run])
+        return self._arrays(placed)
+
     def _table(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Distances from the points of `rows` to those of `cols`.
 
@@ -254,6 +270,12 @@ class Space:
 
     def angle(self, apex: Point, y: Point, z: Point) -> float:
         """Alexandrov angle at the apex, in closed form; sides nondegenerate."""
+        for p, name in ((apex, "apex"), (y, "y"), (z, "z")):
+            self.check_point(p, name)
+        return self._angle(apex, y, z, self._dist(apex, y), self._dist(apex, z))
+
+    def _angle(self, apex, y, z, ay, az) -> float:
+        """`angle` of member points, given ay = d(apex, y) and az = d(apex, z)."""
         raise NotImplementedError
 
     def displace(self, a: Point, b: Point, t, amp) -> Point:
@@ -287,6 +309,34 @@ def _flat_angle(a, b, c) -> float:
     """Angle between the sides a and b of the flat triangle whose third side is c."""
     cosv = (a * a + b * b - c * c) / (2.0 * a * b)
     return math.acos(min(1.0, max(-1.0, cosv)))
+
+
+# CPython before 3.14 meets a float operand of complex arithmetic as
+# complex(x, 0.0), whose zero imaginary part enters the sums; from 3.14 on
+# the operand stays real.  The signs of zeros tell which: the real part of
+# -0.0 * complex(0.0, -1.0) is -0.0*0.0 - 0.0*(-1.0) = 0.0 in the first
+# case and -0.0*0.0 = -0.0 in the second
+_REAL_AS_COMPLEX = math.copysign(1.0, (-0.0 * complex(0.0, -1.0)).real) > 0
+
+
+def _c_prod(ar, ai, br, bi):
+    """CPython's complex product a * b on real arrays, a and b given by parts."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _c_quot(ar, ai, br, bi):
+    """CPython's complex quotient a / b (`_Py_c_quot`) on real arrays, for b != 0.
+
+    Each element takes the branch that divides through by the larger part of b.
+    """
+    first = np.abs(br) >= np.abs(bi)
+    # the branch an element does not take may overflow or divide by zero
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = np.where(first, bi / br, br / bi)
+        den = np.where(first, br + bi * ratio, br * ratio + bi)
+        re = np.where(first, ar + ai * ratio, ar * ratio + ai) / den
+        im = np.where(first, ai - ar * ratio, ai * ratio - ar) / den
+    return re, im
 
 
 def _squared_gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -364,6 +414,11 @@ class EuclideanSpace(Space):
             out.append(Point(self.kind, tuple([a + t * (b - a) for a, b in zip(xs, ys)])))
         return out
 
+    def _rows_along(self, points, sample_rows, slots, us):
+        # _along's a + t*(b - a), coordinate by coordinate on the sample rows
+        a = sample_rows[slots - 1]
+        return a + us[:, None] * (sample_rows[slots] - a)
+
     @staticmethod
     def _feet(rows, a, b):
         """Table t[n, k] of the feet a[k] + t (b[k] - a[k]) of the rows, t clamped to [0, 1]."""
@@ -396,7 +451,7 @@ class EuclideanSpace(Space):
     def random_point(self, rng, scale=1.0):
         return Point(self.kind, tuple(float(c) for c in rng.normal(0.0, scale, self.dim)))
 
-    def angle(self, apex, y, z):
+    def _angle(self, apex, y, z, ay, az):
         u = np.asarray(y.coords) - np.asarray(apex.coords)
         v = np.asarray(z.coords) - np.asarray(apex.coords)
         cosv = float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
@@ -558,6 +613,39 @@ class HyperbolicPlane(Space):
             out.append(self._pt(self._from_origin(a, z)))
         return out
 
+    def _rows_along(self, points, sample_rows, slots, us):
+        # _along on every sample interval at once: a, the direction and
+        # d(x, y) read once per interval, tanh taken by math.tanh (numpy's
+        # may differ in the last bit), and the Moebius step in real arrays
+        # with CPython's complex operations, term for term
+        lo = slots - 1
+        a_re, a_im, w_re, w_im, d = np.zeros((5, len(points)))
+        same = np.zeros(len(points), dtype=bool)
+        for q in sorted(set(lo.tolist())):  # (np.unique would import numpy.ma)
+            x, y = points[q], points[q + 1]
+            a = self._c(x)
+            w = self._to_origin(a, self._c(y))
+            r = abs(w)
+            if r == 0.0:  # coincident points: x itself
+                same[q] = True
+                continue
+            w = w / r
+            a_re[q], a_im[q], w_re[q], w_im[q] = a.real, a.imag, w.real, w.imag
+            d[q] = self._dist(x, y)
+        th = np.fromiter(map(math.tanh, (0.5 * (us * d[lo])).tolist()), float, len(us))
+        ar, ai, dr, di = a_re[lo], a_im[lo], w_re[lo], w_im[lo]
+        if _REAL_AS_COMPLEX:  # z = th * direction
+            zr, zi = _c_prod(th, 0.0, dr, di)
+        else:
+            zr, zi = th * dr, th * di
+        pr, pi = _c_prod(ar, -ai, zr, zi)  # p = a.conjugate() * z
+        x, y = _c_quot(zr + ar, zi + ai, 1.0 + pr,
+                       0.0 + pi if _REAL_AS_COMPLEX else pi)  # (z + a) / (1.0 + p)
+        rows = self._with_den(np.column_stack([x, y]))
+        same = same[lo]
+        rows[same] = sample_rows[lo[same]]
+        return rows
+
     def tangent_direction(self, x: Point, y: Point) -> complex:
         """Unit tangent at x of the geodesic toward y, in the chart at x."""
         w = self._to_origin(self._c(x), self._c(y))
@@ -608,8 +696,11 @@ class HyperbolicPlane(Space):
         return self._from_gaps(gaps, rows[:, 2, None] * (1.0 - (x * x + y * y))).min(1).tolist()
 
     def _arrays(self, points):
-        # the chart coordinates and 1 - |z|^2
-        arr = np.asarray([p.coords for p in points], dtype=float)
+        return self._with_den(np.asarray([p.coords for p in points], dtype=float))
+
+    @staticmethod
+    def _with_den(arr):
+        """The rows of `_arrays` from the chart coordinates: x, y and 1 - |z|^2."""
         return np.column_stack([arr, 1.0 - (arr * arr).sum(axis=1)])
 
     @staticmethod
@@ -635,7 +726,7 @@ class HyperbolicPlane(Space):
         r = math.tanh(0.5 * s)
         return Point(self.kind, (r * math.cos(theta), r * math.sin(theta)))
 
-    def angle(self, apex, y, z):
+    def _angle(self, apex, y, z, ay, az):
         wy = self.tangent_direction(apex, y)
         wz = self.tangent_direction(apex, z)
         return math.acos(min(1.0, max(-1.0, wy.real * wz.real + wy.imag * wz.imag)))
@@ -753,6 +844,9 @@ class RTreeSpace(Space):
         # of each vertex's parent edge and whether it is that length exactly
         self._flen = [float(length) for length in self._len]
         self._exact = [f == length for f, length in zip(self._flen, self._len)]
+        # numpy copies of the parent links and of the vertex range, for _table
+        self._parents = np.array(self._parent)
+        self._vertex_range = np.arange(n)
 
     def __repr__(self):
         ray = f", ray_at={self.ray_at!r}" if self.ray_at is not None else ""
@@ -949,6 +1043,66 @@ class RTreeSpace(Space):
                 out.append(Point(self.kind, vertex=self.vertices[form_y[0]]))
         return out
 
+    def _rows_along(self, points, sample_rows, slots, us):
+        # _walk's float path for every value at once.  Each sample interval's
+        # legs are padded into a table of float shadows, one row per leg (see
+        # _shadowed); a pad leg has length 0.0, as has the leg at the root of
+        # a tree without a ray, and every s > 0 passes it.  The values that
+        # tie with a leg's float length, pass every leg, start at s = 0, land
+        # outside the open edge or lie on a segment of length 0 go through
+        # `_along` itself
+        lo = slots - 1
+        qs = sorted(set(lo.tolist()))  # (np.unique would import numpy.ma)
+        forms = [self._form(p) for p in points]
+        totals, tables = [], []
+        for q in qs:
+            fx, fy = forms[q], forms[q + 1]
+            total = self._gap(points[q], fx, points[q + 1], fy)
+            totals.append(_shadow(total) if total else 0.0)
+            tables.append([self._shadowed(leg) for leg in self._legs(fx, fy)] if total else [])
+        tab = np.zeros((len(qs), max([1, *map(len, tables)]), 6))
+        for m, legs in enumerate(tables):
+            if legs:
+                tab[m, :len(legs)] = legs
+        g = np.searchsorted(qs, lo)
+        s = us * np.array(totals)[g]
+        fs = tab[g, :, 0]
+        leg = np.zeros(len(us), dtype=int)
+        live = np.ones(len(us), dtype=bool)
+        rare = s == 0.0
+        for k in range(tab.shape[1]):
+            f = fs[:, k]
+            rare |= live & (s == f)
+            on = live & (s > f)
+            leg[live & ~on] = k
+            s = np.where(on, s - f, s)
+            live = on
+        rare |= live
+        _, i, base, add, flen, first = tab[g, leg].T
+        off = np.where(add > 0, base + s, base - s)
+        rare |= ~((0.0 < off) & (off < flen))
+        # _form of the point at offset off: (i, off, flen - off) counted from
+        # i, else (i, flen - off, off)
+        other = flen - off
+        first = first > 0
+        rows = np.column_stack([i, np.where(first, off, other), np.where(first, other, off), off])
+        if rare.any():
+            rows[rare] = super()._rows_along(points, sample_rows, slots[rare], us[rare])
+        return rows
+
+    def _shadowed(self, leg):
+        """The row of `_rows_along`'s leg table for one leg of `_legs`.
+
+        float(length), the vertex i, the offset base (float h where the
+        parent edge of i counts from i, else float rest), whether s adds to
+        the base (that orientation on an up leg, the other on a down one),
+        float(length) of the parent edge of i, and that orientation.
+        """
+        length, i, h, rest, up = leg
+        e = self._edge[i]
+        first = e == RAY_EDGE or (e is not None and self.edges[e][0] == self.vertices[i])
+        return float(length), i, _shadow(h if first else rest), first == up, self._flen[i], first
+
     def _project(self, p, seg):
         # nearest point of [a, b] is the tree median m(a, b, p); its distance
         # from a along the segment equals the Gromov product (p|b)_a
@@ -992,12 +1146,12 @@ class RTreeSpace(Space):
         # _dist's cx + span[ex, ey] + cy, term for term.  y's exit (ey, cy)
         # toward x depends on x only through its vertex, so it is read once
         # for all the rows at one vertex
-        parent = np.array(self._parent)
+        parent = self._parents
         i, h, rest = rows[:, 0].astype(int), rows[:, 1, None], rows[:, 2, None]
         j, hy, rest_y = cols[:, 0].astype(int), cols[:, 1], cols[:, 2]
         up = self._below[i] & (h > 0)
         ex = np.where(up, parent[i, None], i[:, None])
-        exits = np.where(up, rest, h) + self._span[ex, np.arange(len(parent))]
+        exits = np.where(up, rest, h) + self._span[ex, self._vertex_range]
         inner = hy > 0
         out = np.empty((len(rows), len(cols)))
         for v in set(i.tolist()):
@@ -1032,13 +1186,10 @@ class RTreeSpace(Space):
         far = max(range(n), key=lambda j: rise[0][j] + rise[j][0])
         return max(rise[far][j] + rise[j][far] for j in range(n))
 
-    def angle(self, apex, y, z):
+    def _angle(self, apex, y, z, ay, az):
         # the segments toward y and z share an initial piece exactly when the
         # Gromov product (y|z)_apex is positive; otherwise they branch apart
-        for p, name in ((apex, "apex"), (y, "y"), (z, "z")):
-            self.check_point(p, name)
-        fa, fy, fz = self._form(apex), self._form(y), self._form(z)
-        shared = self._gap(apex, fa, y, fy) + self._gap(apex, fa, z, fz) - self._gap(y, fy, z, fz)
+        shared = ay + az - self._dist(y, z)
         return 0.0 if shared / 2 > 0 else math.pi
 
     def _push(self, a, b, p, amp):
@@ -1116,7 +1267,10 @@ class Ball:
     kind = "ball"
 
     def contains(self, space: Space, p: Point) -> bool:
-        return space.contains_point(p) and space.distance(self.center, p) <= self.radius
+        if not space.contains_point(p):
+            return False
+        space.check_point(self.center, "ball center")
+        return space._dist(self.center, p) <= self.radius
 
     def to_config(self) -> dict:
         center = point_to_json(self.center)

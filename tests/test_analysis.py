@@ -314,18 +314,27 @@ def test_analyze_transcript_covers_every_report_branch():
 @pytest.mark.parametrize("name, space, tr, k", CERTIFICATE_GAMES,
                          ids=[g[0] for g in CERTIFICATE_GAMES])
 def test_analyze_transcript_measures_each_angle_once(name, space, tr, k, monkeypatch):
+    # each angle is measured once, from the two sides at the apex that the
+    # pass has measured already, and equals the public angle of its points
     calls = []
-    angle = space.angle
+    angle = space._angle
 
-    def counting(apex, y, z):
-        calls.append(apex)
-        return angle(apex, y, z)
+    def counting(apex, y, z, ay, az):
+        calls.append((ay, az) == (space.distance(apex, y), space.distance(apex, z)))
+        return angle(apex, y, z, ay, az)
 
-    monkeypatch.setattr(space, "angle", counting)
+    monkeypatch.setattr(space, "_angle", counting)
     _, angles, _, _ = lm.analyze_transcript(space, tr, k)
     measured = len(angles.beta) + sum(a is not None for a in angles.alpha)
     assert measured > 0
-    assert len(calls) == measured
+    assert len(calls) == measured and all(calls)
+    monkeypatch.undo()
+    records = tr.records
+    assert angles.beta == [space.angle(records[n].lion, records[n - 1].lion, records[n].man)
+                           for n in angles.steps]
+    assert angles.alpha == [
+        None if a is None else space.angle(records[n].lion, records[n - 1].man, records[n].man)
+        for n, a in zip(angles.steps, angles.alpha)]
 
 
 # -- harness --------------------------------------------------------------------------------

@@ -255,8 +255,8 @@ def test_verify_promotion_evaluates_each_grid_value_once(monkeypatch, hyper):
     assert len(calls) == len(set(calls)) == 118
     assert rep.passed
     chord = lm.Segment(zz.points[0], zz.points[-1])
-    want = max(float(hyper.project_to_segment(p, chord)[1])
-               for p in lm.curves._merged_params(zz, 120)[1])
+    want = max(float(hyper.project_to_segment(zz.at(t), chord)[1])
+               for t in lm.curves._merged_params(zz, 120)[0])
     assert rep.max_chord_dist == pytest.approx(want, rel=hyper.rel_tol)
 
 
@@ -666,7 +666,7 @@ def test_curve_file_generator_reconstruction(tmp_path):
 #
 # `_merged_params` places every kept grid value among the samples in one
 # exact walk; the reference is one sort of the samples and the kept values,
-# with the points evaluated one by one through `Curve.at`.
+# with the rows of the points evaluated one by one through `Curve.at`.
 
 
 def merged_reference(curve, grid):
@@ -700,7 +700,14 @@ def placement_curves():
     near = (Fraction(10**8), Fraction(math.nextafter(g[10], math.inf)), Fraction(g[20]),
             Fraction(g[30]) + Fraction(1, 10**12), Fraction(g[40]) - Fraction(1, 10**12),
             Fraction(math.nextafter(g[50], 0.0)), Fraction(10**8 + 10))
+    # two samples halfway between floats, the first rounding down and the
+    # last up: at grid 7 the last grid value lies one float step below the
+    # last sample and its u in the interval rounds to 1, which places the
+    # last sample itself, not 1.0 + 1.0 * (0.1 - 1.0)
+    ulp = Fraction(1, 2**26)
+    halfway = (2**26 + ulp / 2, 2**26 + 5 * ulp + ulp / 2)
     return {
+        "ends-halfway-between-floats": lm.Curve(line, halfway, (lm.epoint(1.0), lm.epoint(0.1))),
         "fractions-far-from-0": lm.Curve(line, far, tuple(lm.epoint(float(t - 10**8)) for t in far)),
         "lion-path-2/3": lion_path(Fraction(2, 3)),
         "lion-path-1/7": lion_path(Fraction(1, 7)),
@@ -714,9 +721,10 @@ def placement_curves():
 @pytest.mark.parametrize("name", sorted(placement_curves()))
 def test_merged_params_place_grid_values_as_the_sorted_merge(name, grid):
     curve = placement_curves()[name]
-    params, points = lm.curves._merged_params(curve, grid)
+    params, rows = lm.curves._merged_params(curve, grid)
     assert exactly(params) == exactly(merged_reference(curve, grid))
-    assert exactly(points) == exactly([curve.at(t) for t in params])
+    want = curve.space._arrays([curve.at(t) for t in params])
+    assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
 
 
 def test_grid_checks_evaluate_no_curve_point_one_by_one(monkeypatch):

@@ -22,6 +22,7 @@ import pytest
 import lionman as lm
 from lionman import curves
 from lionman.curves import _first_min, _merged_params
+from test_tree_golden import caterpillar
 
 B = curves._BLOCK
 ROOT2 = math.sqrt(2.0)
@@ -75,9 +76,8 @@ def dense_check_grid(curve, lam, lower_eps, upper_eps, grid, k, tol):
     )
 
 
-def compacting_check_pairs(space, params, points, lam, lower_eps, upper_eps, k, tol):
+def compacting_check_pairs(space, params, arrays, lam, lower_eps, upper_eps, k, tol):
     tol = space.rel_tol if tol is None else tol
-    arrays = space._arrays(points)
     tarr = np.asarray([float(t) for t in params])
     n = len(params)
     reach = None if k is None else float(k) * (1.0 + 1e-12)
@@ -561,6 +561,208 @@ def test_float_offsets_at_a_float_length_tie_as_the_exact_length_says():
     assert typed(tree._walk(tree._form(a), tree._form(c), [third])) == typed([on_third])
     assert tree._walk(tree._form(b), tree._form(c), [tenth]) == [c]
     assert tree._walk(tree._form(c), tree._form(a), [tenth]) == [b]
+
+
+# -- grid rows without points
+#
+# A grid check reads the `_arrays` rows of its merged points; each family's
+# `_rows_along` computes the rows of the grid values in arrays.  The oracle
+# is the point path: `_arrays` of the points `Curve._at_sorted` places, bit
+# for bit, and `Space._rows_along`, which places them by `_along`.
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert (got.view(np.int64) == want.view(np.int64)).all()
+
+
+def point_merge(curve, grid):
+    # the merged params and the rows of the merged points
+    kept, slots, _ = curves._grid_values(curve, grid)
+    kept, slots = kept.tolist(), slots.tolist()
+    points = curves._merge(curve.points, curve._at_sorted(kept, slots), slots)
+    return curves._merge(curve.params, kept, slots), curve.space._arrays(points)
+
+
+def assert_rows_match(curve, grid, k=None):
+    space = curve.space
+    kept, slots, us = curves._grid_values(curve, grid)
+    want = space._arrays(curve._at_sorted(kept.tolist(), slots.tolist()))
+    assert_same_bits(space._rows_along(curve.points, space._arrays(curve.points), slots, us), want)
+    params, rows = _merged_params(curve, grid)
+    want_params, want_rows = point_merge(curve, grid)
+    assert typed(params) == typed(want_params)
+    assert_same_bits(rows, want_rows)
+    for lam in (1.0, ROOT2):
+        got = curves._check_grid(curve, lam, 0.0, 0.0, grid, k, None)
+        assert repr(got) == repr(curves._check_pairs(space, want_params, want_rows,
+                                                     lam, 0.0, 0.0, k, None))
+
+
+def directional_lion_path(tree, start, D, n_steps):
+    man = lm.man_directional_strategy(lm.tree_ray_curve(tree), D)
+    cfg = lm.GameConfig(space=tree, domain=lm.WholeSpace(), D=D, n_steps=n_steps, tol=1e-9,
+                        lion_start=lm.vertex_point(start), man_start=man.start())
+    return lm.curve_from_transcript(tree, lm.run_game(cfg, man), 12 * D)[1]
+
+
+def ray_tree40(seed):
+    base = lm.random_tree(np.random.default_rng(seed), n_vertices=40)
+    return lm.RTreeSpace(base.vertices, base.edges, ray_at=base.vertices[seed % 40])
+
+
+def float_tree():
+    # float lengths, non-dyadic most of them, and a ray
+    base = lm.random_tree(np.random.default_rng(8), n_vertices=25)
+    return lm.RTreeSpace(base.vertices, [(u, v, float(length) * 1.1) for u, v, length in base.edges],
+                         ray_at="v4")
+
+
+def row_curves():
+    plane = lm.EuclideanSpace(3)
+    zigzag = lm.zigzag_quasi_geodesic(plane, lm.epoint(-2, 1, 0.5), lm.epoint(9, -4, 3), 1.4,
+                                      segments=12, rng=np.random.default_rng(4))
+    out = {"plane-zigzag": (zigzag, 1000), "box": (lm.l2_example_curve(), 1000),
+           "box-sampled": (lm.l2_example_curve(4, 5.0, samples_per_leg=2), 333)}
+    for seed in range(3):
+        out[f"tube-{seed}"] = (lm.hyperbolic_tube_curve(length=20.0, amplitude=0.25, seed=seed),
+                               1000)
+    for seed in (1, 2):
+        tree = ray_tree40(seed)
+        far = max(tree.vertices, key=lambda v: tree.distance(lm.vertex_point(v),
+                                                             lm.vertex_point(tree.ray_at)))
+        ray = lm.tree_ray_curve(tree)
+        out[f"tree40-{seed}-segment"] = (lm.geodesic_segment_curve(
+            tree, lm.vertex_point(far), ray.at(Fraction(17)), n_samples=64), 1000)
+        out[f"tree40-{seed}-lion-path"] = (directional_lion_path(tree, far, Fraction(3, 4), 60),
+                                           1000)
+    tree = float_tree()
+    pts = [lm.vertex_point("v17"), lm.edge_point(5, tree.edges[5][2] * 0.37), lm.vertex_point("v9"),
+           lm.edge_point(11, tree.edges[11][2] / 3), lm.edge_point(lm.RAY_EDGE, 2.5)]
+    # float params: the samples' float offsets meet float lengths
+    tour = lm.Curve(tree, tuple(lm.curves._chord_params(tree, pts)), tuple(pts))
+    out["float-lengths-tour"] = (tour, 700)
+    out["float-lengths-segment"] = (lm.geodesic_segment_curve(
+        tree, lm.vertex_point("v20"), lm.edge_point(lm.RAY_EDGE, 3.0), n_samples=9), 500)
+    ray_tree = lm.ray_tree()
+    out["ray-edge"] = (lm.Curve(ray_tree, (Fraction(0), Fraction(1, 3), Fraction(5), Fraction(9)),
+                                tuple(lm.edge_point(lm.RAY_EDGE, t) for t in
+                                      (Fraction(0), Fraction(1, 3), Fraction(5), Fraction(9)))),
+                       400)
+    out["ray-lion-path"] = (directional_lion_path(ray_tree, "q", Fraction(2, 3), 60), 1000)
+    # intervals of length 0: repeated points at increasing params
+    for name, space, p, q in (
+            ("plane", lm.EuclideanSpace(2), lm.epoint(1, 2), lm.epoint(-3, 0.5)),
+            ("box", lm.L2BoxSpace(3, 4.0), lm.boxpoint(0, 1, 2), lm.boxpoint(4, 0, 60)),
+            ("disk", lm.HyperbolicPlane(), lm.hpoint(0.3, -0.2), lm.hpoint(-0.5, 0.6)),
+            ("tree", ray_tree, lm.edge_point(0, Fraction(1, 3)), lm.edge_point(lm.RAY_EDGE, 2.0))):
+        out[f"zero-length-{name}"] = (lm.Curve(space, (0.0, 1.0, 2.0, 3.0), (p, p, q, q)), 50)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(row_curves()))
+def test_grid_rows_equal_the_rows_of_the_placed_points(name):
+    curve, grid = row_curves()[name]
+    assert_rows_match(curve, grid)
+    assert_rows_match(curve, grid // 3 + 2, k=float(curve.t_max - curve.t_min) / 7)
+
+
+def chain_rows(space, points, rng, per_interval):
+    # sorted us strictly inside (0, 1) on every interval of the chain, the
+    # least float above 0 and the greatest below 1 among them
+    slots = np.repeat(np.arange(1, len(points)), per_interval)
+    us = rng.uniform(0.0, 1.0, (len(points) - 1, per_interval))
+    us[:, 0], us[:, 1] = 5e-324, 1.0 - 2.0**-53
+    us = np.sort(np.where(us == 0.0, 0.5, us), axis=1).ravel()
+    rows = space._arrays(points)
+    placed = lm.spaces.Space._rows_along(space, points, rows, slots, us)
+    return space._rows_along(points, rows, slots, us), placed
+
+
+def test_disk_rows_keep_the_bits_of_complex_arithmetic():
+    # far points, points on the axes with either sign of zero, and repeats
+    disk = lm.HyperbolicPlane()
+    rng = np.random.default_rng(21)
+    points = [disk.random_point(rng, scale=float(rng.uniform(0.1, 25.0))) for _ in range(300)]
+    for x in (0.0, -0.0, 0.3, -0.7):
+        for y in (0.0, -0.0, 0.45, -0.2):
+            points += [lm.hpoint(x, y), lm.hpoint(y, x)]
+    points += points[:3] + points[:3]
+    rng.shuffle(points)
+    got, want = chain_rows(disk, points, rng, 60)
+    assert len(got) > 20_000
+    assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("name", ["tree40", "float-lengths", "caterpillar", "ray"])
+def test_tree_rows_keep_the_bits_of_the_walk(name):
+    tree = {"tree40": ray_tree40(5), "float-lengths": float_tree(), "caterpillar": caterpillar(),
+            "ray": lm.ray_tree()}[name]
+    rng = np.random.default_rng(17)
+    sampler = lm.PointSampler(tree, scale=3, seed=2)
+    points = [sampler.draw() for _ in range(60)] + [lm.vertex_point(v) for v in tree.vertices]
+    # float offsets, inside edges and on the ray
+    points += tree.geodesic_points(points[0], points[1], sorted(rng.uniform(0, 1, 20).tolist()))
+    points += [lm.edge_point(lm.RAY_EDGE, float(x)) for x in rng.uniform(0.0, 5.0, 10)]
+    points += points[:4]
+    rng.shuffle(points)
+    got, want = chain_rows(tree, points, rng, 30)
+    assert_same_bits(got, want)
+
+
+def test_tree_rows_at_float_ties_go_through_the_walk(monkeypatch):
+    # on the caterpillar's 1/3 and 5/7 edges a float s can equal a leg's
+    # float length, which the exact length only approximates; the values
+    # aimed at such ties, and at the vertices between legs, take `_along`.
+    # From a float offset off on an edge of float length f, the walk to
+    # its end ties at s = f - off, and off + (f - off) can round below f:
+    # there only the tie keeps the value off the open edge
+    tree = caterpillar()
+    ends = [lm.vertex_point(v) for v in tree.vertices]
+    ends += [lm.edge_point(e, length * Fraction(k, 3)) for e, (_, _, length) in
+             enumerate(tree.edges) for k in (1, 2)]
+    ends.append(lm.edge_point(lm.RAY_EDGE, Fraction(2, 3)))
+    floats = [lm.edge_point(e, float(length) * k / 17) for e, (_, _, length) in
+              enumerate(tree.edges) for k in range(1, 17)]
+    assert any(p.offset + (float(tree.edges[p.edge][2]) - p.offset) < float(tree.edges[p.edge][2])
+               for p in floats)
+    walked = []
+    along = lm.spaces.Space._rows_along
+    monkeypatch.setattr(lm.spaces.Space, "_rows_along",
+                        lambda self, *args: walked.append(len(args[2])) or along(self, *args))
+    aimed = 0
+    for x in ends + floats:
+        for y in ends:
+            d = tree.distance(x, y)
+            us = []
+            for v in map(lm.vertex_point, tree.vertices):
+                dv = tree.distance(x, v)
+                if 0 < dv < d and dv + tree.distance(v, y) == d:
+                    t = float(dv) / float(d)
+                    us += [math.nextafter(t, 0.0), t, math.nextafter(t, 1.0)]
+            us = np.array(sorted(set(u for u in us if 0.0 < u < 1.0)))
+            if not len(us):
+                continue
+            slots = np.ones(len(us), dtype=int)
+            rows = tree._arrays([x, y])
+            assert_same_bits(tree._rows_along([x, y], rows, slots, us),
+                             tree._arrays(tree._along(x, y, us.tolist())))
+            aimed += len(us)
+    assert aimed > 3000 and 300 < sum(walked) < aimed
+
+
+def test_grid_checks_place_tree_values_without_a_point_each(monkeypatch):
+    # one grid-1000 k-local check of a lion path: one `_on_edge` call per
+    # grid value when every value was placed as a point, now a few at most
+    tree = ray_tree40(3)
+    path = directional_lion_path(tree, "v11", Fraction(3, 4), 100)
+    calls = []
+    on_edge = lm.RTreeSpace._on_edge
+    monkeypatch.setattr(lm.RTreeSpace, "_on_edge",
+                        lambda self, *args: calls.append(args) or on_edge(self, *args))
+    rep = lm.check_quasi_geodesic(path, ROOT2, 0.0, 1000, k=9)
+    assert rep.passed and rep.n_pairs > 10_000
+    assert len(calls) <= 5
 
 
 # -- the float path never reaches fractions.py once per grid value
