@@ -249,24 +249,26 @@ def _merged_params(curve: Curve, grid: int):
 
     The samples' rows come from one `_arrays` call and the values' rows from
     one `_rows_along` call over every sample interval, with no `Point` per
-    value; both are the rows of the points `Curve.at` gives.  A parameter
-    that rounds to an end of its interval is placed by `Curve._at_sorted`.
+    value; both are the rows of the points `Curve.at` gives: the end sample
+    where u rounds to 0 or 1, an error where float rounding makes u > 1.
     """
     kept, slots, us = _grid_values(curve, grid)
     space, points = curve.space, curve.points
     rows = space._arrays(points)
-    if len(kept):
-        if ((0.0 < us) & (us < 1.0)).all():
-            placed = space._rows_along(points, rows, slots, us)
-        else:
-            placed = space._arrays(curve._at_sorted(kept.tolist(), slots.tolist()))
-        at = slots + np.arange(len(slots))  # each value's row in the merge
-        merged = np.empty((len(rows) + len(at), rows.shape[1]))
-        sample = np.ones(len(merged), dtype=bool)
-        sample[at] = False
-        merged[at], merged[sample] = placed, rows
-        rows = merged
-    return _merge(curve.params, kept.tolist(), slots.tolist()), rows
+    inner = (0.0 < us) & (us < 1.0)
+    if inner.all():
+        placed = space._rows_along(points, rows, slots, us)
+    else:
+        if (us > 1.0).any():
+            raise InvalidInputError(f"interpolation parameter {us[us > 1.0][0]} outside [0, 1]")
+        placed = rows[slots - (us < 1.0)]
+        placed[inner] = space._rows_along(points, rows, slots[inner], us[inner])
+    at = slots + np.arange(len(slots))  # each value's row in the merge
+    merged = np.empty((len(rows) + len(at), rows.shape[1]))
+    sample = np.ones(len(merged), dtype=bool)
+    sample[at] = False
+    merged[at], merged[sample] = placed, rows
+    return _merge(curve.params, kept.tolist(), slots.tolist()), merged
 
 
 def _first_min(values):

@@ -26,7 +26,12 @@ def gromov_product(space: Space, x: Point, y: Point, z: Point):
     Measures how long geodesics from x toward y and z travel together;
     always in [0, min(d(x,y), d(x,z))].  Exact on trees with rational data.
     """
-    value = (space.distance(x, y) + space.distance(x, z) - space.distance(y, z)) / 2
+    return _gromov(space.distance(x, y), space.distance(x, z), space.distance(y, z))
+
+
+def _gromov(dxy, dxz, dyz):
+    """(dxy + dxz - dyz) / 2, a float rounding just below 0 clamped to 0."""
+    value = (dxy + dxz - dyz) / 2
     if isinstance(value, float) and -1e-12 < value < 0.0:
         return 0.0
     return value
@@ -98,7 +103,7 @@ def alexandrov_angle(space: Space, apex: Point, y: Point, z: Point) -> float:
 
     Comparison angles shrink monotonically with scale in nonpositive
     curvature, so the limit exists; each family gives it in closed form
-    (``Space.angle``): vector angles in the flat families, chart tangent
+    (``Space._angle``): vector angles in the flat families, chart tangent
     angles in the disk, and 0 or pi in a tree depending on whether the two
     segments share an initial subsegment.
     """
@@ -106,27 +111,6 @@ def alexandrov_angle(space: Space, apex: Point, y: Point, z: Point) -> float:
     if ay == 0 or (az := space.distance(apex, z)) == 0:
         raise DegenerateInputError("angle undefined when the apex equals an endpoint")
     return space._angle(apex, y, z, ay, az)
-
-
-def alexandrov_angle_by_halving(space: Space, apex: Point, y: Point, z: Point,
-                                tol=1e-6, max_halvings=40) -> float:
-    """Comparison angles at scales h, h/2, h/4, ...
-
-    Stops once successive values differ by less than ``tol``; usable in any
-    family as a cross-check of the closed forms.
-    """
-    ty, tz = 0.5, 0.5
-    prev = None
-    for _ in range(max_halvings):
-        py = space.geodesic_point(apex, y, ty)
-        pz = space.geodesic_point(apex, z, tz)
-        ang = comparison_angle(space, apex, py, pz)
-        if prev is not None and abs(ang - prev) < tol:
-            return ang
-        prev = ang
-        ty /= 2.0
-        tz /= 2.0
-    return prev
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +239,9 @@ def check_gromov_criterion(space: Space, triples, delta_prime, *,
     witness = None
     per_triple = []
     for idx, (x, y, z) in enumerate(triples):
-        g = gromov_product(space, x, y, z)
         dxy = space.distance(x, y)
         dxz = space.distance(x, z)
+        g = _gromov(dxy, dxz, space.distance(y, z))
         local = 0
         local_witness = None
         if g > 0 and dxy > 0 and dxz > 0:
@@ -298,10 +282,8 @@ def cat_defect(space: Space, x: Point, y: Point, z: Point, grid: int):
     ts = [(j + 1) / (grid + 1) for j in range(grid)]
 
     pts, flat = [], []
-    for (i, j) in ((0, 1), (0, 2), (1, 2)):
-        a, b = verts[i], verts[j]
-        dij = float(space.distance(a, b))
-        pts += space.geodesic_points(a, b, ts)
+    for (i, j), dij in zip(((0, 1), (0, 2), (1, 2)), (tri.d01, tri.d02, tri.d12)):
+        pts += space.geodesic_points(verts[i], verts[j], ts)
         flat += [epoint(*tri.side(i, j, t * dij)) for t in ts]
 
     plane = EuclideanSpace(2)

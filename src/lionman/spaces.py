@@ -231,11 +231,6 @@ class Space:
         """
         raise NotImplementedError
 
-    def pairwise_distances(self, points) -> np.ndarray:
-        """Float table of the distances between the points."""
-        arrays = self._arrays(points)
-        return self._table(arrays, arrays)
-
     def _arrays(self, points) -> np.ndarray:
         """Float array with one row per point, built once for `_table`."""
         raise NotImplementedError
@@ -268,14 +263,8 @@ class Space:
 
     # -- family behaviour ---------------------------------------------------
 
-    def angle(self, apex: Point, y: Point, z: Point) -> float:
-        """Alexandrov angle at the apex, in closed form; sides nondegenerate."""
-        for p, name in ((apex, "apex"), (y, "y"), (z, "z")):
-            self.check_point(p, name)
-        return self._angle(apex, y, z, self._dist(apex, y), self._dist(apex, z))
-
     def _angle(self, apex, y, z, ay, az) -> float:
-        """`angle` of member points, given ay = d(apex, y) and az = d(apex, z)."""
+        """`alexandrov_angle` of member points, given ay = d(apex, y) and az = d(apex, z)."""
         raise NotImplementedError
 
     def displace(self, a: Point, b: Point, t, amp) -> Point:
@@ -309,14 +298,6 @@ def _flat_angle(a, b, c) -> float:
     """Angle between the sides a and b of the flat triangle whose third side is c."""
     cosv = (a * a + b * b - c * c) / (2.0 * a * b)
     return math.acos(min(1.0, max(-1.0, cosv)))
-
-
-# CPython before 3.14 meets a float operand of complex arithmetic as
-# complex(x, 0.0), whose zero imaginary part enters the sums; from 3.14 on
-# the operand stays real.  The signs of zeros tell which: the real part of
-# -0.0 * complex(0.0, -1.0) is -0.0*0.0 - 0.0*(-1.0) = 0.0 in the first
-# case and -0.0*0.0 = -0.0 in the second
-_REAL_AS_COMPLEX = math.copysign(1.0, (-0.0 * complex(0.0, -1.0)).real) > 0
 
 
 def _c_prod(ar, ai, br, bi):
@@ -607,17 +588,18 @@ class HyperbolicPlane(Space):
         if r == 0.0:  # coincident points
             return [x] * len(ts)
         direction, d = w / r, self._dist(x, y)
-        out = []
-        for t in ts:
-            z = math.tanh(0.5 * (float(t) * d)) * direction
-            out.append(self._pt(self._from_origin(a, z)))
-        return out
+        return [self._pt(self._from_origin(a, math.tanh(0.5 * (float(t) * d)) * direction))
+                for t in ts]
 
     def _rows_along(self, points, sample_rows, slots, us):
         # _along on every sample interval at once: a, the direction and
         # d(x, y) read once per interval, tanh taken by math.tanh (numpy's
         # may differ in the last bit), and the Moebius step in real arrays
-        # with CPython's complex operations, term for term
+        # with CPython's complex operations, term for term, a float operand
+        # met as complex(x, 0.0) as before 3.14.  Keeping it real, as 3.14
+        # does, drops only zero terms, and 1 + p has a positive real part, so
+        # x and y could differ only in the signs of zeros, which `_with_den`
+        # and `_table` square away
         lo = slots - 1
         a_re, a_im, w_re, w_im, d = np.zeros((5, len(points)))
         same = np.zeros(len(points), dtype=bool)
@@ -634,13 +616,9 @@ class HyperbolicPlane(Space):
             d[q] = self._dist(x, y)
         th = np.fromiter(map(math.tanh, (0.5 * (us * d[lo])).tolist()), float, len(us))
         ar, ai, dr, di = a_re[lo], a_im[lo], w_re[lo], w_im[lo]
-        if _REAL_AS_COMPLEX:  # z = th * direction
-            zr, zi = _c_prod(th, 0.0, dr, di)
-        else:
-            zr, zi = th * dr, th * di
+        zr, zi = _c_prod(th, 0.0, dr, di)  # z = th * direction
         pr, pi = _c_prod(ar, -ai, zr, zi)  # p = a.conjugate() * z
-        x, y = _c_quot(zr + ar, zi + ai, 1.0 + pr,
-                       0.0 + pi if _REAL_AS_COMPLEX else pi)  # (z + a) / (1.0 + p)
+        x, y = _c_quot(zr + ar, zi + ai, 1.0 + pr, 0.0 + pi)  # (z + a) / (1.0 + p)
         rows = self._with_den(np.column_stack([x, y]))
         same = same[lo]
         rows[same] = sample_rows[lo[same]]
@@ -996,26 +974,24 @@ class RTreeSpace(Space):
         one, as a walk along the edges does.
         """
         legs = self._legs(form_x, form_y)
-        n = len(legs)
         ends = []        # exact distance from x to the far end of each leg reached so far
         shadows = None   # float(length), float(h) and float(rest) of each leg
         out, k, last = [], 0, None
         for s in ss:
             if isinstance(s, Fraction):
                 # exact: merge s into the leg ends, from the last s when ts
-                # ascend; an s at a leg's end is the same vertex on either leg
+                # ascend; an s at a leg's end is the same vertex on either leg.
+                # s <= d(x, y), the sum of the legs (`_placed` passes t < 1,
+                # `_project` clamps s to d(a, b)), so some leg ends at or past s
                 if last is None or s < last:
                     k = 0
                 last = s
-                while k < n:
+                while True:
                     if k == len(ends):
                         ends.append(ends[-1] + legs[k][0] if k else legs[0][0])
                     if s <= ends[k]:
                         break
                     k += 1
-                if k == n:
-                    out.append(Point(self.kind, vertex=self.vertices[form_y[0]]))
-                    continue
                 _, i, h, rest, up = legs[k]
                 if k:
                     s = s - ends[k - 1]
@@ -1353,9 +1329,7 @@ def space_from_config(data: dict) -> Space:
 
 
 def domain_from_config(space: Space, data: dict | None):
-    if data is None:
-        return WholeSpace()
-    kind = data.get("kind", "whole")
+    kind = "whole" if data is None else data.get("kind", "whole")
     if kind == "whole":
         return WholeSpace()
     if kind == "ball":

@@ -41,6 +41,12 @@ def sampler_for(space, seed, scale=None):
     return lm.PointSampler(space, scale=scale or defaults[space.kind], seed=seed)
 
 
+def distance_table(space, points):
+    """Float table of the distances between the points: one `_table` over one `_arrays`."""
+    arrays = space._arrays(points)
+    return space._table(arrays, arrays)
+
+
 # -- independent oracles -----------------------------------------------------
 
 

@@ -315,7 +315,7 @@ def test_analyze_transcript_covers_every_report_branch():
                          ids=[g[0] for g in CERTIFICATE_GAMES])
 def test_analyze_transcript_measures_each_angle_once(name, space, tr, k, monkeypatch):
     # each angle is measured once, from the two sides at the apex that the
-    # pass has measured already, and equals the public angle of its points
+    # pass has measured already, and equals `alexandrov_angle` of its points
     calls = []
     angle = space._angle
 
@@ -330,10 +330,12 @@ def test_analyze_transcript_measures_each_angle_once(name, space, tr, k, monkeyp
     assert len(calls) == measured and all(calls)
     monkeypatch.undo()
     records = tr.records
-    assert angles.beta == [space.angle(records[n].lion, records[n - 1].lion, records[n].man)
-                           for n in angles.steps]
+    assert angles.beta == [
+        lm.alexandrov_angle(space, records[n].lion, records[n - 1].lion, records[n].man)
+        for n in angles.steps]
     assert angles.alpha == [
-        None if a is None else space.angle(records[n].lion, records[n - 1].man, records[n].man)
+        None if a is None
+        else lm.alexandrov_angle(space, records[n].lion, records[n - 1].man, records[n].man)
         for n, a in zip(angles.steps, angles.alpha)]
 
 

@@ -295,6 +295,29 @@ def test_simulate_byte_identical_reruns(tripod_cfg, tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("domain, code", [
+    ({"kind": "subtree", "vertices": ["r", "p"], "include_ray": True}, 0),
+    ({"kind": "subtree", "include_ray": True}, 2),
+], ids=["subtree-with-ray", "subtree-without-vertices"])
+def test_simulate_in_a_subtree_domain(domain, code, tmp_path, capsys):
+    # the greedy man flees along the ray the domain includes; the transcript
+    # reloads with its domain and saves again byte for byte
+    cfg = tmp_path / "subtree.json"
+    cfg.write_text(json.dumps({"space": lm.ray_tree().to_config(), "domain": domain}))
+    out, again = tmp_path / "tr.json", tmp_path / "again.json"
+    assert main(["simulate", "--space", str(cfg), "--man", "greedy", "--D", "1/2", "--N", "12",
+                 "--lion", '{"vertex": "p"}', "--man-start", '{"edge": -1, "offset": "1"}',
+                 "--out", str(out)]) == code
+    if code:
+        assert capsys.readouterr().err == "error: subtree domain config: missing 'vertices'\n"
+        return
+    tr = lm.load_transcript(str(out))
+    assert tr.domain == lm.SubtreeDomain({"r", "p"}, include_ray=True)
+    assert any(r.man.edge == lm.RAY_EDGE and r.man.offset > 1 for r in tr.records)
+    lm.save_transcript(tr, str(again))
+    assert again.read_bytes() == out.read_bytes()
+
+
 def test_random_strategy_requires_seed(tripod_cfg):
     with pytest.raises(SystemExit) as info:
         main(["simulate", "--space", tripod_cfg, "--man", "random", "--D", "1",

@@ -17,7 +17,7 @@ from lionman.errors import (
     UnsupportedSpaceError,
 )
 
-from conftest import sampler_for
+from conftest import distance_table, sampler_for
 from test_protocol import SPACES
 
 SQRT2 = math.sqrt(2.0)
@@ -727,6 +727,24 @@ def test_merged_params_place_grid_values_as_the_sorted_merge(name, grid):
     assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
 
 
+def test_a_grid_value_past_its_rounded_interval_raises_as_curve_at_does():
+    # negative samples on either side of -2**26: the first rounds down by half
+    # a float step, the last up by half a step half as wide, so the float
+    # samples lie farther apart than the exact ones and the grid value one
+    # float step below the last sample has u > 1 in its interval
+    big = Fraction(2**26)
+    ends = (-big - big / 2**52 * Fraction(3, 2), -big + big / 2**53 * Fraction(3, 2))
+    curve = lm.Curve(lm.EuclideanSpace(1), ends, (lm.epoint(0.0), lm.epoint(1.0)))
+    kept, _, us = lm.curves._grid_values(curve, 6)
+    assert us.max() > 1.0
+    with pytest.raises(InvalidInputError) as at:
+        curve.at(float(kept[us > 1.0][0]))
+    with pytest.raises(InvalidInputError) as grid:
+        lm.check_quasi_geodesic(curve, 1.0, 0.0, 6)
+    assert str(grid.value) == str(at.value)
+    assert str(at.value).startswith("interpolation parameter 1.1")
+
+
 def test_grid_checks_evaluate_no_curve_point_one_by_one(monkeypatch):
     path = lion_path(Fraction(2, 3))
     calls = []
@@ -748,7 +766,7 @@ def test_grid_checks_evaluate_no_curve_point_one_by_one(monkeypatch):
 def qg_reference(curve, lam, lower_eps, upper_eps, grid, k=None):
     tol = curve.space.rel_tol
     params = lm.curves._merged_params(curve, grid)[0]
-    dmat = curve.space.pairwise_distances([curve.at(t) for t in params])
+    dmat = distance_table(curve.space, [curve.at(t) for t in params])
     ts = [float(t) for t in params]
     n_pairs = 0
     worst = {"ratio": None, "lower": None, "upper": None}  # (scaled, i, j, raw, d)
@@ -787,7 +805,7 @@ def qg_reference(curve, lam, lower_eps, upper_eps, grid, k=None):
 
 
 def sequence_reference(space, points, b):
-    dmat = space.pairwise_distances(points)
+    dmat = distance_table(space, points)
     n = len(points)
     prefix = [0.0]
     for i in range(n - 1):
@@ -891,7 +909,7 @@ def test_windows_decide_every_subsequence(all_spaces, ray_tree, kind):
         pts = [sampler.draw() for _ in range(n)]
         if n % 3 == 0:
             pts = [space.geodesic_point(pts[0], pts[-1], Fraction(i, n - 1)) for i in range(n)]
-        dmat = space.pairwise_distances(pts)
+        dmat = distance_table(space, pts)
         prefix = np.concatenate([[0.0], np.cumsum(np.diagonal(dmat, 1))])
         for b in (0.0, 1.0):
             rep = lm.check_directional_sequence(space, pts, b)

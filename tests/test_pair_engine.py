@@ -22,6 +22,7 @@ import pytest
 import lionman as lm
 from lionman import curves
 from lionman.curves import _first_min, _merged_params
+from conftest import distance_table
 from test_tree_golden import caterpillar
 
 B = curves._BLOCK
@@ -31,7 +32,7 @@ ROOT2 = math.sqrt(2.0)
 def dense_check_grid(curve, lam, lower_eps, upper_eps, grid, k, tol):
     tol = curve.space.rel_tol if tol is None else tol
     params = _merged_params(curve, grid)[0]
-    dmat = curve.space.pairwise_distances([curve.at(t) for t in params])
+    dmat = distance_table(curve.space, [curve.at(t) for t in params])
     tarr = np.asarray([float(t) for t in params])
     i, j = np.triu_indices(len(params), 1)
     gaps = tarr[j] - tarr[i]
@@ -323,7 +324,7 @@ def test_public_checks_go_through_the_engine():
 
 def dense_directional_sequence(space, points, b):
     # the square table and every upper-triangle pair at once
-    dmat = space.pairwise_distances(points)
+    dmat = distance_table(space, points)
     prefix = np.concatenate([[0.0], np.cumsum(np.diagonal(dmat, 1))])
     i, j = np.triu_indices(len(points), 1)
     slack = dmat[i, j] - (prefix[j] - prefix[i] - b)
@@ -373,7 +374,7 @@ def test_euclidean_table_keeps_the_bits_of_the_summed_tensor(dim):
     rng = np.random.default_rng(dim)
     coords = rng.normal(size=(23, dim)) * rng.uniform(0.01, 100.0, size=dim)
     pts = [lm.Point("euclidean", tuple(float(c) for c in row)) for row in coords]
-    got = lm.EuclideanSpace(dim).pairwise_distances(pts)
+    got = distance_table(lm.EuclideanSpace(dim), pts)
     assert got.tobytes() == old_euclidean_table(coords).tobytes()
 
 
@@ -385,7 +386,7 @@ def test_disk_table_keeps_the_bits_of_the_square_form():
     den = (1.0 - sq)[:, None] * (1.0 - sq)[None, :]
     gaps = ((arr[:, None] - arr[None]) ** 2).sum(-1)
     want = 2.0 * np.arcsinh(np.sqrt(gaps / den))
-    assert disk.pairwise_distances(pts).tobytes() == want.tobytes()
+    assert distance_table(disk, pts).tobytes() == want.tobytes()
 
 
 def tile_inputs():
@@ -410,7 +411,7 @@ def test_rectangular_tiles_are_slices_of_the_square_table(name):
     space, pts = tile_inputs()[name]
     arrays = space._arrays(pts)
     square = space._table(arrays, arrays)
-    assert square.tobytes() == space.pairwise_distances(pts).tobytes()
+    assert square.tobytes() == distance_table(space, pts).tobytes()
     exact = np.array([[float(space.distance(p, q)) for q in pts] for p in pts])
     assert np.allclose(square, exact, rtol=1e-12, atol=1e-12)
     n = len(pts)
@@ -667,13 +668,17 @@ def test_grid_rows_equal_the_rows_of_the_placed_points(name):
     assert_rows_match(curve, grid // 3 + 2, k=float(curve.t_max - curve.t_min) / 7)
 
 
-def chain_rows(space, points, rng, per_interval):
+def chain_values(points, rng, per_interval):
     # sorted us strictly inside (0, 1) on every interval of the chain, the
     # least float above 0 and the greatest below 1 among them
     slots = np.repeat(np.arange(1, len(points)), per_interval)
     us = rng.uniform(0.0, 1.0, (len(points) - 1, per_interval))
     us[:, 0], us[:, 1] = 5e-324, 1.0 - 2.0**-53
-    us = np.sort(np.where(us == 0.0, 0.5, us), axis=1).ravel()
+    return slots, np.sort(np.where(us == 0.0, 0.5, us), axis=1).ravel()
+
+
+def chain_rows(space, points, rng, per_interval):
+    slots, us = chain_values(points, rng, per_interval)
     rows = space._arrays(points)
     placed = lm.spaces.Space._rows_along(space, points, rows, slots, us)
     return space._rows_along(points, rows, slots, us), placed
@@ -692,6 +697,74 @@ def test_disk_rows_keep_the_bits_of_complex_arithmetic():
     got, want = chain_rows(disk, points, rng, 60)
     assert len(got) > 20_000
     assert_same_bits(got, want)
+
+
+# The disk kernel meets the float operands th and 1.0 of its complex
+# arithmetic as complex(x, 0.0), as CPython before 3.14 does.  From 3.14 a
+# float operand stays real; the emulation below follows those rules term by
+# term in Python floats.  The two may differ only in the signs of zeros,
+# which the distance tiles square away.
+
+
+def c_quot(ar, ai, br, bi):
+    # CPython's _Py_c_quot for b != 0
+    if abs(br) >= abs(bi):
+        ratio = bi / br
+        den = br + bi * ratio
+        return (ar + ai * ratio) / den, (ai - ar * ratio) / den
+    ratio = br / bi
+    den = br * ratio + bi
+    return (ar * ratio + ai) / den, (ai * ratio - ar) / den
+
+
+def real_operand_rows(disk, points, slots, us):
+    """The disk's `_rows_along` under the rules that keep a float operand real."""
+    out = []
+    for q, u in zip(slots.tolist(), us.tolist()):
+        x, y = points[q - 1], points[q]
+        a = disk._c(x)
+        w = disk._to_origin(a, disk._c(y))
+        if abs(w) == 0.0:
+            out.append(x.coords)
+            continue
+        e = w / abs(w)
+        th = math.tanh(0.5 * (u * disk._dist(x, y)))
+        zr, zi = th * e.real, th * e.imag  # th * direction, th real
+        cr, ci = a.real, -a.imag
+        pr, pi = cr * zr - ci * zi, cr * zi + ci * zr  # a.conjugate() * z
+        out.append(c_quot(zr + a.real, zi + a.imag, 1.0 + pr, pi))  # (z + a) / (1.0 + p), 1.0 real
+    return disk._with_den(np.asarray(out, dtype=float))
+
+
+def test_disk_rows_differ_from_real_operand_rules_only_in_signs_of_zeros():
+    disk = lm.HyperbolicPlane()
+    rng = np.random.default_rng(2114)
+    points = [disk.random_point(rng, scale=30.0) for _ in range(250)]
+    far = math.tanh(15.0)  # hyperbolic radius 30
+    for x in (0.0, -0.0, 0.3, -0.7, far, -far):
+        for y in (0.0, -0.0, 0.45, -far):
+            if x * x + y * y < 1.0:
+                points += [lm.hpoint(x, y), lm.hpoint(y, x)]
+    rng.shuffle(points)
+    # a start on the imaginary axis with either sign of zero, toward points
+    # whose direction has a zero or negative part: at u = 5e-324 th is 0.0
+    # and the two rule sets give zeros of opposite signs
+    for ay in (-0.3, 0.3, -0.0, 0.0):
+        for b in ((-0.2, -0.5), (-0.1, 0.2), (0.0, -0.4), (-0.0, 0.4), (0.3, -0.2)):
+            points += [lm.hpoint(-0.0, ay), lm.hpoint(*b), lm.hpoint(0.0, ay), lm.hpoint(*b)]
+    slots, us = chain_values(points, rng, 80)
+    rows = disk._arrays(points)
+    got = disk._rows_along(points, rows, slots, us)
+    want = real_operand_rows(disk, points, slots, us)
+    assert len(got) > 20_000
+    assert (got == want).all()
+    assert (np.signbit(got) != np.signbit(want)).any()
+    # a placement that rounds out of the disk near radius 30 has no distance
+    inside = got[:, 2] > 0.0
+    got, want = got[inside], want[inside]
+    cols = np.concatenate([rows, got[::997], want[::991]])
+    assert_same_bits(disk._table(got, cols), disk._table(want, cols))
+    assert_same_bits(disk._table(cols, got), disk._table(cols, want))
 
 
 @pytest.mark.parametrize("name", ["tree40", "float-lengths", "caterpillar", "ray"])

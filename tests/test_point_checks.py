@@ -138,9 +138,9 @@ def test_tree_entry_points_reject_bad_points(point, error):
         lambda: lm.lion_step(tree, good, point, D),
         lambda: lm.GreedyStrategy(lm.WholeSpace()).propose(tree, 1, point, good, D),
         lambda: lm.GreedyStrategy(lm.WholeSpace()).propose(tree, 1, good, point, D),
-        lambda: tree.angle(point, good, lm.vertex_point("r")),
-        lambda: tree.angle(lm.vertex_point("p"), point, good),
-        lambda: tree.angle(lm.vertex_point("p"), good, point),
+        lambda: lm.alexandrov_angle(tree, point, good, lm.vertex_point("r")),
+        lambda: lm.alexandrov_angle(tree, lm.vertex_point("p"), point, good),
+        lambda: lm.alexandrov_angle(tree, lm.vertex_point("p"), good, point),
         lambda: tree.move_candidates(point, D, 8),
         lambda: tree.random_move(rng, point, D),
         lambda: tree.distance(good, point),

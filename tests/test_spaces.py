@@ -13,6 +13,7 @@ from lionman.errors import (
 )
 
 from conftest import (
+    distance_table,
     poincare_distance_oracle,
     projection_oracle,
     sampler_for,
@@ -244,6 +245,23 @@ def test_subtree_domain(tripod):
     assert not lm.domain_contains(tripod, dom, lm.edge_point(1, Fraction(1, 2)))
 
 
+def test_subtree_domain_config_round_trip_and_ray(ray_tree):
+    on_ray, at_anchor = lm.edge_point(lm.RAY_EDGE, Fraction(3, 2)), lm.edge_point(lm.RAY_EDGE, 0)
+    for include_ray in (False, True):
+        dom = lm.SubtreeDomain({"r", "p"}, include_ray)
+        cfg = dom.to_config()
+        assert cfg == {"kind": "subtree", "vertices": ["p", "r"], "include_ray": include_ray}
+        assert lm.spaces.domain_from_config(ray_tree, cfg) == dom
+        assert lm.domain_contains(ray_tree, dom, on_ray) is include_ray
+        assert lm.domain_contains(ray_tree, dom, at_anchor)
+    # without the ray's anchor a subtree holds no ray point, its include_ray notwithstanding
+    away = lm.SubtreeDomain({"p", "q"}, include_ray=True)
+    assert not lm.domain_contains(ray_tree, away, on_ray)
+    assert not lm.domain_contains(ray_tree, away, at_anchor)
+    with pytest.raises(lm.ConfigError, match="vertices"):
+        lm.spaces.domain_from_config(ray_tree, {"kind": "subtree", "include_ray": True})
+
+
 def test_domain_kind_mismatch(euclid2, tripod):
     with pytest.raises(SpaceMismatchError):
         lm.domain_contains(euclid2, lm.WholeSpace(), lm.vertex_point("a"))
@@ -306,7 +324,7 @@ def test_pairwise_distances_match_scalar(all_spaces):
     for space in all_spaces.values():
         sampler = sampler_for(space, seed=77)
         pts = [sampler.draw() for _ in range(12)]
-        mat = space.pairwise_distances(pts)
+        mat = distance_table(space, pts)
         for i in range(12):
             for j in range(12):
                 assert mat[i, j] == pytest.approx(
@@ -345,7 +363,7 @@ def test_ray_tree_pairwise_matches_scalar(ray_tree):
     rng = np.random.default_rng(17)
     pts = [ray_tree.random_point(rng) for _ in range(14)]
     pts += [lm.edge_point(lm.RAY_EDGE, Fraction(k, 2)) for k in range(6)]
-    mat = ray_tree.pairwise_distances(pts)
+    mat = distance_table(ray_tree, pts)
     for i in range(len(pts)):
         for j in range(len(pts)):
             assert mat[i, j] == pytest.approx(
