@@ -255,14 +255,11 @@ def _merged_params(curve: Curve, grid: int):
     kept, slots, us = _grid_values(curve, grid)
     space, points = curve.space, curve.points
     rows = space._arrays(points)
+    if (us > 1.0).any():
+        raise InvalidInputError(f"interpolation parameter {us[us > 1.0][0]} outside [0, 1]")
     inner = (0.0 < us) & (us < 1.0)
-    if inner.all():
-        placed = space._rows_along(points, rows, slots, us)
-    else:
-        if (us > 1.0).any():
-            raise InvalidInputError(f"interpolation parameter {us[us > 1.0][0]} outside [0, 1]")
-        placed = rows[slots - (us < 1.0)]
-        placed[inner] = space._rows_along(points, rows, slots[inner], us[inner])
+    placed = rows[slots - (us < 1.0)]
+    placed[inner] = space._rows_along(points, rows, slots[inner], us[inner])
     at = slots + np.arange(len(slots))  # each value's row in the merge
     merged = np.empty((len(rows) + len(at), rows.shape[1]))
     sample = np.ones(len(merged), dtype=bool)

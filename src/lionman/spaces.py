@@ -588,8 +588,7 @@ class HyperbolicPlane(Space):
         if r == 0.0:  # coincident points
             return [x] * len(ts)
         direction, d = w / r, self._dist(x, y)
-        return [self._pt(self._from_origin(a, math.tanh(0.5 * (float(t) * d)) * direction))
-                for t in ts]
+        return [self.point_toward(x, direction, float(t) * d) for t in ts]
 
     def _rows_along(self, points, sample_rows, slots, us):
         # _along on every sample interval at once: a, the direction and
@@ -1329,7 +1328,9 @@ def space_from_config(data: dict) -> Space:
 
 
 def domain_from_config(space: Space, data: dict | None):
-    kind = "whole" if data is None else data.get("kind", "whole")
+    if data is None:
+        return WholeSpace()
+    kind = data.get("kind", "whole")
     if kind == "whole":
         return WholeSpace()
     if kind == "ball":
