@@ -274,7 +274,33 @@ def _first_min(values):
     return None if n is None or values[n] == np.inf else n
 
 
-_BLOCK = 64  # rows of the pair table held at once by _check_pairs
+_BLOCK = 64  # most rows of a tile: a k-local tile's staircase of unchecked pairs stays this short
+_TILE = 16_384  # most pairs of a tile, so that a check's working set does not grow with the grid
+
+
+def _tiles(starts, ends):
+    """The tiles of a pair table whose row r reads the columns [starts[r], ends[r]).
+
+    Yields (lo, hi, c0, c1), the rows [lo, hi) against the columns [c0, c1),
+    in row-major order; starts and ends must not decrease.  A tile takes as
+    many whole rows, at most ``_BLOCK``, as keep rows x columns within
+    ``_TILE``, and reads the columns [starts[lo], ends[hi - 1]), so where
+    later rows are shorter later tiles take more of them.  A row wider than
+    ``_TILE`` is cut into column pieces of at most ``_TILE``.
+    """
+    lo, n = 0, len(starts)
+    while lo < n:
+        c0 = int(starts[lo])
+        widths = ends[lo:lo + _BLOCK] - c0
+        rows = int(np.count_nonzero(widths * np.arange(1, len(widths) + 1) <= _TILE))
+        if rows:
+            yield lo, lo + rows, c0, int(ends[lo + rows - 1])
+        else:
+            end = int(ends[lo])
+            for c in range(c0, end, _TILE):
+                yield lo, lo + 1, c, min(c + _TILE, end)
+            rows = 1
+        lo += rows
 
 
 def _check_grid(curve: Curve, lam, lower_eps, upper_eps, grid: int, k, tol) -> QGReport:
@@ -288,91 +314,98 @@ def _check_pairs(space: Space, params, arrays, lam, lower_eps, upper_eps, k, tol
 
     arrays holds the `_arrays` rows of their points, one per param.
 
-    The pairs i < j are visited in lexicographic order, ``_BLOCK`` rows at a
-    time; each block of distances is one rectangular `_table` call, and a
-    k-local check reads only the columns of the |s-t| <= k band.  A block is
-    held whole, in views of four buffers made once per check: its pairs
-    outside the check (j <= i, and past the band) read inf in every
-    statistic, so the row-major first minimum of a block is that of its
-    checked pairs.  A worst pair gives way only to a strictly smaller value
-    of a later block and the first violation found is kept, so every witness
-    is the first in that order.
+    Row i reads the pairs (i, j) with i < j, up to the end of the |s-t| <= k
+    band in a k-local check, and the rows are walked in the tiles of
+    `_tiles`; each tile of distances is one rectangular `_table` call.  A
+    tile is held whole, in views of four buffers of ``_TILE`` pairs made
+    once per check: its pairs outside the check (j <= i, and past the band)
+    read inf in every statistic, so the row-major first minimum of a tile is
+    that of its checked pairs.  A worst pair gives way only to a strictly
+    smaller value of a later tile and the first violation found is kept, so
+    every witness is the first in row-major order.
     """
     tol = space.rel_tol if tol is None else tol
     lam, lower_eps, upper_eps = float(lam), float(lower_eps), float(upper_eps)
     tarr = np.asarray([float(t) for t in params])
     n = len(params)
-    los = np.arange(0, n - 1, _BLOCK)
-    his = np.minimum(los + _BLOCK, n - 1)
     reach = None if k is None else float(k) * (1.0 + 1e-12)
     if k is None:
-        ends = np.full(len(los), n)
+        ends = np.full(n - 1, n)
     else:
-        # past the reach of each block's last row, widened so that rounding
-        # in this sum never drops a column the exact mask below keeps
-        last = tarr[his - 1]
-        ends = np.searchsorted(tarr, last + reach + 1e-9 * (abs(last) + reach), "right")
-    sizes = (his - los) * (ends - los - 1)
-    gaps_buf, scale_buf, slack_buf, value_buf = np.empty((4, int(sizes.max(initial=0))))
+        # past the reach of each row, widened so that rounding in this sum
+        # never drops a column the exact mask below keeps; a tile reads up to
+        # the end of its last row, so no row may end past a later one
+        ts = tarr[:-1]
+        ends = np.maximum.accumulate(
+            np.searchsorted(tarr, ts + reach + 1e-9 * (abs(ts) + reach), "right"))
+    gaps_buf, scale_buf, slack_buf, value_buf = np.empty((4, min(_TILE, (n - 1) ** 2)))
     head = np.tri(_BLOCK, _BLOCK, -1, dtype=bool)  # column c < row r: the pair j <= i
     tied = np.diff(tarr) == 0  # a pair i < j has gap 0 only if tarr[i] == tarr[i + 1]
-    # a block whose least scaled slack exceeds bar has no pair with
+    # a tile whose least scaled slack exceeds bar has no pair with
     # slack < -tol * scale, since scale >= 1: it is not scanned for one
     bar = 0.5 * abs(tol) - tol
     n_pairs = 0
     worst = {}  # statistic -> (value, pair, ratio or slack, distance)
     first = {}  # bound -> (s, t, distance)
-    for lo, hi, end, size in zip(los.tolist(), his.tolist(), ends.tolist(), sizes.tolist()):
-        rows, cols = hi - lo, end - lo - 1
+
+    # the statistics of the current tile: rows lo.. against columns c0..
+    def pair(m):
+        r, c = divmod(m, cols)
+        return params[lo + r], params[c0 + c]
+
+    def least(name, raw):
+        # the first minimum of the statistic in value, raw its unscaled form
+        np.copyto(value[:, :skip.shape[1]], np.inf, where=skip)
+        m = _first_min(flat_value)
+        if m is not None and flat_value[m] < worst.get(name, (math.inf,))[0]:
+            worst[name] = (flat_value[m], pair(m), float(raw.flat[m]), float(flat_dist[m]))
+        return m
+
+    def scan(name, m):
+        # NaN fails the comparison with bar, so a NaN tile is scanned
+        if name in first or m is None or flat_value[m] > bar:
+            return
+        bad = slack < -tol * scale
+        np.copyto(bad[:, :skip.shape[1]], False, where=skip)
+        hits = np.flatnonzero(bad)
+        if len(hits):
+            first[name] = (*pair(int(hits[0])), float(flat_dist[hits[0]]))
+
+    for lo, hi, c0, c1 in _tiles(np.arange(1, n), ends):
+        rows, cols = hi - lo, c1 - c0
+        size = rows * cols
         if size == 0:
             continue
         gaps, scale, slack, value = (buf[:size].reshape(rows, cols)
                                      for buf in (gaps_buf, scale_buf, slack_buf, value_buf))
-        np.subtract(tarr[lo + 1:end], tarr[lo:hi, None], out=gaps)  # params are sorted: |s - t|
+        np.subtract(tarr[c0:c1], tarr[lo:hi, None], out=gaps)  # params are sorted: |s - t|
         np.maximum(gaps, 1.0, out=scale)
+        # a row cut into pieces is one row whose columns all follow it
         h = min(rows, cols)
         skip = head[:rows, :h]
         if k is not None:
             skip = gaps > reach
             skip[:, :h] |= head[:rows, :h]
         n_pairs += size - int(np.count_nonzero(skip))
-        dist = space._table(arrays[lo:hi], arrays[lo + 1:end])
+        dist = space._table(arrays[lo:hi], arrays[c0:c1])
         flat_value, flat_dist = value.ravel(), dist.ravel()
-
-        def pair(m):
-            r, c = divmod(m, cols)
-            return params[lo + r], params[lo + 1 + c]
-
-        def least(name, raw):
-            # the first minimum of the statistic in value, raw its unscaled form
-            np.copyto(value[:, :skip.shape[1]], np.inf, where=skip)
-            m = _first_min(flat_value)
-            if m is not None and flat_value[m] < worst.get(name, (math.inf,))[0]:
-                worst[name] = (flat_value[m], pair(m), float(raw.flat[m]), float(flat_dist[m]))
-            return m
-
-        def scan(name, m):
-            # NaN fails the comparison with bar, so a NaN block is scanned
-            if name in first or m is None or flat_value[m] > bar:
-                return
-            bad = slack < -tol * scale
-            np.copyto(bad[:, :skip.shape[1]], False, where=skip)
-            hits = np.flatnonzero(bad)
-            if len(hits):
-                first[name] = (*pair(int(hits[0])), float(flat_dist[hits[0]]))
 
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(dist, gaps, out=value)
         if tied[lo:hi].any():
             np.copyto(value, np.inf, where=gaps == 0)
         least("ratio", value)
+        # an epsilon of 0.0 or -0.0 changes no bit of the slack: x - 0.0 is
+        # x, and gaps / lam and gaps * lam are never -0.0
         np.divide(gaps, lam, out=slack)  # dist - (gaps / lam - lower_eps)
-        slack -= lower_eps
+        if lower_eps:
+            slack -= lower_eps
         np.subtract(dist, slack, out=slack)
         np.divide(slack, scale, out=value)
         scan("lower", least("lower", slack))
         np.multiply(gaps, lam, out=slack)  # (lam * gaps + upper_eps) - dist
-        slack += upper_eps
+        if upper_eps:
+            slack += upper_eps
         slack -= dist
         np.divide(slack, scale, out=value)
         scan("upper", least("upper", slack))
@@ -431,8 +464,8 @@ def check_directional_sequence(space: Space, points, b: float, *, tol=None) -> D
     subsequence: by the triangle inequality a subsequence's gap sum is at
     most that of the window with the same ends.  Divergence of d(x_0, x_n)
     is reported as a growth trend, not asserted.  The windows are walked in
-    the row blocks of `_check_pairs`, and the witness is the first pair of
-    least slack in lexicographic order.
+    the tiles of `_check_pairs`, and the witness is the first pair of least
+    slack in lexicographic order.
     """
     if not b >= 0:  # NaN fails too
         raise InvalidInputError("b must be >= 0")
@@ -443,19 +476,22 @@ def check_directional_sequence(space: Space, points, b: float, *, tol=None) -> D
     tol = space.rel_tol if tol is None else tol
     arrays = space._arrays(points)
     n = len(points)
+    # the consecutive distances d(x_i, x_i+1): the diagonals of square tables
+    # of _BLOCK rows, each copied out so that its table is freed
     blocks = [(lo, min(lo + _BLOCK, n - 1)) for lo in range(0, n - 1, _BLOCK)]
-    # the consecutive distances d(x_i, x_i+1): the diagonal of each block's square head
-    steps = [np.diagonal(space._table(arrays[lo:hi], arrays[lo + 1:hi + 1])) for lo, hi in blocks]
+    steps = [np.diagonal(space._table(arrays[lo:hi], arrays[lo + 1:hi + 1])).copy()
+             for lo, hi in blocks]
     prefix = np.concatenate([[0.0], np.cumsum(np.concatenate(steps))])
     head = np.tri(_BLOCK, _BLOCK, -1, dtype=bool)  # column c < row r: the pair j <= i
     worst, witness = math.inf, None
-    for lo, hi in blocks:
-        dist = space._table(arrays[lo:hi], arrays[lo + 1:])
-        if lo == 0:
+    for lo, hi, c0, c1 in _tiles(np.arange(1, n), np.full(n - 1, n)):
+        dist = space._table(arrays[lo:hi], arrays[c0:c1])
+        if lo == 0 and c1 == n:
             far = float(dist[0, -1])
-        slack = prefix[lo + 1:] - prefix[lo:hi, None]  # dist - (prefix[j] - prefix[i] - b)
+        slack = prefix[c0:c1] - prefix[lo:hi, None]  # dist - (prefix[j] - prefix[i] - b)
         slack -= float(b)
         np.subtract(dist, slack, out=slack)
+        # a row cut into pieces is one row whose columns all follow it
         np.copyto(slack[:, :hi - lo], np.inf, where=head[:hi - lo, :hi - lo])
         m = _first_min(slack.ravel())
         if m is None:
@@ -463,8 +499,8 @@ def check_directional_sequence(space: Space, points, b: float, *, tol=None) -> D
         # a NaN is least, as it is to np.argmin over all the pairs at once
         v = slack.flat[m]
         if v < worst or (v != v and worst == worst):
-            r, c = divmod(m, n - lo - 1)
-            worst, witness = v, (lo + r, lo + 1 + c)
+            r, c = divmod(m, c1 - c0)
+            worst, witness = v, (lo + r, c0 + c)
     return DirectionalityReport(
         b=float(b), n_checked=n * (n - 1) // 2, passed=bool(worst >= -tol),
         worst_lower_slack=float(worst), worst_lower_witness=witness,

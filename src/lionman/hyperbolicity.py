@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curves import zigzag_quasi_geodesic
+from .curves import _tiles, zigzag_quasi_geodesic
 from .errors import DegenerateInputError, InvalidInputError
 from .spaces import EuclideanSpace, Point, PointSampler, Space, _flat_angle, epoint
 
@@ -288,8 +288,12 @@ def cat_defect(space: Space, x: Point, y: Point, z: Point, grid: int):
 
     plane = EuclideanSpace(2)
     arrays, flats = space._arrays(pts), plane._arrays(flat)
-    # each side's rows against the sides after it: every cross-side pair once.
+    # each side's rows against the sides after it, in tiles: every cross-side pair once
+    maxima = []
+    for s in (0, grid):
+        for lo, hi, c0, c1 in _tiles(np.full(grid, s + grid), np.full(grid, 3 * grid)):
+            rows = slice(s + lo, s + hi)
+            maxima.append((space._table(arrays[rows], arrays[c0:c1])
+                           - plane._table(flats[rows], flats[c0:c1])).max())
     # np.max, not max: a NaN of any pair is the result
-    return float(np.max([(space._table(arrays[s:s + grid], arrays[s + grid:])
-                          - plane._table(flats[s:s + grid], flats[s + grid:])).max()
-                         for s in (0, grid)]))
+    return float(np.max(maxima))

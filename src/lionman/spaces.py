@@ -453,21 +453,21 @@ class EuclideanSpace(Space):
         return Point(self.kind, tuple((np.asarray(p.coords, dtype=float) + amp * w).tolist()))
 
     def move_candidates(self, man, D, directions):
-        # evenly spread directions in the plane, a fixed seeded basis otherwise
+        # evenly spread directions in the plane, a fixed seeded basis
+        # otherwise; the coordinates are Python floats either way
+        D = float(D)
         if self.dim == 2:
-            dirs = [np.array([math.cos(2 * math.pi * i / directions),
-                              math.sin(2 * math.pi * i / directions)])
-                    for i in range(directions)]
-        else:
-            raw = np.random.default_rng(20_000 + self.dim).normal(size=(directions, self.dim))
-            dirs = [v / np.linalg.norm(v) for v in raw]
+            x, y = man.coords
+            thetas = (2 * math.pi * i / directions for i in range(directions))
+            return [Point(self.kind, (x + D * math.cos(th), y + D * math.sin(th))) for th in thetas]
+        raw = np.random.default_rng(20_000 + self.dim).normal(size=(directions, self.dim))
         base = np.asarray(man.coords, dtype=float)
-        return [Point(self.kind, tuple(base + float(D) * v)) for v in dirs]
+        return [Point(self.kind, tuple((base + D * (v / np.linalg.norm(v))).tolist())) for v in raw]
 
     def random_move(self, rng, man, D):
         u = rng.normal(size=self.dim)
         u = u / np.linalg.norm(u)
-        return Point(self.kind, tuple(np.asarray(man.coords) + float(D) * rng.uniform() * u))
+        return Point(self.kind, tuple((np.asarray(man.coords) + float(D) * rng.uniform() * u).tolist()))
 
     def origin(self):
         return Point(self.kind, (0.0,) * self.dim)
@@ -965,6 +965,19 @@ class RTreeSpace(Space):
             legs.append((h, c, h, rest, False))
         return legs
 
+    @staticmethod
+    def _held(legs, s):
+        """The legs an exact walk of s reads: up to the first that ends at or past s.
+
+        The leg ends are summed as `_walk` sums them.
+        """
+        end = None
+        for k, leg in enumerate(legs):
+            end = leg[0] if end is None else end + leg[0]
+            if s <= end:
+                return tuple(legs[:k + 1])
+        return tuple(legs)
+
     def _walk(self, form_x, form_y, ss) -> list:
         """Points at the distances ss from x on [x, y]; assumes 0 <= s <= d(x, y).
 
@@ -1178,10 +1191,23 @@ class RTreeSpace(Space):
             base = man.offset if man.edge == RAY_EDGE else Fraction(0)
             targets.append(Point(self.kind, edge=RAY_EDGE, offset=base + 2 * D))
         form = self._form(man)
-        paths = [(tgt, to, self._gap(man, form, tgt, to))
-                 for tgt, to in zip(targets, map(self._form, targets))]
-        return [self._placed(man, form, to, gap, (D / gap,))[0] if D / gap < 1 else tgt
-                for tgt, to, gap in paths if gap != 0]
+        # an exact walk of D reads its path's legs only up to the one that
+        # holds D, so the targets that share those legs share one placed point
+        # (the same object); a float walk is placed per target
+        out, placed = [], {}
+        for tgt, to in zip(targets, map(self._form, targets)):
+            gap = self._gap(man, form, tgt, to)
+            if gap == 0:
+                continue
+            t = D / gap
+            if not t < 1:
+                out.append(tgt)
+                continue
+            key = self._held(self._legs(form, to), D) if isinstance(t, Fraction) else tgt
+            if key not in placed:
+                placed[key] = self._placed(man, form, to, gap, (t,))[0]
+            out.append(placed[key])
+        return out
 
     def random_move(self, rng, man, D):
         self.check_point(man, "man")

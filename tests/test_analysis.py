@@ -113,6 +113,18 @@ def test_curve_from_transcript_threshold_not_met(euclid2):
     assert info.value.best_tail == pytest.approx(math.pi / 2, abs=1e-9)
 
 
+
+def test_curve_from_transcript_needs_a_full_speed_move_after_the_threshold(euclid2):
+    # the lion runs 1 and then 1/2 onto a man standing 3/2 away: its one
+    # angle is straight, but the move after it is short
+    cfg = lm.GameConfig(space=euclid2, domain=lm.WholeSpace(), D=1.0, n_steps=10, tol=1e-9,
+                        lion_start=lm.epoint(0, 0), man_start=lm.epoint(1.5, 0))
+    tr = lm.run_game(cfg, lm.StationaryStrategy())
+    assert tr.capture_step == 1 and lm.beta_angles(euclid2, tr).beta == [math.pi]
+    with pytest.raises(InvalidInputError, match="no full-speed lion moves"):
+        lm.curve_from_transcript(euclid2, tr, 2.0)
+
+
 def test_verify_mans_win_curve_straight_path(euclid2):
     c = lm.geodesic_segment_curve(euclid2, lm.epoint(0, 0), lm.epoint(30, 0), n_samples=31)
     rep = lm.verify_mans_win_curve(c, 6.0, grid=64)

@@ -492,6 +492,53 @@ def test_only_zigzags_with_sideways_room_are_checked(monkeypatch, hyper, euclid2
         assert check(zz, 1.5, 0.0, 24).passed
 
 
+
+def spied_checks(monkeypatch):
+    passed = []
+    check = lm.curves.check_quasi_geodesic
+    monkeypatch.setattr(lm.curves, "check_quasi_geodesic",
+                        lambda *args: passed.append(check(*args).passed) or check(*args))
+    return passed
+
+
+def test_zigzag_halves_an_amplitude_whose_check_fails(monkeypatch, hyper):
+    # one node pushed 4.5 off the middle of a 30-long disk geodesic: its two
+    # legs leave it almost together, so points on them are far closer than
+    # |s - t| / 3; half the push passes
+    passed = spied_checks(monkeypatch)
+    a, b = lm.hpoint(-math.tanh(7.5), 0.0), lm.hpoint(math.tanh(7.5), 0.0)
+    zz = lm.zigzag_quasi_geodesic(hyper, a, b, 3.0, segments=2)
+    assert passed == [False, True] and "fallback" not in zz.meta
+    assert lm.check_quasi_geodesic(zz, 3.0, 0.0, 8).passed
+
+
+def test_zigzag_falls_back_to_the_geodesic_when_every_amplitude_fails(monkeypatch, hyper):
+    # two points at radius 35, 0.8 apart: the chart rounds each distance
+    # there by more than the tolerance, so every halving fails its check
+    passed = spied_checks(monkeypatch)
+    r = math.tanh(17.5)
+    a, b = lm.hpoint(r, 0.0), lm.hpoint(r * math.cos(1e-15), r * math.sin(1e-15))
+    zz = lm.zigzag_quasi_geodesic(hyper, a, b, 1.5, segments=4)
+    assert passed == [False] * lm.curves._ZIGZAG_TRIES
+    nodes = hyper.geodesic_points(a, b, np.linspace(0.0, 1.0, 5).tolist())
+    assert zz.meta["fallback"] and zz.points == tuple(nodes)
+    assert zz.params == tuple(lm.curves._chord_params(hyper, nodes))
+
+
+def test_zigzag_nodes_too_close_for_float_distances_are_refused(monkeypatch, hyper):
+    # 1e-161 apart, the squared chart gap of neighbouring nodes underflows to
+    # 0: every amplitude's chord params stall, it is halved without a check,
+    # and the geodesic fallback stalls as well
+    passed = spied_checks(monkeypatch)
+    chords = []
+    chord_params = lm.curves._chord_params
+    monkeypatch.setattr(lm.curves, "_chord_params",
+                        lambda *args: chords.append(1) or chord_params(*args))
+    with pytest.raises(InvalidInputError, match="strictly increasing"):
+        lm.zigzag_quasi_geodesic(hyper, lm.hpoint(0.0, 0.0), lm.hpoint(1e-161, 0.0), 1.3)
+    assert passed == [] and len(chords) == lm.curves._ZIGZAG_TRIES + 1
+
+
 def exact(curve):
     """A curve's params, points and meta, every number at full precision and with its type."""
     pts = [(p.kind, repr(p.coords), p.edge, repr(p.offset), type(p.offset), p.vertex)

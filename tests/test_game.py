@@ -114,6 +114,34 @@ def test_greedy_flees_directly_when_far(euclid2):
     assert abs(prop.coords[1]) <= 1e-12
 
 
+
+def test_greedy_tree_step_places_one_point_per_walked_prefix(monkeypatch):
+    # most of the 40 targets share the first D of their paths: one point is
+    # placed per distinct prefix, and the candidates equal one placement each
+    base = lm.random_tree(np.random.default_rng(7), n_vertices=40)
+    tree = lm.RTreeSpace(base.vertices, base.edges, ray_at="v12")
+    man, lion, D = lm.vertex_point("v5"), lm.vertex_point("v30"), Fraction(1, 2)
+    targets = [lm.vertex_point(v) for v in tree.vertices]
+    targets.append(lm.edge_point(lm.RAY_EDGE, 2 * D))
+    want, placed = [], []
+    for tgt in targets:
+        gap = tree.distance(man, tgt)
+        if gap and D < gap:
+            placed.append(tree.geodesic_point(man, tgt, D / gap))
+        if gap:
+            want.append(placed[-1] if D < gap else tgt)
+    calls = []
+    place = lm.RTreeSpace._placed
+    monkeypatch.setattr(lm.RTreeSpace, "_placed",
+                        lambda self, *args: calls.append(args) or place(self, *args))
+    got = tree.move_candidates(man, D, 8)
+    assert [(repr(p), type(p.offset)) for p in got] == [(repr(p), type(p.offset)) for p in want]
+    assert len(calls) == len(set(placed)) < len(placed) // 4
+    calls.clear()
+    best = lm.GreedyStrategy(lm.WholeSpace()).propose(tree, 1, lion, man, D)
+    assert best in got and len(calls) == len(set(placed))
+
+
 def test_greedy_cornered_man_is_caught():
     space, dom = segment_domain()
     cfg = lm.GameConfig(space=space, domain=dom, D=1.0, n_steps=60, tol=1e-9,
@@ -156,6 +184,17 @@ def test_speed_violations_are_clamped(euclid2):
     men = [r.man for r in tr.records]
     for m0, m1 in zip(men, men[1:]):
         assert euclid2.distance(m0, m1) == pytest.approx(1.0, abs=1e-9)
+
+
+
+def test_a_lion_step_that_rounds_out_of_the_space_ends_the_run(euclid2):
+    # the gap overflows to inf, so the step's t = D / gap is 0 and its point
+    # 0 * (b - a) = 0 * inf is NaN: the run stops before using it
+    cfg = lm.GameConfig(space=euclid2, domain=lm.WholeSpace(), D=1.0, n_steps=5, tol=1e-9,
+                        lion_start=lm.epoint(-1.7e308, 0), man_start=lm.epoint(1.7e308, 0))
+    tr = lm.run_game(cfg, lm.StationaryStrategy())
+    assert tr.stop_reason == "numeric-horizon" and tr.records == []
+    assert tr.final_lion == cfg.lion_start
 
 
 def test_out_of_domain_proposal_faults_with_step():

@@ -1,11 +1,14 @@
-"""The row-block pair engine of the grid checks and the distance tiles it reads.
+"""The tiled pair engine of the grid checks and the distance tiles it reads.
 
 Two earlier engines stay here as oracles that the engine must reproduce:
 `dense_check_grid`, the one-shot `_check_grid` that built every pair array
 at full size from the square distance table (compared field by field), and
-`compacting_check_pairs`, the row-block engine that gathered each block's
-checked pairs into fresh arrays before taking its statistics (compared by
-repr, so types and the sign of zero count too).
+`compacting_check_pairs`, the engine of 64-row blocks that gathered each
+block's checked pairs into fresh arrays before taking its statistics
+(compared by repr, so types and the sign of zero count too).  The engine
+walks tiles of at most `curves._TILE` pairs; the edges that the tests place
+their cases around are read from `curves._tiles` as a check walks them, and
+a budget of a few dozen pairs cuts rows into column pieces.
 """
 
 import bisect
@@ -27,6 +30,7 @@ from test_tree_golden import caterpillar
 
 B = curves._BLOCK
 ROOT2 = math.sqrt(2.0)
+SMALL_TILE = 40  # a budget that cuts every row wider than 40 pairs into pieces
 
 
 def dense_check_grid(curve, lam, lower_eps, upper_eps, grid, k, tol):
@@ -148,6 +152,63 @@ def assert_engine_matches(curve, lam, grid, k=None, eps=0.0, upper_eps=None, tol
     return got
 
 
+def check_tiles(curve, grid, k=None):
+    """The tiles (lo, hi, c0, c1) that one grid check walks, as `_tiles` yields them."""
+    seen = []
+    tiles = curves._tiles
+
+    def spy(starts, ends):
+        for tile in tiles(starts, ends):
+            seen.append(tile)
+            yield tile
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(curves, "_tiles", spy)
+        curves._check_grid(curve, 1.0, 0.0, 0.0, grid, k, None)
+    return seen
+
+
+def tile_edges(curve, grid, k=None):
+    """The first row of each tile of one grid check."""
+    return sorted({lo for lo, _, _, _ in check_tiles(curve, grid, k)})
+
+
+# -- the tiling
+
+
+def reference_tiles(starts, ends, budget):
+    # the rule written out row by row
+    out, lo, n = [], 0, len(starts)
+    while lo < n:
+        hi = lo + 1
+        while hi < min(n, lo + B) and (hi + 1 - lo) * (ends[hi] - starts[lo]) <= budget:
+            hi += 1
+        if ends[lo] - starts[lo] > budget:
+            out += [(lo, lo + 1, c, min(c + budget, ends[lo]))
+                    for c in range(starts[lo], ends[lo], budget)]
+        else:
+            out.append((lo, hi, starts[lo], ends[hi - 1]))
+        lo = hi
+    return out
+
+
+@pytest.mark.parametrize("budget", [1, 7, SMALL_TILE, 500, curves._TILE])
+def test_tiles_follow_the_rule_written_out_row_by_row(budget, monkeypatch):
+    monkeypatch.setattr(curves, "_TILE", budget)
+    rng = np.random.default_rng(budget)
+    n = 700
+    rows = np.arange(1, n)
+    band = np.maximum.accumulate(np.minimum(n, rows + rng.integers(0, 90, n - 1)))
+    for starts, ends in ((rows, np.full(n - 1, n)),  # a global check, a sequence
+                         (rows, band),  # a k-local check
+                         (rows, rows),  # a band that holds no pair
+                         (np.full(n, n), np.full(n, 3 * n))):  # a side of `cat_defect`
+        got = list(curves._tiles(starts, ends))
+        assert got == reference_tiles(starts.tolist(), ends.tolist(), budget)
+        assert all(1 <= hi - lo <= B and (hi - lo) * (c1 - c0) <= budget
+                   for lo, hi, c0, c1 in got)
+
+
 # -- one segment per family, merged lengths around multiples of the block size
 
 
@@ -169,6 +230,8 @@ def segments():
 def test_blocks_around_multiples_of_the_block_size(name, n):
     curve = segments()[name]
     assert len(_merged_params(curve, n)[0]) == n  # two samples: the merged list is the grid
+    # rows this short fit B to a tile: its edges fall on the multiples of B
+    assert tile_edges(curve, n) == list(range(0, n - 1, B))
     length = float(curve.t_max - curve.t_min)
     step = length / (n - 1)
     for lam in (1.0, 1.3):
@@ -217,6 +280,7 @@ def test_ties_between_blocks_keep_the_earlier_pair(kind):
     n = 3 * B + 5
     curve = integer_line(space, n)
     for k in (None, 2.0, B + 3.0):
+        assert len(tile_edges(curve, n, k)) > 3
         rep = assert_engine_matches(curve, 1.0, n, k=k)
         assert rep.min_ratio == 1.0 and rep.worst_lower_slack == 0.0
         first = (curve.params[0], curve.params[1])
@@ -236,11 +300,11 @@ def test_first_violations_in_a_later_block():
     grid = 3 * B
     rows = {float(t): r for r, t in enumerate(_merged_params(corner, grid)[0])}
     rep = assert_engine_matches(corner, 1.2, grid)
-    assert rows[rep.first_lower_violation[0]] >= B
+    assert rows[rep.first_lower_violation[0]] >= tile_edges(corner, grid)[1]
     assert rep.first_upper_violation is None
     rows = {float(t): r for r, t in enumerate(_merged_params(speedup, grid)[0])}
     rep = assert_engine_matches(speedup, 3.0, grid)
-    assert rows[rep.first_upper_violation[0]] >= 2 * B
+    assert rows[rep.first_upper_violation[0]] >= tile_edges(speedup, grid)[2]
     for k in (5.0, 30.0):
         assert_engine_matches(corner, 1.2, grid, k=k)
         assert_engine_matches(speedup, 3.0, grid, k=k)
@@ -261,7 +325,7 @@ def test_fraction_params_that_round_to_one_float_have_a_zero_gap():
     tree = lm.ray_tree()
     ray = lm.tree_ray_curve(tree)
     tiny = Fraction(1, 10**30)
-    # one tied pair in the first block, one in the third; the second pair
+    # one tied pair in the first tile, one in the third; the second pair
     # repeats its point, so its distance is zero too
     params = (Fraction(0), Fraction(1, 3), Fraction(1, 3) + tiny, Fraction(5), Fraction(5) + tiny,
               Fraction(7))
@@ -271,7 +335,8 @@ def test_fraction_params_that_round_to_one_float_have_a_zero_gap():
     merged = _merged_params(curve, 3 * B)[0]
     tarr = [float(t) for t in merged]
     ties = [r for r in range(len(tarr) - 1) if tarr[r] == tarr[r + 1]]
-    assert len(ties) == 2 and ties[0] < B and ties[1] >= 2 * B
+    edges = tile_edges(curve, 3 * B)
+    assert len(ties) == 2 and ties[0] < edges[1] and ties[1] >= edges[2]
     for lam in (1.0, 2.0):
         for k in (None, 0.5, 3.0):
             rep = assert_engine_matches(curve, lam, 3 * B, k=k)
@@ -282,11 +347,12 @@ def test_slack_exactly_at_the_tolerance_is_no_violation():
     # dyadic params and points, unit speed and then speed 3/4: a pair inside
     # the slow leg has lower slack -gap/4 exactly, which equals -tol * scale
     # for every gap >= 1 when tol = 1/4.  The slow leg starts at row 2B of
-    # the grid, in the third block
+    # the grid, the first row of the third tile
     line = lm.EuclideanSpace(1)
     curve = lm.Curve(line, (0.0, 4.0, 6.0), (lm.epoint(0.0), lm.epoint(4.0), lm.epoint(5.5)))
     grid = 3 * B + 1
     assert _merged_params(curve, grid)[0][2 * B] == 4.0
+    assert tile_edges(curve, grid)[2] == 2 * B
     for k in (None, 1.5):
         rep = assert_engine_matches(curve, 1.0, grid, k=k, tol=0.25)
         assert rep.passed and rep.first_lower_violation is None
@@ -307,6 +373,40 @@ def test_band_keeps_pairs_that_round_into_it():
     assert rep.n_pairs == dense_check_grid(curve, 1.0, 0.0, 0.0, 2, 1.0, None).n_pairs
 
 
+@pytest.mark.parametrize("name", sorted(segments()))
+def test_rows_cut_into_pieces_match_both_oracles(name, monkeypatch):
+    monkeypatch.setattr(curves, "_TILE", SMALL_TILE)
+    curve = segments()[name]
+    n = 2 * B + 11
+    step = float(curve.t_max - curve.t_min) / (n - 1)
+    tiles = check_tiles(curve, n)
+    assert any(c0 > lo + 1 for lo, _, c0, _ in tiles)  # pieces past a row's first
+    for lam in (1.0, 1.3):
+        assert_engine_matches(curve, lam, n)
+        assert_engine_matches(curve, lam, n, eps=0.3, upper_eps=0.0)
+        assert_engine_matches(curve, lam, n, tol=0.0)
+        # bands of whole rows, about one budget wide, and of cut rows
+        for width in (3, SMALL_TILE - 1, SMALL_TILE, SMALL_TILE + 1, B + 7):
+            assert_engine_matches(curve, lam, n, k=width * step)
+        assert_engine_matches(curve, lam, n, k=(B + 7) * step, eps=0.2, upper_eps=0.0, tol=0.0)
+
+
+def test_cut_rows_on_curved_paths_match_both_oracles(monkeypatch):
+    monkeypatch.setattr(curves, "_TILE", SMALL_TILE)
+    tube = lm.hyperbolic_tube_curve(length=20.0, amplitude=0.25, seed=4)
+    for curve, ks, lam in ((tube, (0.5, 3.0), ROOT2),
+                           (lm.l2_example_curve(), (40.0, 700.0), math.sqrt(11.0 / 3.0))):
+        for k in (None, *ks):
+            assert_engine_matches(curve, lam, 2 * B + 9, k=k)
+    # the public checks, a promotion among them, equal those of the default budget
+    grid = 2 * B + 9
+    cut = (lm.check_directional_curve(tube, 0.5, grid), lm.verify_promotion(
+        tube.space, tube, 1.1, 0.2, 8.0, grid))
+    monkeypatch.undo()
+    assert repr(cut) == repr((lm.check_directional_curve(tube, 0.5, grid), lm.verify_promotion(
+        tube.space, tube, 1.1, 0.2, 8.0, grid)))
+
+
 def test_public_checks_go_through_the_engine():
     tube = lm.hyperbolic_tube_curve(length=20.0, amplitude=0.25, seed=4)
     grid = 2 * B + 9
@@ -319,7 +419,7 @@ def test_public_checks_go_through_the_engine():
                                          want.worst_lower_pair, want.worst_upper_pair)
 
 
-# -- directional sequences in the same row blocks
+# -- directional sequences and comparison defects in the same tiles
 
 
 def dense_directional_sequence(space, points, b):
@@ -349,6 +449,22 @@ def test_directional_sequences_match_the_square_table(name):
         for b in (0.0, 0.5, Fraction(3, 2)):
             want = dense_directional_sequence(space, pts, b)
             assert repr(lm.check_directional_sequence(space, pts, b)) == repr(want), (n, b)
+
+
+@pytest.mark.parametrize("name", sorted(segments()))
+def test_sequences_and_defects_in_cut_rows_match(name, monkeypatch):
+    curve = segments()[name]
+    space = curve.space
+    rng = np.random.default_rng(13)
+    pts = [curve.at(float(t) * float(curve.t_max)) for t in np.sort(rng.uniform(0.0, 1.0, 90))]
+    x, y, z = pts[0], pts[-1], space.random_point(rng, 2.0)
+    # at grid 20 each side of the defect is one tile of the default budget
+    want = [repr(lm.check_directional_sequence(space, pts[:n], 0.5)) for n in (2, 41, 90)]
+    defect = lm.cat_defect(space, x, y, z, 20)
+    monkeypatch.setattr(curves, "_TILE", SMALL_TILE)
+    assert [repr(lm.check_directional_sequence(space, pts[:n], 0.5)) for n in (2, 41, 90)] == want
+    assert want[-1] == repr(dense_directional_sequence(space, pts, 0.5))
+    assert repr(lm.cat_defect(space, x, y, z, 20)) == repr(defect)
 
 
 def test_a_sequence_with_inf_steps_keeps_the_first_nan_slack():
@@ -896,23 +1012,25 @@ def traced_peak_mib(run):
 
 def test_grid_checks_hold_no_square_pair_arrays():
     # the dense pair arrays took 399.5 MiB (box, grid 2000) and 187.0 MiB
-    # (tube); blocks compacted into fresh arrays took 11.5, 2.4 and, at grid
-    # 5000, 29.2 MiB, where whole blocks in per-check buffers take 7.8, 2.1
-    # and 19.0 MiB
+    # (tube); whole 64-row blocks took 7.1, 1.7 and, at grid 5000, 17.5 MiB,
+    # where tiles of at most _TILE pairs take 1.2, 1.3 and 1.5 MiB
     box = lm.l2_example_curve()
     tube = lm.hyperbolic_tube_curve(length=20.0, step=1.0, amplitude=0.2, seed=1)
     lam = math.sqrt(11.0 / 3.0)
-    assert traced_peak_mib(lambda: lm.check_quasi_geodesic(box, lam, 0.0, 2000)) < 10.0
-    assert traced_peak_mib(lambda: lm.check_quasi_geodesic(tube, ROOT2, 0.0, 2000, k=3)) < 4.0
-    assert traced_peak_mib(lambda: lm.check_quasi_geodesic(box, lam, 0.0, 5000)) <= 24.0
+    box_2000 = traced_peak_mib(lambda: lm.check_quasi_geodesic(box, lam, 0.0, 2000))
+    assert box_2000 < 2.5
+    assert traced_peak_mib(lambda: lm.check_quasi_geodesic(tube, ROOT2, 0.0, 2000, k=3)) < 2.5
+    box_5000 = traced_peak_mib(lambda: lm.check_quasi_geodesic(box, lam, 0.0, 5000))
+    assert box_5000 < 2.5 and box_5000 - box_2000 < 1.0
 
 
 def test_sequences_and_defects_hold_no_square_tables():
     # with the square tables: 427.3 MiB for the sequence, 99.6 MiB for the
-    # 3g x 3g defect tables; now 9.8 and 17.3 MiB
+    # 3g x 3g defect tables; with whole 64-row blocks and whole sides 9.8 and
+    # 17.4 MiB; in tiles 0.8 and 1.3 MiB
     plane = lm.EuclideanSpace(2)
     rng = np.random.default_rng(0)
     pts = [lm.epoint(float(i), float(rng.uniform(-0.3, 0.3))) for i in range(4000)]
-    assert traced_peak_mib(lambda: lm.check_directional_sequence(plane, pts, 1.0)) < 30.0
+    assert traced_peak_mib(lambda: lm.check_directional_sequence(plane, pts, 1.0)) < 2.5
     x, y, z = lm.epoint(0, 0), lm.epoint(5, 0), lm.epoint(1, 4)
-    assert traced_peak_mib(lambda: lm.cat_defect(plane, x, y, z, 600)) < 30.0
+    assert traced_peak_mib(lambda: lm.cat_defect(plane, x, y, z, 600)) < 2.5

@@ -495,3 +495,16 @@ def test_tree_tables_equal_the_recursion_over_parent_rows(name):
     assert tree._below.dtype == below.dtype and (tree._below == below).all()
     assert tree._span.dtype == span.dtype and tree._span.shape == span.shape
     assert tree._span.tobytes() == span.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "l2box", "hyperbolic"])
+def test_moves_hold_python_floats(kind):
+    space = {"euclidean": lm.EuclideanSpace(2), "l2box": lm.L2BoxSpace(3, 4.0),
+             "hyperbolic": lm.HyperbolicPlane()}[kind]
+    rng = np.random.default_rng(3)
+    man = space.random_point(rng, 0.5)
+    moves = space.move_candidates(man, 0.25, 8)
+    moves += [space.random_move(rng, man, Fraction(1, 4)) for _ in range(20)]
+    moves = [p for p in moves if p is not None]
+    assert len(moves) > 8
+    assert {type(c) for p in moves for c in p.coords} == {float}
