@@ -113,7 +113,6 @@ def test_curve_from_transcript_threshold_not_met(euclid2):
     assert info.value.best_tail == pytest.approx(math.pi / 2, abs=1e-9)
 
 
-
 def test_curve_from_transcript_needs_a_full_speed_move_after_the_threshold(euclid2):
     # the lion runs 1 and then 1/2 onto a man standing 3/2 away: its one
     # angle is straight, but the move after it is short

@@ -492,7 +492,6 @@ def test_only_zigzags_with_sideways_room_are_checked(monkeypatch, hyper, euclid2
         assert check(zz, 1.5, 0.0, 24).passed
 
 
-
 def spied_checks(monkeypatch):
     passed = []
     check = lm.curves.check_quasi_geodesic

@@ -114,7 +114,6 @@ def test_greedy_flees_directly_when_far(euclid2):
     assert abs(prop.coords[1]) <= 1e-12
 
 
-
 def test_greedy_tree_step_places_one_point_per_walked_prefix(monkeypatch):
     # most of the 40 targets share the first D of their paths: one point is
     # placed per distinct prefix, and the candidates equal one placement each
@@ -184,7 +183,6 @@ def test_speed_violations_are_clamped(euclid2):
     men = [r.man for r in tr.records]
     for m0, m1 in zip(men, men[1:]):
         assert euclid2.distance(m0, m1) == pytest.approx(1.0, abs=1e-9)
-
 
 
 def test_a_lion_step_that_rounds_out_of_the_space_ends_the_run(euclid2):
