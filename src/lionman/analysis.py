@@ -63,8 +63,12 @@ def beta_angles(space: Space, transcript: Transcript) -> BetaSequence:
     return _angles(space, transcript)
 
 
-def _angles(space: Space, transcript: Transcript) -> BetaSequence:
-    """`beta_angles` of a transcript whose points are checked members."""
+def _angles(space: Space, transcript: Transcript, with_alpha=True) -> BetaSequence:
+    """`beta_angles` of a transcript whose points are checked members.
+
+    Without ``with_alpha`` every alpha is None, d(L_n, M_{n-1}) and the
+    alpha angle left unmeasured.
+    """
     records = transcript.records
     if len(records) < 2 and transcript.capture_step is None:
         raise InvalidInputError("need at least two recorded steps")
@@ -80,8 +84,7 @@ def _angles(space: Space, transcript: Transcript) -> BetaSequence:
         # each angle reuses the sides measured here
         beta = space._angle(lion, prev.lion, cur.man, back, ahead)
         alpha = None
-        man_back = space._dist(lion, prev.man)
-        if man_back > 0:
+        if with_alpha and (man_back := space._dist(lion, prev.man)) > 0:
             alpha = space._angle(lion, prev.man, cur.man, man_back, ahead)
         steps.append(n)
         betas.append(beta)
@@ -108,7 +111,8 @@ def curve_from_transcript(space: Space, transcript: Transcript, k, D=None):
     D = transcript.D if D is None else D
     theta = beta_threshold(k, D)
     _check_records(space, transcript)
-    return _win_curve(space, transcript, _angles(space, transcript), theta, D)
+    # the win curve reads the steps and the betas only
+    return _win_curve(space, transcript, _angles(space, transcript, with_alpha=False), theta, D)
 
 
 def _win_curve(space: Space, transcript: Transcript, bs: BetaSequence, theta, D):
@@ -193,21 +197,23 @@ def _audit(space: RTreeSpace, transcript: Transcript, D) -> CaptureAudit:
     steps, colin, dist_res = [], [], []
     first_failure = None
     final_distance = None
+    d0n = space._dist(L0, L0)  # then each step's d(L_0, L_{n+1}), carried to the next
     for n, rec in enumerate(transcript.records):
         if not rec.dist > D:
             break
-        d0n = space._dist(L0, lions[n])
-        resid_c = d0n + space._dist(lions[n], lions[n + 1]) - space._dist(L0, lions[n + 1])
+        d0_next = space._dist(L0, lions[n + 1])
+        resid_c = d0n + space._dist(lions[n], lions[n + 1]) - d0_next
         resid_d = abs(d0n - n * D)
         steps.append(n)
         colin.append((n, resid_c))
         dist_res.append((n, resid_d))
         if (resid_c > 0 or resid_d > 0) and first_failure is None:
             first_failure = n
+        d0n = d0_next
     else:
         # no capture inside the record: the final lion position closes the ray
         n = len(transcript.records)
-        final_distance = space._dist(L0, lions[n])
+        final_distance = d0n
         if abs(final_distance - n * D) > 0 and first_failure is None:
             first_failure = n
     return CaptureAudit(passed=first_failure is None, steps=steps, colinearity=colin,

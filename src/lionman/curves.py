@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    DegenerateInputError,
     InsufficientCurveError,
     InsufficientDataError,
     InvalidAlphaError,
@@ -269,9 +270,23 @@ def _merged_params(curve: Curve, grid: int):
 
 
 def _first_min(values):
-    """Index of the first smallest value, or None when none is below inf."""
+    """Index of the first smallest value, or None when none is below inf.
+
+    np.argmin follows `_worse`: the first NaN is the smallest value.
+    """
     n = int(np.argmin(values)) if len(values) else None
     return None if n is None or values[n] == np.inf else n
+
+
+def _worse(v, held, than=operator.lt) -> bool:
+    """Whether v replaces held as the running worst value, `than` saying which is worse.
+
+    The one NaN rule of every certificate: a NaN measurement is worse than
+    any number and the first NaN met is kept, so it is the witness, and a
+    check that compares its worst value with a bound fails on it.  Only a
+    float can be NaN, so an exact tree value costs no further comparison.
+    """
+    return than(v, held) or (isinstance(v, float) and v != v and held == held)
 
 
 _BLOCK = 64  # most rows of a tile: a k-local tile's staircase of unchecked pairs stays this short
@@ -322,7 +337,9 @@ def _check_pairs(space: Space, params, arrays, lam, lower_eps, upper_eps, k, tol
     read inf in every statistic, so the row-major first minimum of a tile is
     that of its checked pairs.  A worst pair gives way only to a strictly
     smaller value of a later tile and the first violation found is kept, so
-    every witness is the first in row-major order.
+    every witness is the first in row-major order.  A NaN distance follows
+    `_worse`: it is worse than any number in every statistic and violates
+    both bounds, so the first NaN pair is every witness and fails the check.
     """
     tol = space.rel_tol if tol is None else tol
     lam, lower_eps, upper_eps = float(lam), float(lower_eps), float(upper_eps)
@@ -357,12 +374,11 @@ def _check_pairs(space: Space, params, arrays, lam, lower_eps, upper_eps, k, tol
         # the first minimum of the statistic in value, raw its unscaled form
         np.copyto(value[:, :skip.shape[1]], np.inf, where=skip)
         m = _first_min(flat_value)
-        if m is not None and flat_value[m] < worst.get(name, (math.inf,))[0]:
+        if m is not None and _worse(flat_value[m], worst.get(name, (math.inf,))[0]):
             worst[name] = (flat_value[m], pair(m), float(raw.flat[m]), float(flat_dist[m]))
         return m
 
     def scan(name, m):
-        # NaN fails the comparison with bar, so a NaN tile is scanned
         if name in first or m is None or flat_value[m] > bar:
             return
         bad = slack < -tol * scale
@@ -411,9 +427,12 @@ def _check_pairs(space: Space, params, arrays, lam, lower_eps, upper_eps, k, tol
         scan("upper", least("upper", slack))
 
     ratio, lower, upper = (worst.get(name) for name in ("ratio", "lower", "upper"))
+    for name, w in (("lower", lower), ("upper", upper)):
+        if w is not None and math.isnan(w[0]):  # the first NaN pair, by `_worse`
+            first[name] = (*w[1], w[3])
     return QGReport(
         lam=float(lam), eps=float(lower_eps), k=None if k is None else float(k),
-        n_pairs=n_pairs, passed=not any(w is not None and w[0] < -tol for w in (lower, upper)),
+        n_pairs=n_pairs, passed=all(w is None or w[0] >= -tol for w in (lower, upper)),
         min_ratio=math.inf if ratio is None else ratio[2],
         min_ratio_pair=None if ratio is None else ratio[1],
         worst_lower_slack=math.inf if lower is None else lower[2],
@@ -496,9 +515,8 @@ def check_directional_sequence(space: Space, points, b: float, *, tol=None) -> D
         m = _first_min(slack.ravel())
         if m is None:
             continue
-        # a NaN is least, as it is to np.argmin over all the pairs at once
         v = slack.flat[m]
-        if v < worst or (v != v and worst == worst):
+        if _worse(v, worst):
             r, c = divmod(m, c1 - c0)
             worst, witness = v, (lo + r, c0 + c)
     return DirectionalityReport(
@@ -552,7 +570,10 @@ def verify_promotion(space: Space, curve: Curve, lam: float, M: float,
     points = _merge(curve.points, curve._at_sorted(kept, slots), slots)
     report = _check_pairs(curve.space, params, curve.space._arrays(points),
                           lam_star, eps, eps, None, None)
-    worst = max([0.0] + [float(d) for d in space._to_chain(points, chord)])
+    worst = 0.0
+    for d in map(float, space._to_chain(points, chord)):
+        if _worse(d, worst, operator.gt):
+            worst = d
     report.max_chord_dist = worst
     report.chord_bound = 2.0 * M
     report.chord_ok = worst <= 2.0 * M + space.rel_tol * max(1.0, worst)
@@ -751,9 +772,7 @@ def zigzag_quasi_geodesic(space: Space, a: Point, b: Point, lam: float,
     ts = np.linspace(0.0, 1.0, segments + 1).tolist()
     geodesic = space.geodesic_points(a, b, ts)
     if lam <= 1.0:
-        params = _chord_params(space, geodesic)
-        return Curve(space, tuple(params), tuple(geodesic),
-                     meta={"generator": "zigzag", "lam": lam})
+        return _geodesic_zigzag(space, geodesic, {"generator": "zigzag", "lam": lam})
 
     gap = total / segments
     amp = 0.45 * gap * (lam - 1.0) / lam
@@ -783,8 +802,17 @@ def zigzag_quasi_geodesic(space: Space, a: Point, b: Point, lam: float,
         if pts == geodesic or check_quasi_geodesic(curve, lam, 0.0, 4 * segments).passed:
             return curve
         amp *= 0.5
-    return Curve(space, tuple(_chord_params(space, geodesic)), tuple(geodesic),
-                 meta={"generator": "zigzag", "lam": lam, "fallback": True})
+    return _geodesic_zigzag(space, geodesic, {"generator": "zigzag", "lam": lam, "fallback": True})
+
+
+def _geodesic_zigzag(space: Space, geodesic, meta) -> Curve:
+    """The zigzag through the geodesic nodes, refused where float distances cannot part them."""
+    params = _chord_params(space, geodesic)
+    if any(q <= p for p, q in zip(params, params[1:])):
+        raise DegenerateInputError(
+            "zigzag endpoints are closer than float64 chord distances resolve: "
+            "neighbouring geodesic nodes read distance 0")
+    return Curve(space, tuple(params), tuple(geodesic), meta=meta)
 
 
 def _chord_params(space: Space, pts):

@@ -10,12 +10,13 @@ with explicit witnesses.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .curves import _tiles, zigzag_quasi_geodesic
+from .curves import _tiles, _worse, zigzag_quasi_geodesic
 from .errors import DegenerateInputError, InvalidInputError
 from .spaces import EuclideanSpace, Point, PointSampler, Space, _flat_angle, epoint
 
@@ -129,13 +130,16 @@ class SlimnessReport:
 
 
 def _chain_slimness(space: Space, chains, sample_sets, grid: int) -> SlimnessReport:
+    # by `_worse`, a NaN distance to either other chain is the sample's
+    # distance, and the first NaN sample is the witness
     worst = None
     for i, samples in enumerate(sample_sets):
         others = [c for j, c in enumerate(chains) if j != i]
         points = [p for _, p in samples]
-        near = map(min, space._to_chain(points, others[0]), space._to_chain(points, others[1]))
+        near = [b if _worse(b, a) else a for a, b in zip(space._to_chain(points, others[0]),
+                                                          space._to_chain(points, others[1]))]
         for (t, p), d in zip(samples, near):
-            if worst is None or d > worst[0]:
+            if worst is None or _worse(d, worst[0], operator.gt):
                 worst = (d, i, t, p)
     value, side, t, p = worst
     return SlimnessReport(value=value, witness_side=side, witness_param=float(t),
@@ -147,7 +151,8 @@ def slim_defect(space: Space, x: Point, y: Point, z: Point, grid: int) -> Slimne
 
     Each side is sampled on a uniform parameter grid and measured against
     the union of the other two sides; the result underestimates the true
-    slimness by at most the sampling resolution.
+    slimness by at most the sampling resolution.  A NaN distance makes the
+    slimness NaN, its first sample the witness.
     """
     if grid < 2:
         raise InvalidInputError("grid must be >= 2")
@@ -171,7 +176,8 @@ def estimate_quasi_slim_M(space: Space, lam: float, sampler: PointSampler,
 
     Sides are seeded zigzags certified to satisfy the (lambda, 0) bounds
     before use; with lambda = 1 the triangles are geodesic and the result
-    matches estimate_delta on the same seed.
+    matches estimate_delta on the same seed.  A NaN slimness is worse than
+    any number: the first one met is the result.
     """
     if lam < 1:
         raise InvalidInputError("lambda must be >= 1")
@@ -200,7 +206,7 @@ def estimate_quasi_slim_M(space: Space, lam: float, sampler: PointSampler,
                 ts = np.linspace(float(c.t_min), float(c.t_max), grid).tolist()
                 sample_sets.append(list(zip(ts, c._at_sorted(ts))))
             value = _chain_slimness(space, chains, sample_sets, grid).value
-        if value > best:
+        if _worse(value, best, operator.gt):
             best = value
     return best
 
@@ -230,7 +236,8 @@ def check_gromov_criterion(space: Space, triples, delta_prime, *,
 
     For each triple (x, y, z) and each level r <= (y|z)_x, takes the points
     at distance r from x on [x, y] and [x, z] and records their distance.
-    On a tree the pairs coincide and the supremum is exactly zero.
+    On a tree the pairs coincide and the supremum is exactly zero.  A NaN
+    distance is the supremum, the first one the witness, and fails the test.
     """
     if delta_prime < 0:
         raise InvalidInputError("delta_prime must be >= 0")
@@ -244,17 +251,19 @@ def check_gromov_criterion(space: Space, triples, delta_prime, *,
         g = _gromov(dxy, dxz, space.distance(y, z))
         local = 0
         local_witness = None
-        if g > 0 and dxy > 0 and dxz > 0:
+        if g != g:  # a NaN among the three distances: the triple's measurement
+            local, local_witness = g, (idx, g, g)
+        elif g > 0 and dxy > 0 and dxz > 0:
             levels = [g * j / _CRITERION_LEVELS for j in range(1, _CRITERION_LEVELS + 1)]
             ys = space.geodesic_points(x, y, [r / dxy for r in levels])
             zs = space.geodesic_points(x, z, [r / dxz for r in levels])
             for r, yp, zp in zip(levels, ys, zs):
                 d = space.distance(yp, zp)
-                if d > local:
+                if _worse(d, local, operator.gt):
                     local = d
                     local_witness = (idx, r, d)
         per_triple.append((idx, local))
-        if local > sup:
+        if _worse(local, sup, operator.gt):
             sup = local
             witness = local_witness
     passed = sup <= delta_prime + tol * max(1.0, float(sup))

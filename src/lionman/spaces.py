@@ -77,6 +77,20 @@ def _shadow(v):
     return float(v) if isinstance(v, Fraction) else v
 
 
+def _float_sign(x, f, length) -> int:
+    """-1, 0 or 1 as the float x lies below, at or above length, with f = float(length).
+
+    The one tie rule of tree floats: f decides every comparison but a tie,
+    which the exact length breaks.  A float below (above) f lies below
+    (above) every length that rounds to f, so this is the sign of the exact
+    comparison, found by float comparisons alone off a tie.  A NaN reads as
+    below.
+    """
+    if x != f:
+        return 1 if x > f else -1
+    return (x > length) - (x < length)
+
+
 def epoint(*coords) -> Point:
     """Euclidean point from coordinates."""
     return Point("euclidean", tuple(float(c) for c in coords))
@@ -818,9 +832,8 @@ class RTreeSpace(Space):
                                    for i in range(n)])
 
         # float shadows, read when an offset or a t is a float: float(length)
-        # of each vertex's parent edge and whether it is that length exactly
+        # of each vertex's parent edge
         self._flen = [float(length) for length in self._len]
-        self._exact = [f == length for f, length in zip(self._flen, self._len)]
         # numpy copies of the parent links and of the vertex range, for _table
         self._parents = np.array(self._parent)
         self._vertex_range = np.arange(n)
@@ -839,12 +852,8 @@ class RTreeSpace(Space):
         if not 0 <= p.edge < len(self.edges):
             return False
         if type(p.offset) is float:
-            # float(length) decides every comparison but a tie, which the
-            # exact length breaks
             c = self._child[p.edge]
-            f = self._flen[c]
-            return 0 <= p.offset <= f and (p.offset < f or self._exact[c]
-                                           or p.offset <= self._len[c])
+            return 0 <= p.offset and _float_sign(p.offset, self._flen[c], self._len[c]) <= 0
         return 0 <= p.offset <= self.edges[p.edge][2]
 
     # -- rooted form (i, h, rest): h above vertex i, rest below i's parent
@@ -859,9 +868,8 @@ class RTreeSpace(Space):
         u, v, length = self.edges[p.edge]
         c = self._child[p.edge]
         if type(off) is float:
-            # a float offset meets float(length) in arithmetic, and equals
-            # the length only where float(length) is exact
-            at_end = off == self._flen[c] and self._exact[c]
+            # a float offset meets float(length) in arithmetic
+            at_end = _float_sign(off, self._flen[c], length) == 0
             length = self._flen[c]
         else:
             at_end = off == length
@@ -889,13 +897,10 @@ class RTreeSpace(Space):
         if e is None:  # the root of a tree without a ray
             return Point(self.kind, vertex=self.vertices[i])
         u, v, length = self.edges[e] if e != RAY_EDGE else (self.vertices[i], None, math.inf)
-        f, exact = length, True
-        if up and type(up) is float:  # a float offset, placed by float(length) but in a tie
-            f, exact = self._flen[i], self._exact[i]
-        else:
-            up = up or _ZERO  # a float zero would round an exact offset
+        up = up or _ZERO  # a float zero would round an exact offset
         offset = h + up if u == self.vertices[i] else rest - up
-        if 0 < offset < f or (not exact and offset == f and offset < length):
+        if 0 < offset and (_float_sign(offset, self._flen[i], length) < 0
+                           if type(offset) is float else offset < length):
             return Point(self.kind, edge=e, offset=offset)
         return Point(self.kind, vertex=u if offset <= 0 else v)
 
@@ -1010,18 +1015,15 @@ class RTreeSpace(Space):
                 out.append(self._on_edge(i, h, rest, s if up else -s))
                 continue
             # a float s loses the exact leg lengths in path order, as a walk
-            # along the edges does; float(length) decides every comparison but
-            # a tie with it, which the exact length breaks, and a nonzero float
-            # s meets the leg's float h and rest, as Fraction's fallback would
+            # along the edges does, each compared by `_float_sign`; a nonzero
+            # float s meets the leg's float h and rest, as Fraction's fallback
+            # would
             if shadows is None:
                 shadows = [(float(length), _shadow(h), _shadow(rest))
                            for length, _, h, rest, _ in legs]
             for (length, i, h, rest, up), (f, fh, frest) in zip(legs, shadows):
-                if s != f:
-                    on = s > f
-                else:
-                    on = s >= length if up else s > length
-                if not on:
+                past = _float_sign(s, f, length)
+                if past < 0 or (past == 0 and not up):
                     if s and type(s) is float:
                         h, rest = fh, frest
                     out.append(self._on_edge(i, h, rest, s if up else -s))

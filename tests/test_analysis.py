@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import lionman as lm
+from lionman import analysis
 from lionman.errors import InvalidInputError, ThresholdNotMetError
 
 
@@ -348,6 +349,79 @@ def test_analyze_transcript_measures_each_angle_once(name, space, tr, k, monkeyp
         None if a is None
         else lm.alexandrov_angle(space, records[n].lion, records[n - 1].man, records[n].man)
         for n, a in zip(angles.steps, angles.alpha)]
+
+
+def win_curve_or_error(run):
+    try:
+        return repr(run())
+    except (ThresholdNotMetError, InvalidInputError) as exc:
+        return repr(exc), getattr(exc, "best_tail", None)
+
+
+@pytest.mark.parametrize("name, space, tr, k", CERTIFICATE_GAMES,
+                         ids=[g[0] for g in CERTIFICATE_GAMES])
+def test_curve_from_transcript_measures_only_the_betas(name, space, tr, k, monkeypatch):
+    # the win curve reads the steps and the betas: d(L_n, M_{n-1}) and the
+    # alpha angle go unmeasured, and the result is that of the full angles
+    theta = lm.beta_threshold(k, tr.D)
+    angles, dists = [], []
+    angle, dist = space._angle, space._dist
+    monkeypatch.setattr(space, "_angle", lambda *args: angles.append(1) or angle(*args))
+    monkeypatch.setattr(space, "_dist", lambda x, y: dists.append(1) or dist(x, y))
+    full = analysis._angles(space, tr)
+    want = win_curve_or_error(lambda: analysis._win_curve(space, tr, full, theta, tr.D))
+    measured = len(angles), len(dists)
+    angles.clear()
+    dists.clear()
+    assert win_curve_or_error(lambda: lm.curve_from_transcript(space, tr, k)) == want
+    alphas = sum(a is not None for a in full.alpha)
+    assert len(angles) == len(full.beta) == measured[0] - alphas
+    # a tree angle measures d(y, z) as well
+    tree = isinstance(space, lm.RTreeSpace)
+    assert len(dists) == measured[1] - len(full.steps) - (alphas if tree else 0)
+
+
+def audit_reference(space, tr, D):
+    """The capture audit as it once measured: three distances at every step."""
+    lions = tr.lion_path()
+    steps, colin, dist_res, first_failure, final_distance = [], [], [], None, None
+    for n, rec in enumerate(tr.records):
+        if not rec.dist > D:
+            break
+        d0n = space.distance(lions[0], lions[n])
+        resid_c = (d0n + space.distance(lions[n], lions[n + 1])
+                   - space.distance(lions[0], lions[n + 1]))
+        resid_d = abs(d0n - n * D)
+        steps.append(n)
+        colin.append((n, resid_c))
+        dist_res.append((n, resid_d))
+        if (resid_c > 0 or resid_d > 0) and first_failure is None:
+            first_failure = n
+    else:
+        n = len(tr.records)
+        final_distance = space.distance(lions[0], lions[n])
+        if abs(final_distance - n * D) > 0 and first_failure is None:
+            first_failure = n
+    return lm.CaptureAudit(passed=first_failure is None, steps=steps, colinearity=colin,
+                           dist_residuals=dist_res, first_failure=first_failure,
+                           final_distance=final_distance)
+
+
+@pytest.mark.parametrize("name, space, tr, k",
+                         [g for g in CERTIFICATE_GAMES if isinstance(g[1], lm.RTreeSpace)],
+                         ids=[g[0] for g in CERTIFICATE_GAMES if isinstance(g[1], lm.RTreeSpace)])
+def test_audit_carries_each_distance_from_the_start(name, space, tr, k, monkeypatch):
+    # d(L_0, L_{n+1}) of one step is d(L_0, L_n) of the next and, at the
+    # record end, the final distance: one distance for L_0, two per step
+    for D in (tr.D, 2 * tr.D):
+        want = audit_reference(space, tr, D)
+        calls = []
+        dist = space._dist
+        monkeypatch.setattr(space, "_dist", lambda x, y: calls.append(1) or dist(x, y))
+        got = analysis._audit(space, tr, D)
+        monkeypatch.undo()
+        assert repr(got) == repr(want)
+        assert len(calls) == 1 + 2 * len(got.steps)
 
 
 # -- harness --------------------------------------------------------------------------------

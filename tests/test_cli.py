@@ -1,9 +1,11 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import lionman as lm
@@ -182,6 +184,21 @@ def test_verify_curve_rejects_a_tube_reaching_the_rim(tmp_path, capsys):
     assert out.out == ""
     assert out.err == ("error: tube length 40.0 (step 1.0) must stay within [0, 36.0]: "
                        "farther out its axis rounds onto the disk rim\n")
+
+
+def test_verify_curve_fails_a_curve_whose_grid_leaves_the_disk(tmp_path, capsys):
+    # six grid points of this rim segment round out of the disk and their
+    # distances are NaN: the check once printed PASS with min_ratio=inf
+    path = tmp_path / "rim.json"
+    disk = lm.HyperbolicPlane()
+    lm.save_curve(lm.geodesic_segment_curve(disk, lm.hpoint(0.0, math.tanh(5.85)),
+                                            lm.hpoint(-math.tanh(14.99), 0.0)), path)
+    with np.errstate(invalid="ignore"):
+        code = main(["verify-curve", "--curve", str(path), "--lambda", "1", "--grid", "100"])
+    assert code == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAIL lambda=1 eps=0 pairs=4950 min_ratio=nan"
+    assert lines[1].startswith("first lower violation: s=0 ") and lines[1].endswith(" dist=nan")
 
 
 @pytest.mark.parametrize("option", [["--k", "0"], ["--k", "-2"], ["--k", "nan"],

@@ -7,6 +7,7 @@ import pytest
 
 import lionman as lm
 from lionman.errors import (
+    DegenerateInputError,
     InsufficientCurveError,
     InsufficientDataError,
     InvalidAlphaError,
@@ -527,13 +528,13 @@ def test_zigzag_falls_back_to_the_geodesic_when_every_amplitude_fails(monkeypatc
 def test_zigzag_nodes_too_close_for_float_distances_are_refused(monkeypatch, hyper):
     # 1e-161 apart, the squared chart gap of neighbouring nodes underflows to
     # 0: every amplitude's chord params stall, it is halved without a check,
-    # and the geodesic fallback stalls as well
+    # and the geodesic fallback stalls as well, which names the float limit
     passed = spied_checks(monkeypatch)
     chords = []
     chord_params = lm.curves._chord_params
     monkeypatch.setattr(lm.curves, "_chord_params",
                         lambda *args: chords.append(1) or chord_params(*args))
-    with pytest.raises(InvalidInputError, match="strictly increasing"):
+    with pytest.raises(DegenerateInputError, match="closer than float64 chord distances resolve"):
         lm.zigzag_quasi_geodesic(hyper, lm.hpoint(0.0, 0.0), lm.hpoint(1e-161, 0.0), 1.3)
     assert passed == [] and len(chords) == lm.curves._ZIGZAG_TRIES + 1
 

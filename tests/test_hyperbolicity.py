@@ -424,3 +424,119 @@ def test_cat_defect_matches_the_three_block_loop(all_spaces, kind):
         x, y, z = sampler.draw(), sampler.draw(), sampler.draw()
         for grid in (2, 5, 11):
             assert lm.cat_defect(space, x, y, z, grid) == cat_defect_by_blocks(space, x, y, z, grid)
+
+
+# -- the NaN rule: a NaN distance is worse than any number, the first one
+# is the witness, and the certificate fails
+
+
+def far_disk_triangles(n, seed=0):
+    """Seeded disk triangles with vertices at hyperbolic radius 10 to 29.5.
+
+    Their sides pass so close to the rim that some sample points round out
+    of the disk, and the distances from those to the other sides are NaN.
+    """
+    rng = np.random.default_rng(seed)
+
+    def far():
+        s, theta = rng.uniform(10.0, 29.5), rng.uniform(0.0, 2.0 * math.pi)
+        r = math.tanh(s / 2.0)
+        return lm.hpoint(r * math.cos(theta), r * math.sin(theta))
+    return [(far(), far(), far()) for _ in range(n)]
+
+
+def first_nan_sample(space, tri, grid):
+    # (side, t, point) of the first sample whose distance to either other side is NaN
+    ts = [Fraction(j, grid - 1) for j in range(grid)]
+    sides = [(tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])]
+    for i, (a, b) in enumerate(sides):
+        pts = space.geodesic_points(a, b, ts)
+        others = [list(sides[j]) for j in range(3) if j != i]
+        with np.errstate(invalid="ignore"):
+            near = zip(*(space._to_chain(pts, chain) for chain in others))
+        for t, p, ds in zip(ts, pts, near):
+            if any(math.isnan(d) for d in ds):
+                return i, float(t), p
+    return None
+
+
+def test_far_disk_triangles_that_meet_a_nan_report_nan_slimness(hyper):
+    met = 0
+    for tri in far_disk_triangles(40):
+        with np.errstate(invalid="ignore"):
+            rep = lm.slim_defect(hyper, *tri, 24)
+        first = first_nan_sample(hyper, tri, 24)
+        if first is None:
+            assert not math.isnan(rep.value)
+            continue
+        met += 1
+        assert math.isnan(rep.value)
+        assert (rep.witness_side, rep.witness_param, rep.witness_point) == first
+    assert met >= 10
+
+
+def test_a_nan_slimness_is_the_estimate(hyper):
+    # seed 0 at scale 29.5: some of the eight triangles meet a NaN
+    sampler = lm.PointSampler(hyper, scale=29.5, seed=0)
+    values = []
+    with np.errstate(invalid="ignore"):
+        for _ in range(8):
+            values.append(lm.slim_defect(hyper, sampler.draw(), sampler.draw(),
+                                         sampler.draw(), 24).value)
+        got = [lm.estimate_delta(hyper, lm.PointSampler(hyper, scale=29.5, seed=0), 8, 24),
+               lm.estimate_quasi_slim_M(hyper, 1, lm.PointSampler(hyper, scale=29.5, seed=0),
+                                        8, 24)]
+    assert any(math.isnan(v) for v in values) and not math.isnan(values[0])
+    assert all(math.isnan(v) for v in got)
+
+
+def test_a_nan_quasi_slimness_stays_the_estimate(monkeypatch, euclid2):
+    # a NaN chain distance in the first trial only; the later trials'
+    # finite values do not replace it
+    sampler = lambda: lm.PointSampler(euclid2, scale=3.0, seed=6)
+    assert not math.isnan(lm.estimate_quasi_slim_M(euclid2, 1.5, sampler(), 4, 8))
+    calls = []
+    to_chain = euclid2._to_chain
+
+    def poisoned(points, chain):
+        calls.append(1)
+        out = to_chain(points, chain)
+        return [math.nan] + out[1:] if len(calls) == 2 else out
+    monkeypatch.setattr(euclid2, "_to_chain", poisoned)
+    assert math.isnan(lm.estimate_quasi_slim_M(euclid2, 1.5, sampler(), 4, 8))
+    assert len(calls) == 4 * 6
+
+
+def nan_at(space, monkeypatch, call):
+    """Make the space's distance return NaN on its call number ``call`` (from 0)."""
+    calls = []
+    distance = space.distance
+
+    def poisoned(x, y):
+        calls.append(1)
+        return math.nan if len(calls) == call + 1 else distance(x, y)
+    monkeypatch.setattr(space, "distance", poisoned)
+
+
+def test_a_nan_distance_is_the_gromov_criterion_sup(monkeypatch, euclid2):
+    # two far triples, each with 3 vertex distances and 16 level distances;
+    # the second triple's sixth level reads NaN, and its later levels are larger
+    triples = [(lm.epoint(0, 0), lm.epoint(10, 0), lm.epoint(0, 10)),
+               (lm.epoint(0, 0), lm.epoint(20, 0), lm.epoint(0, 20))]
+    assert not lm.check_gromov_criterion(euclid2, triples, 0.5).passed
+    g = lm.gromov_product(euclid2, *triples[1])
+    nan_at(euclid2, monkeypatch, 19 + 3 + 5)
+    rep = lm.check_gromov_criterion(euclid2, triples, 0.5)
+    assert math.isnan(rep.sup) and not rep.passed
+    idx, r, d = rep.witness
+    assert (idx, r) == (1, g * 6 / 16) and math.isnan(d)
+    assert not math.isnan(rep.per_triple[0][1]) and math.isnan(rep.per_triple[1][1])
+
+
+def test_a_nan_vertex_distance_is_its_triples_measurement(monkeypatch, euclid2):
+    triples = [(lm.epoint(0, 0), lm.epoint(1, 0), lm.epoint(0, 1)),
+               (lm.epoint(0, 0), lm.epoint(20, 0), lm.epoint(0, 20))]
+    nan_at(euclid2, monkeypatch, 0)  # d(x, y) of the first triple
+    rep = lm.check_gromov_criterion(euclid2, triples, 0.5)
+    assert math.isnan(rep.sup) and not rep.passed
+    assert rep.witness[0] == 0 and all(math.isnan(v) for v in rep.witness[1:])

@@ -21,9 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lionman as lm
-from lionman import curves
+from lionman import curves, spaces
 from lionman.curves import _first_min, _merged_params
 from conftest import distance_table
 from test_tree_golden import caterpillar
@@ -478,6 +479,95 @@ def test_a_sequence_with_inf_steps_keeps_the_first_nan_slack():
     assert repr(got) == repr(want)
 
 
+# -- the NaN rule: a NaN distance is worse than any number, the first one
+# is the witness, and the certificate fails
+
+
+def rim_curve():
+    """Two-sample disk geodesic whose last grid points round out of the disk.
+
+    From radius 11.7 to radius 29.98: at grid 100 six grid points land at
+    x*x + y*y >= 1, and their distances to the points inside are NaN.
+    """
+    disk = lm.HyperbolicPlane()
+    return lm.geodesic_segment_curve(disk, lm.hpoint(0.0, math.tanh(5.85)),
+                                     lm.hpoint(-math.tanh(14.99), 0.0))
+
+
+def first_nan_pair(curve, grid, k=None):
+    # the row-major first checked pair whose distance is NaN, from the square table
+    params = _merged_params(curve, grid)[0]
+    with np.errstate(invalid="ignore"):
+        dmat = distance_table(curve.space, [curve.at(t) for t in params])
+    tarr = np.asarray([float(t) for t in params])
+    i, j = np.triu_indices(len(params), 1)
+    if k is not None:
+        near = tarr[j] - tarr[i] <= float(k) * (1.0 + 1e-12)
+        i, j = i[near], j[near]
+    hits = np.flatnonzero(np.isnan(dmat[i, j]))
+    assert len(hits)
+    return params[i[hits[0]]], params[j[hits[0]]]
+
+
+def assert_fails_on_the_first_nan(rep, pair):
+    assert not rep.passed
+    assert math.isnan(rep.min_ratio) and rep.min_ratio_pair == pair
+    assert math.isnan(rep.worst_lower_slack) and rep.worst_lower_pair == pair
+    assert math.isnan(rep.worst_lower_dist)
+    assert math.isnan(rep.worst_upper_excess) and rep.worst_upper_pair == pair
+    for first in (rep.first_lower_violation, rep.first_upper_violation):
+        assert first[:2] == pair and math.isnan(first[2])
+
+
+@pytest.mark.parametrize("k", [None, 5.0, 1.5])
+@pytest.mark.parametrize("tile", [curves._TILE, SMALL_TILE])
+def test_a_nan_distance_fails_the_grid_check_with_the_first_nan_pair(k, tile, monkeypatch):
+    curve = rim_curve()
+    monkeypatch.setattr(curves, "_TILE", tile)
+    with np.errstate(invalid="ignore"):
+        rep = lm.check_quasi_geodesic(curve, 1.0, 0.0, 100, k=k)
+    assert_fails_on_the_first_nan(rep, first_nan_pair(curve, 100, k))
+
+
+def test_a_nan_pair_replaces_an_earlier_finite_violation():
+    # the first finite lower violation, at (0, 26.9), comes before the first
+    # NaN pair in row-major order; the NaN pair is the witness
+    curve = rim_curve()
+    with np.errstate(invalid="ignore"):
+        want = dense_check_grid(curve, 1.0, 0.0, 0.0, 100, None, None)
+        rep = lm.check_quasi_geodesic(curve, 1.0, 0.0, 100)
+    finite = want.first_lower_violation
+    assert finite is not None and not math.isnan(finite[2])
+    assert finite[:2] < rep.first_lower_violation[:2] == first_nan_pair(curve, 100)
+
+
+def test_a_nan_distance_fails_directionality_and_promotion():
+    curve = rim_curve()
+    pair = first_nan_pair(curve, 100)
+    with np.errstate(invalid="ignore"):
+        rep = lm.check_directional_curve(curve, 0.5, 100)
+        promoted = lm.verify_promotion(curve.space, curve, 1.0, 0.1, 5.0, 100)
+    assert not rep.passed and math.isnan(rep.worst_lower_slack)
+    assert rep.worst_lower_witness == pair
+    # the promoted check meets the same pair, and the chord distances of
+    # the points outside the disk are NaN as well
+    assert_fails_on_the_first_nan(promoted, pair)
+    assert math.isnan(promoted.max_chord_dist) and promoted.chord_ok is False
+
+
+def test_a_nan_chord_distance_fails_promotion(monkeypatch):
+    plane = lm.EuclideanSpace(2)
+    curve = lm.geodesic_segment_curve(plane, lm.epoint(0, 0), lm.epoint(10, 0))
+    assert lm.verify_promotion(plane, curve, 1.0, 0.1, 5.0, 20).passed
+    to_chain = plane._to_chain
+    # one NaN among the chord distances, followed by a larger finite one
+    monkeypatch.setattr(plane, "_to_chain", lambda points, chain: [
+        math.nan if m == 3 else 5.0 if m == 4 else d
+        for m, d in enumerate(to_chain(points, chain))])
+    rep = lm.verify_promotion(plane, curve, 1.0, 0.1, 5.0, 20)
+    assert math.isnan(rep.max_chord_dist) and rep.chord_ok is False and not rep.passed
+
+
 # -- distance tiles
 
 
@@ -678,6 +768,78 @@ def test_float_offsets_at_a_float_length_tie_as_the_exact_length_says():
     assert typed(tree._walk(tree._form(a), tree._form(c), [third])) == typed([on_third])
     assert tree._walk(tree._form(b), tree._form(c), [tenth]) == [c]
     assert tree._walk(tree._form(c), tree._form(a), [tenth]) == [b]
+
+
+# The four spellings the tie rule of tree floats once had, one per place:
+# float(length) f decides, the exact length breaks a tie.  exact is
+# whether f == length.
+
+
+def old_contains(x, f, exact, length):  # RTreeSpace.contains_point
+    return 0 <= x <= f and (x < f or exact or x <= length)
+
+
+def old_at_end(x, f, exact):  # RTreeSpace._form
+    return x == f and exact
+
+
+def old_inside(x, f, exact, length):  # RTreeSpace._on_edge, a float offset
+    return 0 < x < f or (not exact and x == f and x < length)
+
+
+def old_passes(x, f, length, up):  # RTreeSpace._walk, a float s against one leg
+    return x > f if x != f else (x >= length if up else x > length)
+
+
+TIE_LENGTHS = [Fraction(1, 3), Fraction(1, 10), Fraction(3, 2), Fraction(2)]
+
+
+def near_float(length, steps):
+    """The float ``steps`` ulps from float(length)."""
+    x = float(length)
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(length=st.sampled_from(TIE_LENGTHS + [float(v) for v in TIE_LENGTHS]),
+       steps=st.integers(-3, 3))
+def test_the_tie_helper_matches_the_four_old_spellings(length, steps):
+    f = float(length)
+    exact = f == length
+    x = near_float(length, steps)
+    sign = spaces._float_sign(x, f, length)
+    assert sign == (x > length) - (x < length)  # the exact comparison
+    assert (0 <= x and sign <= 0) == old_contains(x, f, exact, length)
+    assert (sign == 0) == old_at_end(x, f, exact)
+    assert (0 < x and sign < 0) == old_inside(x, f, exact, length)
+    for up in (True, False):
+        assert (sign > 0 or (up and sign == 0)) == old_passes(x, f, length, up)
+
+
+@pytest.mark.parametrize("length", TIE_LENGTHS + [float(v) for v in TIE_LENGTHS])
+def test_tree_floats_next_to_an_edge_length_follow_the_old_spellings(length):
+    # edge 0 runs from b up to the root a, whose offset from b is the height
+    # above b; edge 1 hangs c below a
+    tree = lm.RTreeSpace(["a", "b", "c"], [("b", "a", length), ("a", "c", 5)])
+    f, b = float(length), tree._index["b"]
+    exact = f == length
+    for steps in range(-3, 4):
+        x = near_float(length, steps)
+        p = lm.edge_point(0, x)
+        assert tree.contains_point(p) == old_contains(x, f, exact, length)
+        if tree.contains_point(p):
+            assert (tree._form(p)[1] is spaces._ZERO) == old_at_end(x, f, exact)
+        placed = tree._on_edge(b, spaces._ZERO, length, x)
+        assert (placed.edge == 0) == old_inside(x, f, exact, length)
+        if placed.edge == 0:
+            assert placed.offset == x
+        # a float walk of x from b toward c stays on its first leg, b up to a,
+        # exactly when it does not pass that leg
+        walked, = tree._walk(tree._form(lm.vertex_point("b")), tree._form(lm.vertex_point("c")),
+                             [x])
+        assert (walked.edge == 0) == (not old_passes(x, f, length, True))
 
 
 # -- grid rows without points
