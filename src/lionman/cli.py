@@ -49,6 +49,14 @@ def _scalar(space, text, flag):
         raise InvalidInputError(f"{flag}: {exc}") from None
 
 
+def _sampler(space, args, seed):
+    """The command's seeded point sampler, naming --scale when the scale is out of range."""
+    try:
+        return spaces.PointSampler(space, scale=args.scale, seed=seed)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"--scale: {exc}") from None
+
+
 def _make_strategy(args, space, domain, D):
     if args.man == "stationary":
         return game.StationaryStrategy()
@@ -152,7 +160,7 @@ def cmd_extract_ray(args):
 
 def cmd_estimate_delta(args):
     space, _ = spaces.load_space_config(args.space)
-    sampler = spaces.PointSampler(space, scale=args.scale, seed=args.seed)
+    sampler = _sampler(space, args, args.seed)
     delta = hyperbolicity.estimate_delta(space, sampler, args.trials, grid=args.grid)
     print(f"space={space.kind} trials={args.trials} seed={args.seed} delta={float(delta):.9g}")
     return 0
@@ -181,7 +189,7 @@ def cmd_sweep(args):
     D = _scalar(space, args.D, "--D")
     rows = []
     for i in range(args.runs):
-        sampler = spaces.PointSampler(space, scale=args.scale, seed=args.seed + i)
+        sampler = _sampler(space, args, args.seed + i)
         # redraw start pairs until both lie in the domain (on the whole space
         # the first pair always does)
         for _ in range(_SWEEP_DRAWS):

@@ -30,7 +30,7 @@ from .errors import (
 )
 from . import files, spaces
 from .spaces import (HyperbolicPlane, L2BoxSpace, Point, RAY_EDGE, RTreeSpace, Space,
-                     _flat_angle, _shadow)
+                     _flat_angle)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +90,7 @@ class Curve:
         # Fraction's fallbacks meet a float t with float(lo) and float(span);
         # exact ts never float them
         floats = any(type(t) is float for t in ts)
-        lo_f, span_f = (_shadow(lo), _shadow(span)) if floats else (lo, span)
+        lo_f, span_f = (float(lo), float(span)) if floats else (lo, span)
         us = [(t - lo_f) / span_f if type(t) is float else (t - lo) / span for t in ts]
         # the samples were checked when the curve was made
         return self.space._geodesic_points(self.points[i - 1], self.points[i], us)
@@ -130,8 +130,7 @@ def tree_ray_curve(space: RTreeSpace) -> Curve:
         raise UnsupportedSpaceError("tree has no designated ray edge")
 
     def rule(t):
-        off = t if isinstance(t, Fraction) else (Fraction(t) if isinstance(t, int) else float(t))
-        return Point("rtree", edge=RAY_EDGE, offset=off)
+        return spaces.edge_point(RAY_EDGE, t if isinstance(t, (int, Fraction)) else float(t))
 
     params = (Fraction(0), Fraction(1))
     points = (spaces.vertex_point(space.ray_at), rule(Fraction(1)))
@@ -218,7 +217,7 @@ def _grid_values(curve: Curve, grid: int):
     sampled range.  A grid value within rounding of a sample is left out,
     since it would pair with it at a gap near zero.
     """
-    if grid < 2:
+    if not grid >= 2:
         raise InvalidInputError("grid must be >= 2")
     params = curve.params
     lo, hi = float(curve.t_min), float(curve.t_max)
@@ -723,7 +722,7 @@ def l2_example_curve(n_dims=6, base=10.0, samples_per_leg=0) -> Curve:
     remaining a quasi-geodesic: with base 10 it satisfies the global bounds
     with lambda = sqrt(11/3).
     """
-    if n_dims < 1:
+    if not n_dims >= 1:
         raise InvalidInputError("n_dims must be >= 1")
     space = L2BoxSpace(n=n_dims, base=base)
     corners = []
@@ -765,13 +764,15 @@ def zigzag_quasi_geodesic(space: Space, a: Point, b: Point, lam: float,
     increases the distance to that point (used for triangle sides, where
     consistent outward bulging keeps slimness monotone in lambda).
     """
+    if not lam >= 1:
+        raise InvalidInputError("lambda must be >= 1")
     rng = np.random.default_rng(0) if rng is None else rng
     total = float(space.distance(a, b))
     if total == 0.0:
         raise InvalidInputError("zigzag endpoints must be distinct")
     ts = np.linspace(0.0, 1.0, segments + 1).tolist()
     geodesic = space.geodesic_points(a, b, ts)
-    if lam <= 1.0:
+    if lam == 1:
         return _geodesic_zigzag(space, geodesic, {"generator": "zigzag", "lam": lam})
 
     gap = total / segments

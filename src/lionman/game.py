@@ -59,7 +59,7 @@ class GameConfig:
             raise InvalidInputError("step size D must be positive")
         if not self.tol > 0:
             raise InvalidInputError("capture tolerance must be positive")
-        if self.n_steps < 1:
+        if not self.n_steps >= 1:
             raise InvalidInputError("need at least one step")
         for name, p in (("lion_start", self.lion_start), ("man_start", self.man_start)):
             if not domain_contains(self.space, self.domain, p):
@@ -275,7 +275,7 @@ class GreedyStrategy:
     name = "greedy"
 
     def __init__(self, domain, directions=8):
-        if directions < 2:
+        if not directions >= 2:
             raise InvalidInputError("need at least two candidate directions")
         self.domain = domain
         self.directions = directions

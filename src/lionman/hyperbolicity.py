@@ -20,6 +20,9 @@ from .curves import _tiles, _worse, zigzag_quasi_geodesic
 from .errors import DegenerateInputError, InvalidInputError
 from .spaces import EuclideanSpace, Point, PointSampler, Space, _flat_angle, epoint
 
+_QUASI_SEGMENTS = 6  # zigzag segments per side of a quasi-geodesic triangle
+_CRITERION_LEVELS = 16  # equidistant levels r = (y|z)_x j / 16 tested per triple
+
 
 def gromov_product(space: Space, x: Point, y: Point, z: Point):
     """(y|z)_x = (d(x,y) + d(x,z) - d(y,z)) / 2.
@@ -154,7 +157,7 @@ def slim_defect(space: Space, x: Point, y: Point, z: Point, grid: int) -> Slimne
     slimness by at most the sampling resolution.  A NaN distance makes the
     slimness NaN, its first sample the witness.
     """
-    if grid < 2:
+    if not grid >= 2:
         raise InvalidInputError("grid must be >= 2")
     verts = [(x, y), (y, z), (z, x)]
     chains = [[a, b] for a, b in verts]
@@ -171,7 +174,7 @@ def estimate_delta(space: Space, sampler: PointSampler, trials: int, grid=24):
 
 
 def estimate_quasi_slim_M(space: Space, lam: float, sampler: PointSampler,
-                          trials: int, grid=24, segments=6):
+                          trials: int, grid=24):
     """Largest slimness over seeded random lambda-quasi-geodesic triangles.
 
     Sides are seeded zigzags certified to satisfy the (lambda, 0) bounds
@@ -179,9 +182,9 @@ def estimate_quasi_slim_M(space: Space, lam: float, sampler: PointSampler,
     matches estimate_delta on the same seed.  A NaN slimness is worse than
     any number: the first one met is the result.
     """
-    if lam < 1:
+    if not lam >= 1:
         raise InvalidInputError("lambda must be >= 1")
-    if trials < 1:
+    if not trials >= 1:
         raise InvalidInputError("trials must be >= 1")
     best = 0
     for trial in range(trials):
@@ -189,17 +192,11 @@ def estimate_quasi_slim_M(space: Space, lam: float, sampler: PointSampler,
         if lam == 1:
             value = slim_defect(space, x, y, z, grid).value
         else:
-            rng = np.random.default_rng((sampler.seed, 1000 + trial))
-            sides = []
-            degenerate = False
-            for a, b, opposite in ((x, y, z), (y, z, x), (z, x, y)):
-                if space.distance(a, b) == 0:
-                    degenerate = True
-                    break
-                sides.append(zigzag_quasi_geodesic(space, a, b, lam, segments, rng,
-                                                   away_from=opposite))
-            if degenerate:
+            if any(space.distance(a, b) == 0 for a, b in ((x, y), (y, z), (z, x))):
                 continue
+            rng = np.random.default_rng((sampler.seed, 1000 + trial))
+            sides = [zigzag_quasi_geodesic(space, a, b, lam, _QUASI_SEGMENTS, rng, away_from=c)
+                     for a, b, c in ((x, y, z), (y, z, x), (z, x, y))]
             chains = [list(c.points) for c in sides]
             sample_sets = []
             for c in sides:
@@ -227,9 +224,6 @@ class GromovCriterionReport:
     passed: bool
 
 
-_CRITERION_LEVELS = 16  # equidistant levels r = (y|z)_x j / 16 tested per triple
-
-
 def check_gromov_criterion(space: Space, triples, delta_prime, *,
                            tol=None) -> GromovCriterionReport:
     """Test d(y', z') <= delta_prime for equidistant pairs below the product.
@@ -239,7 +233,7 @@ def check_gromov_criterion(space: Space, triples, delta_prime, *,
     On a tree the pairs coincide and the supremum is exactly zero.  A NaN
     distance is the supremum, the first one the witness, and fails the test.
     """
-    if delta_prime < 0:
+    if not delta_prime >= 0:
         raise InvalidInputError("delta_prime must be >= 0")
     tol = space.rel_tol if tol is None else tol
     sup = 0
@@ -284,7 +278,7 @@ def cat_defect(space: Space, x: Point, y: Point, z: Point, grid: int):
     Samples are interior to the sides so shared vertices do not mask
     strictness.
     """
-    if grid < 2:
+    if not grid >= 2:
         raise InvalidInputError("grid must be >= 2")
     tri = ComparisonTriangle.from_points(space, x, y, z)
     verts = [x, y, z]

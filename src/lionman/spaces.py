@@ -9,10 +9,10 @@ trip -- lives on the family's class (see `Space`), so triangle
 diagnostics, curve checks, the pursuit game and the CLI never ask which
 family they hold.
 
-All operations are pure functions of immutable values.  Tree arithmetic is
-exact whenever edge lengths and offsets are `fractions.Fraction`; the other
-families work in float64.  Hyperbolic computations degrade near the disk
-rim; keep points within hyperbolic distance ~30 of the origin.
+All operations are pure functions of immutable values.  Tree edge lengths
+are exact `Fraction`s, so tree arithmetic is exact when offsets are; the
+other families work in float64.  Hyperbolic computations degrade near the
+disk rim; keep points within hyperbolic distance ~30 of the origin.
 
 Tree points are written as (edge, offset) or as a vertex, but `RTreeSpace`
 reads them in one rooted form: the tree hangs from its ray anchor (else its
@@ -72,9 +72,15 @@ RAY_EDGE = -1
 _ZERO = Fraction(0)
 
 
-def _shadow(v):
-    """float(v) for a Fraction, else v: what Fraction's fallbacks give a float to meet."""
-    return float(v) if isinstance(v, Fraction) else v
+def _exact(x, what) -> Fraction:
+    """x > 0 as a Fraction: x itself, else read from str(x) as config text is (0.1 is 1/10)."""
+    try:
+        value = x if isinstance(x, Fraction) else files.read_fraction(str(x))
+    except (ValueError, ZeroDivisionError):  # NaN, an infinity or no number
+        value = _ZERO
+    if not value > 0:
+        raise InvalidInputError(f"{what} must be a finite number > 0, got {x!r}")
+    return value
 
 
 def _float_sign(x, f, length) -> int:
@@ -387,7 +393,7 @@ class EuclideanSpace(Space):
     kind = "euclidean"
 
     def __init__(self, dim=2):
-        if dim < 1:
+        if not dim >= 1:
             raise InvalidInputError("dimension must be >= 1")
         self.dim = dim
 
@@ -505,9 +511,7 @@ class L2BoxSpace(EuclideanSpace):
     kind = "l2box"
 
     def __init__(self, n=6, base=10.0):
-        if n < 1:
-            raise InvalidInputError("n must be >= 1")
-        if base <= 1:
+        if not base > 1:
             raise InvalidInputError("base must be > 1")
         super().__init__(dim=n)
         self.n = n
@@ -594,14 +598,18 @@ class HyperbolicPlane(Space):
     def _from_origin(self, a: complex, w: complex) -> complex:
         return (w + a) / (1.0 + a.conjugate() * w)
 
+    def _unit(self, x: Point, y: Point) -> complex | None:
+        """Unit chart direction at x of the geodesic toward y; None for coincident points."""
+        w = self._to_origin(self._c(x), self._c(y))
+        r = abs(w)
+        return None if r == 0.0 else w / r
+
     def _along(self, x, y, ts):
         # point_toward from x, with the tangent direction and d(x, y) read once
-        a = self._c(x)
-        w = self._to_origin(a, self._c(y))
-        r = abs(w)
-        if r == 0.0:  # coincident points
+        direction = self._unit(x, y)
+        if direction is None:  # coincident points
             return [x] * len(ts)
-        direction, d = w / r, self._dist(x, y)
+        d = self._dist(x, y)
         return [self.point_toward(x, direction, float(t) * d) for t in ts]
 
     def _rows_along(self, points, sample_rows, slots, us):
@@ -618,13 +626,11 @@ class HyperbolicPlane(Space):
         same = np.zeros(len(points), dtype=bool)
         for q in sorted(set(lo.tolist())):  # (np.unique would import numpy.ma)
             x, y = points[q], points[q + 1]
-            a = self._c(x)
-            w = self._to_origin(a, self._c(y))
-            r = abs(w)
-            if r == 0.0:  # coincident points: x itself
+            w = self._unit(x, y)
+            if w is None:  # coincident points: x itself
                 same[q] = True
                 continue
-            w = w / r
+            a = self._c(x)
             a_re[q], a_im[q], w_re[q], w_im[q] = a.real, a.imag, w.real, w.imag
             d[q] = self._dist(x, y)
         th = np.fromiter(map(math.tanh, (0.5 * (us * d[lo])).tolist()), float, len(us))
@@ -639,11 +645,10 @@ class HyperbolicPlane(Space):
 
     def tangent_direction(self, x: Point, y: Point) -> complex:
         """Unit tangent at x of the geodesic toward y, in the chart at x."""
-        w = self._to_origin(self._c(x), self._c(y))
-        r = abs(w)
-        if r == 0.0:
+        direction = self._unit(x, y)
+        if direction is None:
             raise DegenerateInputError("tangent direction undefined for coincident points")
-        return w / r
+        return direction
 
     def point_toward(self, x: Point, direction: complex, s: float) -> Point:
         """Travel hyperbolic distance s from x along a unit chart direction."""
@@ -752,8 +757,9 @@ class RTreeSpace(Space):
     Points live on edges as (edge index, offset from the first endpoint) or
     on vertices.  At most one half-infinite "ray" edge may hang off a
     designated anchor vertex; its points use edge index ``RAY_EDGE`` and any
-    offset >= 0.  With `Fraction` edge lengths and offsets every operation
-    is exact.
+    offset >= 0.  Edge lengths are always exact, a float read as the decimal
+    it prints as (0.1 is 1/10), and every operation is exact when the
+    offsets and parameters are `Fraction`s.
 
     Internally the tree hangs from a root, the ray anchor or else the first
     vertex, and a point is read as (i, h): height h above vertex i on the
@@ -777,10 +783,7 @@ class RTreeSpace(Space):
         for u, v, length in edges:
             if u not in vset or v not in vset:
                 raise InvalidInputError(f"edge ({u!r}, {v!r}) references unknown vertex")
-            length = Fraction(length) if isinstance(length, (int, str, Fraction)) else float(length)
-            if length <= 0:
-                raise InvalidInputError(f"edge ({u!r}, {v!r}) has non-positive length")
-            self.edges.append((u, v, length))
+            self.edges.append((u, v, _exact(length, f"edge ({u!r}, {v!r}) length")))
         if ray_at is not None and ray_at not in vset:
             raise InvalidInputError(f"ray anchor {ray_at!r} is not a vertex")
         self.ray_at = ray_at
@@ -814,22 +817,18 @@ class RTreeSpace(Space):
 
         # rise[i][j], i's height above meet(i, j), is _ZERO where i is an
         # ancestor of j (climbs[i][j] false).  _table reads numpy copies of
-        # climbs and of rise[i][j] + rise[j][i], each rounded once: with exact
-        # lengths by one int division over their common denominator q
+        # climbs and of rise[i][j] + rise[j][i], each rounded once by one int
+        # division over the lengths' common denominator q
         meets = {root: [root] * n}
         for i in order[1:]:
             meets[i] = [i if i in above[j] else m for j, m in enumerate(meets[self._parent[i]])]
         self._rise = [[above[i][m] for m in meets[i]] for i in range(n)]
         self._climbs = [[m != i for m in meets[i]] for i in range(n)]
         self._below = np.array(self._climbs)
-        if all(type(length) is Fraction for _, _, length in self.edges):
-            q = math.lcm(*(length.denominator for _, _, length in self.edges))
-            depth = [int(above[i][root] * q) for i in range(n)]  # q times the root distance
-            self._span = np.array([[(depth[i] + depth[j] - 2 * depth[m]) / q
-                                    for j, m in enumerate(meets[i])] for i in range(n)])
-        else:
-            self._span = np.array([[float(self._rise[i][j] + self._rise[j][i]) for j in range(n)]
-                                   for i in range(n)])
+        q = math.lcm(*(length.denominator for _, _, length in self.edges))
+        depth = [int(above[i][root] * q) for i in range(n)]  # q times the root distance
+        self._span = np.array([[(depth[i] + depth[j] - 2 * depth[m]) / q
+                                for j, m in enumerate(meets[i])] for i in range(n)])
 
         # float shadows, read when an offset or a t is a float: float(length)
         # of each vertex's parent edge
@@ -912,7 +911,7 @@ class RTreeSpace(Space):
         (i, hx, rest_x), (j, hy, rest_y) = form_x, form_y
         if i == j and hx and hy:  # inside one edge
             if type(x.offset) is float or type(y.offset) is float:
-                return abs(_shadow(x.offset) - _shadow(y.offset))
+                return abs(float(x.offset) - float(y.offset))
             return abs(x.offset - y.offset)
         ex, cx = self._exit(i, hx, rest_x, j)
         ey, cy = self._exit(j, hy, rest_y, i)
@@ -920,7 +919,7 @@ class RTreeSpace(Space):
             # Fraction's float fallback would add float(up + down), the span
             span = self._span.item(ex, ey)
             d = span if cx is _ZERO else cx + span
-            return d if cy is _ZERO else d + _shadow(cy)
+            return d if cy is _ZERO else d + float(cy)
         # cx + (up + down) + cy, where an exact zero (a vertex's cost, an
         # ancestor's rise) is left out: adding it would change neither the
         # value nor the type of the sum
@@ -939,7 +938,7 @@ class RTreeSpace(Space):
         if total == 0:
             return [x] * len(ts)
         # a float t meets float(total), as in Fraction's fallback; exact ts never float it
-        total_f = _shadow(total) if any(type(t) is float for t in ts) else total
+        total_f = float(total) if any(type(t) is float for t in ts) else total
         return self._walk(form_x, form_y, [t * total_f if type(t) is float else t * total
                                            for t in ts])
 
@@ -1019,7 +1018,7 @@ class RTreeSpace(Space):
             # float s meets the leg's float h and rest, as Fraction's fallback
             # would
             if shadows is None:
-                shadows = [(float(length), _shadow(h), _shadow(rest))
+                shadows = [(float(length), float(h), float(rest))
                            for length, _, h, rest, _ in legs]
             for (length, i, h, rest, up), (f, fh, frest) in zip(legs, shadows):
                 past = _float_sign(s, f, length)
@@ -1048,7 +1047,7 @@ class RTreeSpace(Space):
         for q in qs:
             fx, fy = forms[q], forms[q + 1]
             total = self._gap(points[q], fx, points[q + 1], fy)
-            totals.append(_shadow(total) if total else 0.0)
+            totals.append(float(total) if total else 0.0)
             tables.append([self._shadowed(leg) for leg in self._legs(fx, fy)] if total else [])
         tab = np.zeros((len(qs), max([1, *map(len, tables)]), 6))
         for m, legs in enumerate(tables):
@@ -1091,7 +1090,7 @@ class RTreeSpace(Space):
         length, i, h, rest, up = leg
         e = self._edge[i]
         first = e == RAY_EDGE or (e is not None and self.edges[e][0] == self.vertices[i])
-        return float(length), i, _shadow(h if first else rest), first == up, self._flen[i], first
+        return float(length), i, float(h if first else rest), first == up, self._flen[i], first
 
     def _project(self, p, seg):
         # nearest point of [a, b] is the tree median m(a, b, p); its distance
@@ -1164,8 +1163,7 @@ class RTreeSpace(Space):
         idx = int(rng.integers(0, n_edges))
         k = int(rng.integers(0, 17))
         if idx == len(self.edges):
-            span = Fraction(scale) if not isinstance(scale, float) else Fraction(str(scale))
-            return Point(self.kind, edge=RAY_EDGE, offset=Fraction(k, 16) * span)
+            return Point(self.kind, edge=RAY_EDGE, offset=Fraction(k, 16) * _exact(scale, "scale"))
         length = self.edges[idx][2]
         return Point(self.kind, edge=idx, offset=Fraction(k, 16) * length)
 
@@ -1238,7 +1236,7 @@ class RTreeSpace(Space):
     def from_config(cls, data):
         try:
             vertices = data["vertices"]
-            edges = [(u, v, files.read_fraction(str(length))) for u, v, length in data["edges"]]
+            edges = [(u, v, length) for u, v, length in data["edges"]]
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"rtree config: {exc}") from None
         return cls(vertices, edges, ray_at=data.get("ray_at"))
@@ -1268,6 +1266,10 @@ class Ball:
     center: Point
     radius: float
     kind = "ball"
+
+    def __post_init__(self):
+        if not self.radius >= 0:  # NaN fails too
+            raise InvalidInputError(f"ball radius must be >= 0, got {self.radius}")
 
     def contains(self, space: Space, p: Point) -> bool:
         if not space.contains_point(p):
@@ -1333,6 +1335,8 @@ class PointSampler:
     """Deterministic point stream for a space, fixed by (seed, scale)."""
 
     def __init__(self, space: Space, scale=1.0, seed=0):
+        if not 0 < scale < math.inf:  # NaN fails too
+            raise InvalidInputError(f"sampler scale must be finite and > 0, got {scale}")
         self.space = space
         self.scale = scale
         self.seed = seed
@@ -1396,20 +1400,13 @@ def load_space_config(path):
 
 
 def tripod(leg=1):
-    """Tree with center c and three unit legs to a, b, d."""
-    return RTreeSpace(
-        ["c", "a", "b", "d"],
-        [("c", "a", Fraction(leg)), ("c", "b", Fraction(leg)), ("c", "d", Fraction(leg))],
-    )
+    """Tree with center c and three legs of length leg to a, b, d."""
+    return RTreeSpace(["c", "a", "b", "d"], [("c", "a", leg), ("c", "b", leg), ("c", "d", leg)])
 
 
 def ray_tree(trunk=1):
     """Small finite tree plus a half-infinite ray hanging off vertex 'r'."""
-    return RTreeSpace(
-        ["r", "p", "q"],
-        [("r", "p", Fraction(trunk)), ("p", "q", Fraction(trunk))],
-        ray_at="r",
-    )
+    return RTreeSpace(["r", "p", "q"], [("r", "p", trunk), ("p", "q", trunk)], ray_at="r")
 
 
 def random_tree(rng: np.random.Generator, n_vertices=6, max_num=4):

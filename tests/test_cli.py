@@ -301,6 +301,20 @@ def test_malformed_step_option_exits_2_naming_the_flag(command, flag, tmp_path, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("space, argv", [
+    ("euclidean", ["sweep", "--D", "1", "--N", "5", "--seed", "1", "--scale=-1"]),
+    ("hyperbolic", ["estimate-delta", "--seed", "1", "--scale", "nan"]),
+    ("hyperbolic", ["estimate-delta", "--seed", "1", "--scale=-2"]),
+])
+def test_an_out_of_range_scale_exits_2_naming_the_flag(space, argv, tmp_path, capsys):
+    cfg = tmp_path / "space.json"
+    cfg.write_text(json.dumps({"space": {"kind": space}}))
+    assert main(argv[:1] + ["--space", str(cfg)] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --scale:")
+    assert "Traceback" not in err
+
+
 def test_simulate_byte_identical_reruns(tripod_cfg, tmp_path):
     outs = []
     for name in ("a.json", "b.json"):

@@ -821,8 +821,11 @@ def test_the_tie_helper_matches_the_four_old_spellings(length, steps):
 @pytest.mark.parametrize("length", TIE_LENGTHS + [float(v) for v in TIE_LENGTHS])
 def test_tree_floats_next_to_an_edge_length_follow_the_old_spellings(length):
     # edge 0 runs from b up to the root a, whose offset from b is the height
-    # above b; edge 1 hangs c below a
+    # above b; edge 1 hangs c below a.  A float length is read as the decimal
+    # it prints as, so float(1/10) gives the edge 1/10, and the spellings
+    # meet the length the tree holds
     tree = lm.RTreeSpace(["a", "b", "c"], [("b", "a", length), ("a", "c", 5)])
+    length = tree.edges[0][2]
     f, b = float(length), tree._index["b"]
     exact = f == length
     for steps in range(-3, 4):

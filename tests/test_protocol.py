@@ -1,6 +1,7 @@
 """Property tests of the Space protocol, across all four families."""
 
 import inspect
+import json
 import math
 import re
 from fractions import Fraction
@@ -402,6 +403,50 @@ def test_every_family_implements_each_member_the_base_leaves_open():
         assert "displace" not in vars(family)
         for name in open_members:
             assert getattr(family, name) is not getattr(base, name), (family.__name__, name)
+
+
+def round_trip_spaces():
+    """A seeded instance of each family; trees over one seeded shape, with
+    lengths of every type the constructor reads."""
+    shape = lm.random_tree(np.random.default_rng(24), n_vertices=9)
+
+    def tree(read, ray_at=None):
+        return lm.RTreeSpace(shape.vertices, [(u, v, read(x)) for u, v, x in shape.edges], ray_at)
+
+    return {
+        "euclidean": lm.EuclideanSpace(3),
+        "l2box": lm.L2BoxSpace(n=4, base=3.5),
+        "hyperbolic": lm.HyperbolicPlane(),
+        "tree-fraction": tree(lambda x: x, ray_at="v4"),
+        "tree-int": tree(lambda x: x.numerator),
+        "tree-str": tree(str, ray_at="v0"),
+        "tree-float": tree(lambda x: float(x) * 1.1, ray_at="v2"),
+        "tree-numpy-int": tree(lambda x: np.int64(x.numerator)),
+        "tree-numpy-float": tree(lambda x: np.float64(x) / 3, ray_at="v7"),
+    }
+
+
+ROUND_TRIP = round_trip_spaces()
+
+
+@pytest.mark.parametrize("name", list(ROUND_TRIP))
+def test_a_space_rebuilt_from_the_json_of_its_config_is_the_same_space(name):
+    # same config, and the same distance on seeded member pairs: on trees
+    # the same exact number, in the float families the same bits
+    space = ROUND_TRIP[name]
+    again = lm.spaces.space_from_config(json.loads(json.dumps(space.to_config())))
+    assert type(again) is type(space)
+    assert again.to_config() == space.to_config()
+    sampler = lm.PointSampler(space, scale=3, seed=24)
+    pts = [sampler.draw() for _ in range(16)]
+    for x, y in zip(pts, pts[1:] + pts[:1]):
+        d, d_again = space.distance(x, y), again.distance(x, y)
+        assert d == d_again and type(d) is type(d_again)
+        if isinstance(space, lm.RTreeSpace):
+            assert type(d) is Fraction
+    if isinstance(space, lm.RTreeSpace):
+        assert again.edges == space.edges
+        assert all(type(length) is Fraction for _, _, length in space.edges)
 
 
 @pytest.mark.parametrize("kind", KINDS)

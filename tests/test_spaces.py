@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -287,6 +288,104 @@ def test_l2box_parameter_validation():
         lm.L2BoxSpace(n=0)
     with pytest.raises(InvalidInputError):
         lm.L2BoxSpace(n=3, base=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0, 0.0, -1, -0.5, Fraction(-1, 2),
+                                 "nan", "inf", "-3/2", "1/0", np.float64("nan"), np.int64(0)])
+def test_rtree_rejects_lengths_that_are_not_finite_and_positive(bad):
+    message = r"edge \('b', 'c'\) length must be a finite number > 0"
+    with pytest.raises(InvalidInputError, match=message):
+        lm.RTreeSpace(["a", "b", "c"], [("a", "b", 1), ("b", "c", bad)])
+
+
+def test_float_tree_lengths_read_as_the_decimals_they_print_as():
+    tree = lm.RTreeSpace(["a", "b", "c"], [("a", "b", 0.1), ("b", "c", 0.7)])
+    assert [length for _, _, length in tree.edges] == [Fraction(1, 10), Fraction(7, 10)]
+    d = tree.distance(lm.vertex_point("a"), lm.vertex_point("c"))
+    assert d == Fraction(4, 5) and type(d) is Fraction
+    assert tree.to_config()["edges"] == [["a", "b", "1/10"], ["b", "c", "7/10"]]
+    for fixture in (lm.tripod(0.1), lm.ray_tree(0.1)):
+        assert {length for _, _, length in fixture.edges} == {Fraction(1, 10)}
+    assert lm.tripod(Fraction(1, 3)).edges == lm.tripod("1/3").edges
+
+
+@pytest.mark.parametrize("lengths, want", [
+    ((np.int64(2), np.int64(3)), (Fraction(2), Fraction(3))),
+    ((np.float64(0.1), np.float64(2.5)), (Fraction(1, 10), Fraction(5, 2))),
+])
+def test_numpy_lengths_build_exact_trees(lengths, want):
+    tree = lm.RTreeSpace(["a", "b", "c"], [("a", "b", lengths[0]), ("b", "c", lengths[1])],
+                         ray_at="a")
+    assert tuple(length for _, _, length in tree.edges) == want
+    assert all(type(length) is Fraction for _, _, length in tree.edges)
+    far = lm.edge_point(lm.RAY_EDGE, Fraction(1, 2))
+    d = tree.distance(far, lm.vertex_point("c"))
+    assert d == sum(want) + Fraction(1, 2) and type(d) is Fraction
+
+
+def test_a_float_length_tree_round_trips_through_its_files(tmp_path):
+    # config, curve file and transcript all hold the exact lengths, so each
+    # reloads to the same tree, and the audit accepts the reloaded transcript
+    tree = lm.RTreeSpace(["r", "a", "b"], [("r", "a", 0.1), ("a", "b", 0.7)], ray_at="r")
+    config = tmp_path / "space.json"
+    config.write_text(json.dumps({"space": tree.to_config()}))
+    assert lm.load_space_config(config)[0].to_config() == tree.to_config()
+
+    b, a, r = (lm.vertex_point(v) for v in "bar")
+    curve = lm.Curve(tree, (Fraction(0), Fraction(7, 10), Fraction(4, 5)), (b, a, r))
+    lm.save_curve(curve, tmp_path / "curve.json")
+    loaded = lm.load_curve(tmp_path / "curve.json")
+    assert loaded.space.to_config() == tree.to_config()
+    assert loaded.params == curve.params and loaded.points == curve.points
+
+    D = Fraction(1, 10)
+    cfg = lm.GameConfig(space=tree, domain=lm.WholeSpace(), D=D, n_steps=40, tol=1e-9,
+                        lion_start=b, man_start=lm.edge_point(lm.RAY_EDGE, Fraction(1, 2)))
+    transcript = lm.run_game(cfg, lm.StationaryStrategy())
+    lm.save_transcript(transcript, tmp_path / "run.json")
+    again = lm.load_transcript(tmp_path / "run.json")
+    assert again.space.to_config() == tree.to_config()
+    audit = lm.rtree_capture_audit(tree, again)
+    assert audit.passed
+    assert repr(audit) == repr(lm.rtree_capture_audit(tree, transcript))
+
+
+NAN_GUARDS = {  # each guard's call with a NaN, and its message
+    "estimate_quasi_slim_M lambda": (lambda: lm.estimate_quasi_slim_M(
+        lm.tripod(), math.nan, lm.PointSampler(lm.tripod(), 2, seed=1), 3),
+        "lambda must be >= 1"),
+    "check_gromov_criterion delta_prime": (lambda: lm.check_gromov_criterion(
+        lm.tripod(), [tuple(map(lm.vertex_point, "abd"))], math.nan),
+        "delta_prime must be >= 0"),
+    "L2BoxSpace base": (lambda: lm.L2BoxSpace(3, math.nan), "base must be > 1"),
+    "EuclideanSpace dim": (lambda: lm.EuclideanSpace(math.nan), "dimension must be >= 1"),
+    "zigzag lambda": (lambda: lm.zigzag_quasi_geodesic(
+        lm.tripod(), lm.vertex_point("a"), lm.vertex_point("b"), math.nan),
+        "lambda must be >= 1"),
+    "Ball radius": (lambda: lm.Ball(lm.epoint(0, 0), math.nan), "ball radius must be >= 0"),
+    "PointSampler scale": (lambda: lm.PointSampler(lm.EuclideanSpace(2), math.nan),
+                           "sampler scale must be finite and > 0"),
+}
+
+
+@pytest.mark.parametrize("name", list(NAN_GUARDS))
+def test_every_range_guard_fails_nan(name):
+    call, message = NAN_GUARDS[name]
+    with pytest.raises(InvalidInputError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("scale", [math.inf, 0, 0.0, -1.0])
+def test_sampler_scale_must_be_finite_and_positive(scale):
+    with pytest.raises(InvalidInputError, match="sampler scale must be finite and > 0"):
+        lm.PointSampler(lm.HyperbolicPlane(), scale)
+
+
+def test_ball_radius_and_zigzag_lambda_below_their_bounds_raise():
+    with pytest.raises(InvalidInputError, match="ball radius must be >= 0"):
+        lm.Ball(lm.epoint(0, 0), -1.0)
+    with pytest.raises(InvalidInputError, match="lambda must be >= 1"):
+        lm.zigzag_quasi_geodesic(lm.EuclideanSpace(2), lm.epoint(0, 0), lm.epoint(3, 1), 0.5)
 
 
 # -- config round-trip -----------------------------------------------------------
