@@ -894,7 +894,8 @@ def ray_tree40(seed):
 
 
 def float_tree():
-    # float lengths, non-dyadic most of them, and a ray
+    # lengths given as floats, non-dyadic most of them, which the tree reads
+    # as the exact decimals they print as, and a ray
     base = lm.random_tree(np.random.default_rng(8), n_vertices=25)
     return lm.RTreeSpace(base.vertices, [(u, v, float(length) * 1.1) for u, v, length in base.edges],
                          ray_at="v4")
@@ -921,7 +922,8 @@ def row_curves():
     tree = float_tree()
     pts = [lm.vertex_point("v17"), lm.edge_point(5, tree.edges[5][2] * 0.37), lm.vertex_point("v9"),
            lm.edge_point(11, tree.edges[11][2] / 3), lm.edge_point(lm.RAY_EDGE, 2.5)]
-    # float params: the samples' float offsets meet float lengths
+    # float params: the samples' float offsets meet the float shadows of
+    # the decimal lengths
     tour = lm.Curve(tree, tuple(lm.curves._chord_params(tree, pts)), tuple(pts))
     out["float-lengths-tour"] = (tour, 700)
     out["float-lengths-segment"] = (lm.geodesic_segment_curve(
