@@ -41,7 +41,7 @@ print("  lion walked", float(audit.final_distance), "=", len(tr.records), "x D, 
 
 bs = lm.beta_angles(ray_space, tr)
 print("  every lion turning angle equals pi:", all(b == math.pi for b in bs.beta))
-n_k, curve = lm.curve_from_transcript(ray_space, tr, 12 * D, D)
+n_k, curve = lm.curve_from_transcript(ray_space, tr, 12 * D)
 cert = lm.verify_mans_win_curve(curve, 12 * D, grid=200)
 print(f"  win-curve certificate from index {n_k}:",
       "pass" if cert.passed else "fail", f"(worst ratio {cert.min_ratio:.4f})")

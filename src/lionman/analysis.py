@@ -99,23 +99,23 @@ def beta_threshold(k, D) -> float:
     return math.pi - math.pi / (4 * math.ceil(k / D))
 
 
-def curve_from_transcript(space: Space, transcript: Transcript, k, D=None):
+def curve_from_transcript(space: Space, transcript: Transcript, k):
     """Lion path re-read as a curve once the turning angles clear the threshold.
 
     Returns (n_k, curve) for the smallest index n_k >= 1 such that every
     recorded angle beta_n with n >= n_k stays above the threshold; the
-    curve passes through L_{n_k}, L_{n_k + 1}, ... at parameter speed D.
+    curve passes through L_{n_k}, L_{n_k + 1}, ... at parameter speed D, the
+    transcript's step.
     Raises ThresholdNotMetError, carrying the best achievable tail bound,
     when no index works through the end of the record.
     """
-    D = transcript.D if D is None else D
-    theta = beta_threshold(k, D)
+    theta = beta_threshold(k, transcript.D)
     _check_records(space, transcript)
     # the win curve reads the steps and the betas only
-    return _win_curve(space, transcript, _angles(space, transcript, with_alpha=False), theta, D)
+    return _win_curve(space, transcript, _angles(space, transcript, with_alpha=False), theta)
 
 
-def _win_curve(space: Space, transcript: Transcript, bs: BetaSequence, theta, D):
+def _win_curve(space: Space, transcript: Transcript, bs: BetaSequence, theta):
     """``curve_from_transcript`` on the checked transcript's measured angles ``bs``."""
     if not bs.steps:
         raise InvalidInputError("transcript has no measurable angles")
@@ -139,7 +139,7 @@ def _win_curve(space: Space, transcript: Transcript, bs: BetaSequence, theta, D)
             f"no index keeps beta above {theta:.6f} through the record end",
             best_tail=best)
 
-    lions = transcript.lion_path()
+    D, lions = transcript.D, transcript.lion_path()
     pts = [lions[n_k]]
     for p, q in zip(lions[n_k:], lions[n_k + 1:]):
         hop = space._dist(p, q)
@@ -176,10 +176,10 @@ class CaptureAudit:
     final_distance: object | None
 
 
-def rtree_capture_audit(space: RTreeSpace, transcript: Transcript, D=None) -> CaptureAudit:
+def rtree_capture_audit(space: RTreeSpace, transcript: Transcript) -> CaptureAudit:
     _check_tree(space, transcript)
     _check_records(space, transcript)
-    return _audit(space, transcript, transcript.D if D is None else D)
+    return _audit(space, transcript)
 
 
 def _check_tree(space: Space, transcript: Transcript) -> None:
@@ -190,9 +190,9 @@ def _check_tree(space: Space, transcript: Transcript) -> None:
         raise InvalidInputError("transcript was produced on a different tree")
 
 
-def _audit(space: RTreeSpace, transcript: Transcript, D) -> CaptureAudit:
+def _audit(space: RTreeSpace, transcript: Transcript) -> CaptureAudit:
     """`rtree_capture_audit` of a checked transcript played on that tree."""
-    lions = transcript.lion_path()
+    D, lions = transcript.D, transcript.lion_path()
     L0 = lions[0]
     steps, colin, dist_res = [], [], []
     first_failure = None
@@ -221,14 +221,13 @@ def _audit(space: RTreeSpace, transcript: Transcript, D) -> CaptureAudit:
                         final_distance=final_distance)
 
 
-def analyze_transcript(space: Space, transcript: Transcript, k, D=None, grid=256):
+def analyze_transcript(space: Space, transcript: Transcript, k, grid=256):
     """Every certificate of one transcript, from one check of its points.
 
     Returns (report, angles, audit, passed): the report `lionman analyze`
     writes, the BetaSequence, the tree CaptureAudit (None off trees), and
     whether every certificate that applies holds.
     """
-    D = transcript.D if D is None else D
     _check_records(space, transcript)
     bs = _angles(space, transcript)
     report = {}
@@ -241,7 +240,7 @@ def analyze_transcript(space: Space, transcript: Transcript, k, D=None, grid=256
         report["capture_step"] = transcript.capture_step
     else:
         try:
-            n_k, curve = _win_curve(space, transcript, bs, beta_threshold(k, D), D)
+            n_k, curve = _win_curve(space, transcript, bs, beta_threshold(k, transcript.D))
             qg = verify_mans_win_curve(curve, k, grid=grid)
             report.update(n_k=n_k, local_qg_passed=qg.passed, min_ratio=qg.min_ratio)
             passed = qg.passed
@@ -250,7 +249,7 @@ def analyze_transcript(space: Space, transcript: Transcript, k, D=None, grid=256
             passed = False
     if isinstance(space, RTreeSpace):
         _check_tree(space, transcript)
-        audit = _audit(space, transcript, D)
+        audit = _audit(space, transcript)
         report["audit_passed"] = audit.passed
         if audit.final_distance is not None:
             report["final_distance"] = float(audit.final_distance)
@@ -304,7 +303,7 @@ def equivalence_report(space: Space, domain, D, n_steps, tol, lion_start,
         runs.append({"strategy": strat.name, "outcome": outcome.classification,
                      "n0": outcome.n0, "tail_min": outcome.tail_min})
         if outcome.classification == "man-wins-observed":
-            cert, _, audit, _ = analyze_transcript(space, tr, 12 * D if k is None else k, D, 128)
+            cert, _, audit, _ = analyze_transcript(space, tr, 12 * D if k is None else k, 128)
             k_max = min(5, int(float(D) * n_steps))
             if audit is not None and k_max >= 1:  # else the path never reaches distance 1
                 ray = extract_ray_from_directional_sequence(space, tr.lion_path(), 0.0,
@@ -313,7 +312,7 @@ def equivalence_report(space: Space, domain, D, n_steps, tol, lion_start,
                     (max(h) for h in ray.residuals.values() if h), default=0.0)
             certificates[strat.name] = cert
         if isinstance(space, RTreeSpace) and outcome.classification == "lion-wins-physical":
-            audit = rtree_capture_audit(space, tr, D)
+            audit = rtree_capture_audit(space, tr)
             certificates[strat.name] = {"audit_passed": audit.passed,
                                         "capture_step": tr.capture_step}
     return EquivalenceReport(space_kind=space.kind, domain=domain, D=D,

@@ -57,13 +57,13 @@ def _sampler(space, args, seed):
         raise InvalidInputError(f"--scale: {exc}") from None
 
 
-def _make_strategy(args, space, domain, D):
+def _make_strategy(args, domain, D, seed):
     if args.man == "stationary":
         return game.StationaryStrategy()
     if args.man == "greedy":
         return game.GreedyStrategy(domain, directions=args.directions)
     if args.man == "random":
-        return game.RandomStrategy(domain, seed=args.seed)
+        return game.RandomStrategy(domain, seed=seed)
     if args.man == "directional":
         if not args.curve:
             raise GeometryError("directional strategy needs --curve")
@@ -74,7 +74,7 @@ def _make_strategy(args, space, domain, D):
 def cmd_simulate(args):
     space, domain = spaces.load_space_config(args.space)
     D = _scalar(space, args.D, "--D")
-    strategy = _make_strategy(args, space, domain, D)
+    strategy = _make_strategy(args, domain, D, args.seed)
     lion = _parse_point(args.lion, space, "--lion") if args.lion else space.origin()
     if args.man_start:
         man = _parse_point(args.man_start, space, "--man-start")
@@ -109,10 +109,9 @@ def cmd_simulate(args):
 def cmd_analyze(args):
     space, _ = spaces.load_space_config(args.space)
     tr = game.load_transcript(args.transcript)
-    D = tr.D if args.D is None else _scalar(space, args.D, "--D")
     k = _scalar(space, args.k, "--k")
 
-    report, bs, audit, ok = analysis.analyze_transcript(space, tr, k, D, args.grid)
+    report, bs, audit, ok = analysis.analyze_transcript(space, tr, k, args.grid)
     if args.beta_csv:
         analysis.write_beta_csv(bs, args.beta_csv)
     if args.audit_csv and audit is not None:
@@ -199,8 +198,7 @@ def cmd_sweep(args):
         else:
             raise InvalidInputError(f"sweep run {i}: no start pair inside the domain "
                                     f"in {_SWEEP_DRAWS} draws")
-        strategy = (game.RandomStrategy(domain, seed=args.seed + i)
-                    if args.man == "random" else _make_strategy(args, space, domain, D))
+        strategy = _make_strategy(args, domain, D, args.seed + i)
         config = game.GameConfig(space=space, domain=domain, D=D, n_steps=args.N,
                                  tol=args.tol, lion_start=lion, man_start=man,
                                  seed=args.seed + i)
@@ -244,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True)
     p.add_argument("--transcript", required=True)
     p.add_argument("--k", required=True, help="locality scale")
-    p.add_argument("--D", default=None)
     p.add_argument("--grid", type=int, default=256)
     p.add_argument("--out", help="report JSON path")
     p.add_argument("--beta-csv")
@@ -301,8 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "man", None) == "random" and args.seed is None:
+    seed = getattr(args, "seed", None)
+    if getattr(args, "man", None) == "random" and seed is None:
         parser.error("--seed is required with the random strategy")
+    if seed is not None and seed < 0:  # numpy's seeded generators take none
+        parser.error(f"argument --seed: must be >= 0, got {seed}")
     try:
         return args.func(args)
     except (GeometryError, OSError) as exc:

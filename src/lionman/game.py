@@ -200,10 +200,10 @@ class Outcome:
     n_recorded: int
 
 
-def classify_outcome(transcript: Transcript, D=None, tol=None) -> Outcome:
+def classify_outcome(transcript: Transcript, tol=None) -> Outcome:
     if not transcript.records:
         raise InvalidInputError("empty transcript")
-    D = transcript.D if D is None else D
+    D = transcript.D
     tol = transcript.tol if tol is None else tol
     guard = 1e-12 * max(1.0, float(D))
 

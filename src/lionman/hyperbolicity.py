@@ -133,14 +133,13 @@ class SlimnessReport:
 
 
 def _chain_slimness(space: Space, chains, sample_sets, grid: int) -> SlimnessReport:
-    # by `_worse`, a NaN distance to either other chain is the sample's
-    # distance, and the first NaN sample is the witness
+    # side i ends where chain i + 1 starts, so the other two sides are one
+    # chain, joined at the start of chain i + 2.  A NaN distance is the
+    # sample's distance, and the first NaN sample the witness
     worst = None
     for i, samples in enumerate(sample_sets):
-        others = [c for j, c in enumerate(chains) if j != i]
-        points = [p for _, p in samples]
-        near = [b if _worse(b, a) else a for a, b in zip(space._to_chain(points, others[0]),
-                                                          space._to_chain(points, others[1]))]
+        others = chains[(i + 1) % 3] + chains[(i + 2) % 3][1:]
+        near = space._to_chain([p for _, p in samples], others)
         for (t, p), d in zip(samples, near):
             if worst is None or _worse(d, worst[0], operator.gt):
                 worst = (d, i, t, p)

@@ -970,17 +970,21 @@ class RTreeSpace(Space):
         return legs
 
     @staticmethod
-    def _held(legs, s):
-        """The legs an exact walk of s reads: up to the first that ends at or past s.
+    def _reach(legs, ends, s, k):
+        """The first leg that ends at or past the exact distance s, searched from leg k.
 
-        The leg ends are summed as `_walk` sums them.
+        ends holds the sums of the leg lengths from x, in path order, as far
+        as a walk has read them; it grows here, each sum formed once.  s must
+        not exceed the sum of all the legs.
         """
-        end = None
-        for k, leg in enumerate(legs):
-            end = leg[0] if end is None else end + leg[0]
-            if s <= end:
-                return tuple(legs[:k + 1])
-        return tuple(legs)
+        if k and s <= ends[k - 1]:  # s lies before leg k: search from the first leg
+            k = 0
+        while True:
+            if k == len(ends):
+                ends.append(ends[-1] + legs[k][0] if k else legs[0][0])
+            if s <= ends[k]:
+                return k
+            k += 1
 
     def _walk(self, form_x, form_y, ss) -> list:
         """Points at the distances ss from x on [x, y]; assumes 0 <= s <= d(x, y).
@@ -992,22 +996,15 @@ class RTreeSpace(Space):
         legs = self._legs(form_x, form_y)
         ends = []        # exact distance from x to the far end of each leg reached so far
         shadows = None   # float(length), float(h) and float(rest) of each leg
-        out, k, last = [], 0, None
+        out, k = [], 0
         for s in ss:
             if isinstance(s, Fraction):
-                # exact: merge s into the leg ends, from the last s when ts
-                # ascend; an s at a leg's end is the same vertex on either leg.
-                # s <= d(x, y), the sum of the legs (`_placed` passes t < 1,
-                # `_project` clamps s to d(a, b)), so some leg ends at or past s
-                if last is None or s < last:
-                    k = 0
-                last = s
-                while True:
-                    if k == len(ends):
-                        ends.append(ends[-1] + legs[k][0] if k else legs[0][0])
-                    if s <= ends[k]:
-                        break
-                    k += 1
+                # exact: merge s into the leg ends, from the last leg reached
+                # when ts ascend; an s at a leg's end is the same vertex on
+                # either leg.  s <= d(x, y), the sum of the legs (`_placed`
+                # passes t < 1, `_project` clamps s to d(a, b)), so some leg
+                # ends at or past s
+                k = self._reach(legs, ends, s, k)
                 _, i, h, rest, up = legs[k]
                 if k:
                     s = s - ends[k - 1]
@@ -1203,7 +1200,10 @@ class RTreeSpace(Space):
             if not t < 1:
                 out.append(tgt)
                 continue
-            key = self._held(self._legs(form, to), D) if isinstance(t, Fraction) else tgt
+            key = tgt
+            if isinstance(t, Fraction):
+                legs = self._legs(form, to)
+                key = tuple(legs[:self._reach(legs, [], D, 0) + 1])
             if key not in placed:
                 placed[key] = self._placed(man, form, to, gap, (t,))[0]
             out.append(placed[key])

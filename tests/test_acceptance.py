@@ -161,7 +161,7 @@ def test_criterion_4_tree_dichotomy():
             tr = lm.run_game(cfg, strat)
             if tr.stop_reason != "physical-capture":
                 capture_ok = False
-            audit = lm.rtree_capture_audit(tree, tr, D)
+            audit = lm.rtree_capture_audit(tree, tr)
             if not audit.passed:
                 audit_ok = False
 
@@ -173,7 +173,7 @@ def test_criterion_4_tree_dichotomy():
                         man_start=strat.start())
     tr = lm.run_game(cfg, strat)
     sustained = all(r.dist >= D1 + 1 for r in tr.records) and len(tr.records) == 500
-    audit = lm.rtree_capture_audit(ray_space, tr, D1)
+    audit = lm.rtree_capture_audit(ray_space, tr)
     ray_ok = sustained and audit.passed and audit.final_distance == 500 * D1
 
     ok = capture_ok and audit_ok and ray_ok
@@ -200,7 +200,7 @@ def test_criterion_5_mans_win_pipeline():
     ray_space, tr, D1 = ray_pursuit(500)
     bs = lm.beta_angles(ray_space, tr)
     beta_ok = all(b == math.pi for n, b in zip(bs.steps, bs.beta) if n >= 2)
-    n_k, curve = lm.curve_from_transcript(ray_space, tr, 12 * D1, D1)
+    n_k, curve = lm.curve_from_transcript(ray_space, tr, 12 * D1)
     qg = lm.verify_mans_win_curve(curve, 12 * D1, grid=300)
     ok = beta_ok and n_k <= 2 and qg.passed
     assert report(5, ok,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -96,7 +97,7 @@ def test_beta_threshold_values():
 
 def test_curve_from_transcript_ray_game(ray_tree):
     tr = ray_pursuit_transcript(ray_tree, n_steps=60)
-    n_k, curve = lm.curve_from_transcript(ray_tree, tr, Fraction(12), Fraction(1))
+    n_k, curve = lm.curve_from_transcript(ray_tree, tr, Fraction(12))
     assert n_k == 1
     assert curve.params[0] == 0
     assert curve.params[1] == 1
@@ -110,7 +111,7 @@ def test_curve_from_transcript_threshold_not_met(euclid2):
     men = [lm.epoint(20, 0)] * 9 + [lm.epoint(9, 20), lm.epoint(20, 1)]
     tr = synthetic_lion_transcript(euclid2, lions + [lm.epoint(10, 1)], men)
     with pytest.raises(ThresholdNotMetError) as info:
-        lm.curve_from_transcript(euclid2, tr, 12.0, 1.0)
+        lm.curve_from_transcript(euclid2, tr, 12.0)
     assert info.value.best_tail == pytest.approx(math.pi / 2, abs=1e-9)
 
 
@@ -134,7 +135,7 @@ def test_verify_mans_win_curve_straight_path(euclid2):
 
 def test_verify_mans_win_curve_from_game(ray_tree):
     tr = ray_pursuit_transcript(ray_tree, n_steps=120)
-    _, curve = lm.curve_from_transcript(ray_tree, tr, Fraction(12), Fraction(1))
+    _, curve = lm.curve_from_transcript(ray_tree, tr, Fraction(12))
     rep = lm.verify_mans_win_curve(curve, Fraction(12), grid=128)
     assert rep.passed
 
@@ -186,7 +187,7 @@ def test_audit_tripod_capture(tripod):
 
 def test_audit_unbounded_ray_exact(ray_tree):
     tr = ray_pursuit_transcript(ray_tree, n_steps=500)
-    audit = lm.rtree_capture_audit(ray_tree, tr, Fraction(1))
+    audit = lm.rtree_capture_audit(ray_tree, tr)
     assert audit.passed
     assert audit.final_distance == 500
     assert len(audit.steps) == 500
@@ -197,7 +198,7 @@ def test_audit_tampered_transcript_fails(ray_tree):
     bad = lm.StepRecord(n=7, lion=lm.vertex_point("q"), man=tr.records[7].man,
                         dist=tr.records[7].dist, gap=tr.records[7].gap)
     tr.records[7] = bad
-    audit = lm.rtree_capture_audit(ray_tree, tr, Fraction(1))
+    audit = lm.rtree_capture_audit(ray_tree, tr)
     assert not audit.passed
     assert audit.first_failure == 6
 
@@ -222,9 +223,8 @@ def test_audit_extraction_agreement(ray_tree):
 # -- one certificate pass ----------------------------------------------------------------
 
 
-def analyze_reference(space, tr, k, D=None, grid=256):
+def analyze_reference(space, tr, k, grid=256):
     """The certificate logic `lionman analyze` ran inline before `analyze_transcript`."""
-    D = tr.D if D is None else D
     bs = lm.beta_angles(space, tr)
     report = {"beta_tail_min": bs.tail_stats()[0], "beta_tail_mean": bs.tail_stats()[1],
               "angle_gaps": bs.gaps}
@@ -233,7 +233,7 @@ def analyze_reference(space, tr, k, D=None, grid=256):
         report["capture_step"] = tr.capture_step
     else:
         try:
-            n_k, curve = lm.curve_from_transcript(space, tr, k, D)
+            n_k, curve = lm.curve_from_transcript(space, tr, k)
             qg = lm.verify_mans_win_curve(curve, k, grid=grid)
             report["n_k"] = n_k
             report["local_qg_passed"] = qg.passed
@@ -244,7 +244,7 @@ def analyze_reference(space, tr, k, D=None, grid=256):
             report["best_tail"] = exc.best_tail
             ok = False
     if isinstance(space, lm.RTreeSpace):
-        audit = lm.rtree_capture_audit(space, tr, D)
+        audit = lm.rtree_capture_audit(space, tr)
         report["audit_passed"] = audit.passed
         if audit.final_distance is not None:
             report["final_distance"] = float(audit.final_distance)
@@ -369,7 +369,7 @@ def test_curve_from_transcript_measures_only_the_betas(name, space, tr, k, monke
     monkeypatch.setattr(space, "_angle", lambda *args: angles.append(1) or angle(*args))
     monkeypatch.setattr(space, "_dist", lambda x, y: dists.append(1) or dist(x, y))
     full = analysis._angles(space, tr)
-    want = win_curve_or_error(lambda: analysis._win_curve(space, tr, full, theta, tr.D))
+    want = win_curve_or_error(lambda: analysis._win_curve(space, tr, full, theta))
     measured = len(angles), len(dists)
     angles.clear()
     dists.clear()
@@ -381,9 +381,9 @@ def test_curve_from_transcript_measures_only_the_betas(name, space, tr, k, monke
     assert len(dists) == measured[1] - len(full.steps) - (alphas if tree else 0)
 
 
-def audit_reference(space, tr, D):
+def audit_reference(space, tr):
     """The capture audit as it once measured: three distances at every step."""
-    lions = tr.lion_path()
+    D, lions = tr.D, tr.lion_path()
     steps, colin, dist_res, first_failure, final_distance = [], [], [], None, None
     for n, rec in enumerate(tr.records):
         if not rec.dist > D:
@@ -413,12 +413,13 @@ def audit_reference(space, tr, D):
 def test_audit_carries_each_distance_from_the_start(name, space, tr, k, monkeypatch):
     # d(L_0, L_{n+1}) of one step is d(L_0, L_n) of the next and, at the
     # record end, the final distance: one distance for L_0, two per step
-    for D in (tr.D, 2 * tr.D):
-        want = audit_reference(space, tr, D)
+    # the game as played, and its path read at twice its step
+    for played in (tr, dataclasses.replace(tr, D=2 * tr.D)):
+        want = audit_reference(space, played)
         calls = []
         dist = space._dist
         monkeypatch.setattr(space, "_dist", lambda x, y: calls.append(1) or dist(x, y))
-        got = analysis._audit(space, tr, D)
+        got = analysis._audit(space, played)
         monkeypatch.undo()
         assert repr(got) == repr(want)
         assert len(calls) == 1 + 2 * len(got.steps)
@@ -467,7 +468,7 @@ def test_equivalence_certificate_is_the_analyze_report(ray_tree):
     cert = dict(rep.certificates["directional"])
     assert cert.pop("ray_residual_max") == 0.0
     tr = ray_pursuit_transcript(ray_tree, n_steps=80)
-    assert cert == lm.analyze_transcript(ray_tree, tr, Fraction(12), Fraction(1), 128)[0]
+    assert cert == lm.analyze_transcript(ray_tree, tr, Fraction(12), 128)[0]
 
 
 def test_equivalence_report_box_is_exploratory(box):

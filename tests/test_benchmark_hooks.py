@@ -1,13 +1,14 @@
-"""Every name that the benchmark and the demos call in lionman exists.
+"""Every name that the benchmark and the demos call in lionman exists, and takes their arguments.
 
-`perfbench/workloads.py`, `perfbench/tracer.py` and `demos/*.py` are read
-as source with `ast`, never imported or run here.  A deletion of a name they
-call, such as `spaces.space_to_config` or `RTreeSpace.diameter`, would make
-every benchmark run or demo fail; these checks fail first.
+`perfbench/*.py` and `demos/*.py` are read as source with `ast`, never
+imported or run here.  A deletion of a name they call, such as
+`spaces.space_to_config` or `RTreeSpace.diameter`, or of a parameter they
+pass, would make every benchmark run or demo fail; these checks fail first.
 """
 
 import ast
 import glob
+import inspect
 import io
 import os
 from functools import reduce
@@ -21,6 +22,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = glob.glob(os.path.join(ROOT, "demos", "*.py"))
 SOURCES = ["perfbench/workloads.py", "perfbench/tracer.py",
            *sorted(os.path.relpath(p, ROOT) for p in DEMOS)]
+CALL_SOURCES = sorted(os.path.relpath(p, ROOT)
+                      for p in glob.glob(os.path.join(ROOT, "perfbench", "*.py")) + DEMOS)
 # the other owners of methods that the sources call on local names
 OTHER_TYPES = (list, dict, str, bytes, io.BufferedReader, io.TextIOWrapper,
                np.random.Generator, np.ndarray)
@@ -48,6 +51,28 @@ def resolves(names):
     return True
 
 
+def unbound_calls(tree):
+    """Each `lm.<name>(...)` call whose arguments do not bind to the target's signature.
+
+    The call's own argument nodes stand in for the values: binding checks
+    the number of positional arguments and the keyword names.  A call that
+    unpacks *args or **kwargs binds only at run time and is left out.
+    """
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and (c := chain(node.func)) and c[0] == "lm"):
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords):
+            continue
+        try:
+            inspect.signature(reduce(getattr, c[1:], lm)).bind(
+                *node.args, **{k.arg: k.value for k in node.keywords})
+        except TypeError as exc:
+            out.append(f"line {node.lineno}: {'.'.join(c)}: {exc}")
+    return out
+
+
 def test_the_sources_are_there():
     assert DEMOS and all(os.path.isfile(os.path.join(ROOT, s)) for s in SOURCES)
 
@@ -58,6 +83,21 @@ def test_every_lm_chain_resolves(source):
               if isinstance(node, ast.Attribute) and (c := chain(node)) and c[0] == "lm"}
     assert chains
     assert sorted(".".join(c) for c in chains if not resolves(c)) == []
+
+
+@pytest.mark.parametrize("source", CALL_SOURCES)
+def test_every_lm_call_binds_to_its_signature(source):
+    assert unbound_calls(parse(source)) == []
+
+
+def test_a_call_with_a_removed_parameter_does_not_bind():
+    # the step size D comes from the transcript, and neither analysis takes it
+    tree = ast.parse("lm.curve_from_transcript(space, tr, k, D)\n"
+                     "lm.analyze_transcript(space, tr, k, D=D)\n"
+                     "lm.rtree_capture_audit(space, tr)\n"
+                     "lm.classify_outcome(*args)\n")
+    assert [u.split(":")[:2] for u in unbound_calls(tree)] == [
+        ["line 1", " lm.curve_from_transcript"], ["line 2", " lm.analyze_transcript"]]
 
 
 @pytest.mark.parametrize("source", SOURCES)

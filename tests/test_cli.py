@@ -295,6 +295,13 @@ def test_malformed_step_option_exits_2_naming_the_flag(command, flag, tmp_path, 
             "analyze": ["--transcript", str(run), "--k", "1"]}[command]
     argv = [command, "--space", str(cfg)] + argv + [flag, "1/2"]
     capsys.readouterr()
+    if (command, flag) == ("analyze", "--D"):
+        # analyze reads D from the transcript and has no --D
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments: --D 1/2" in capsys.readouterr().err
+        return
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}:")
@@ -313,6 +320,22 @@ def test_an_out_of_range_scale_exits_2_naming_the_flag(space, argv, tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("error: --scale:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("space, argv", [
+    ({"kind": "hyperbolic"}, ["estimate-delta", "--seed", "-1"]),
+    ({"kind": "euclidean", "dim": 2}, ["sweep", "--D", "1", "--seed", "-3"]),
+    (lm.tripod().to_config(), ["simulate", "--man", "random", "--D", "1/2",
+                               "--man-start", '{"vertex": "b"}', "--seed", "-1"]),
+], ids=["estimate-delta", "sweep", "simulate"])
+def test_a_negative_seed_exits_2_naming_the_flag(space, argv, tmp_path, capsys):
+    cfg = tmp_path / "space.json"
+    cfg.write_text(json.dumps({"space": space}))
+    with pytest.raises(SystemExit) as info:
+        main(argv[:1] + ["--space", str(cfg)] + argv[1:])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "Traceback" not in err
 
 
 def test_simulate_byte_identical_reruns(tripod_cfg, tmp_path):

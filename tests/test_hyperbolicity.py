@@ -1,11 +1,13 @@
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import lionman as lm
-from lionman.errors import DegenerateInputError
+from lionman.curves import _worse
+from lionman.errors import DegenerateInputError, GeometryError
 
 from conftest import distance_table, sampler_for
 
@@ -504,7 +506,64 @@ def test_a_nan_quasi_slimness_stays_the_estimate(monkeypatch, euclid2):
         return [math.nan] + out[1:] if len(calls) == 2 else out
     monkeypatch.setattr(euclid2, "_to_chain", poisoned)
     assert math.isnan(lm.estimate_quasi_slim_M(euclid2, 1.5, sampler(), 4, 8))
-    assert len(calls) == 4 * 6
+    assert len(calls) == 4 * 3  # one call per side of each trial
+
+
+def chain_slimness_by_two_chains(space, chains, sample_sets, grid):
+    """Reference: each side against the other two in two calls, merged by hand."""
+    worst = None
+    for i, samples in enumerate(sample_sets):
+        others = [c for j, c in enumerate(chains) if j != i]
+        points = [p for _, p in samples]
+        near = [b if _worse(b, a) else a for a, b in zip(space._to_chain(points, others[0]),
+                                                          space._to_chain(points, others[1]))]
+        for (t, p), d in zip(samples, near):
+            if worst is None or _worse(d, worst[0], operator.gt):
+                worst = (d, i, t, p)
+    value, side, t, p = worst
+    return lm.SlimnessReport(value=value, witness_side=side, witness_param=float(t),
+                             witness_point=p, grid=grid)
+
+
+def slimness_reports(space, scale, seed):
+    """slim_defect on seeded triangles, then both estimates on the same seed, or their errors."""
+    sampler = lm.PointSampler(space, scale, seed=seed)
+    reports = [lm.slim_defect(space, sampler.draw(), sampler.draw(), sampler.draw(), 12)
+               for _ in range(4)]
+    for estimate in (lambda s: lm.estimate_delta(space, s, 4, 12),
+                     lambda s: lm.estimate_quasi_slim_M(space, 1.5, s, 4, 12)):
+        try:
+            reports.append(estimate(lm.PointSampler(space, scale, seed=seed)))
+        except GeometryError as exc:  # a far disk zigzag node off the disk
+            reports.append(exc)
+    return reports
+
+
+JOINED_CHAIN_CASES = {**SLIM_SPACES, "box": (lm.L2BoxSpace(n=3, base=4.0), 2.0),
+                      "far-disk": (lm.HyperbolicPlane(), 29.5),
+                      "plane-nan": (lm.EuclideanSpace(2), 3.0)}
+
+
+@pytest.mark.parametrize("name", sorted(JOINED_CHAIN_CASES))
+def test_slimness_on_one_joined_chain_is_the_two_chain_merge(monkeypatch, name):
+    # every report equals, by repr, the one from measuring each side against
+    # the other two sides in two calls.  The far disk meets NaN distances;
+    # in plane-nan every distance of a point with x > 1 reads NaN, so the
+    # quasi triangles meet them too
+    space, scale = JOINED_CHAIN_CASES[name]
+    triangles = far_disk_triangles(12) if name == "far-disk" else []
+    if name == "plane-nan":
+        to_chain = space._to_chain
+        monkeypatch.setattr(space, "_to_chain", lambda points, chain: [
+            math.nan if p.coords[0] > 1 else d for p, d in zip(points, to_chain(points, chain))])
+    runs = []
+    with np.errstate(invalid="ignore"):
+        for chain_slimness in (lm.hyperbolicity._chain_slimness, chain_slimness_by_two_chains):
+            monkeypatch.setattr(lm.hyperbolicity, "_chain_slimness", chain_slimness)
+            runs.append([slimness_reports(space, scale, seed) for seed in (0, 4, 9)]
+                        + [lm.slim_defect(space, *tri, 24) for tri in triangles])
+    assert repr(runs[0]) == repr(runs[1])
+    assert ("nan" in repr(runs[0])) == (name in ("far-disk", "plane-nan"))
 
 
 def nan_at(space, monkeypatch, call):

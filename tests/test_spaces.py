@@ -154,6 +154,49 @@ def test_rtree_exact_walk_keeps_fractions(tripod):
     assert tripod.distance(lm.vertex_point("a"), z) == Fraction(3, 2)
 
 
+def held_reference(legs, s):
+    """The legs an exact walk of s reads, as the greedy tree step once found them."""
+    end = None
+    for k, leg in enumerate(legs):
+        end = leg[0] if end is None else end + leg[0]
+        if s <= end:
+            return tuple(legs[:k + 1])
+    return tuple(legs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reach_finds_the_legs_of_the_held_loop(seed):
+    # seeded trees with and without a ray, between vertices and seeded edge
+    # points; a path that ends above its meet, as every path out along the
+    # ray does, ends in a leg with no end.  Each exact s in (0, d] is reached
+    # fresh and, as walks do, from the last leg reached, in ascending and
+    # then in descending order
+    rng = np.random.default_rng(seed)
+    base = lm.random_tree(rng, n_vertices=9)
+    for tree in (base, lm.RTreeSpace(base.vertices, base.edges, ray_at=base.vertices[-1])):
+        points = [lm.vertex_point(v) for v in tree.vertices]
+        points += [tree.random_point(rng) for _ in range(6)]
+        if tree.ray_at is not None:
+            points.append(lm.edge_point(lm.RAY_EDGE, Fraction(5, 2)))
+        endless = 0
+        for x in points:
+            for y in points:
+                d = tree.distance(x, y)
+                if d == 0:
+                    continue
+                legs = tree._legs(tree._form(x), tree._form(y))
+                endless += legs[-1][0] == math.inf
+                ends, k = [], 0
+                ss = sorted(s for s in {d * Fraction(j, 12) for j in range(1, 13)} | {legs[0][0]}
+                            if s <= d)
+                for s in ss + ss[::-1]:
+                    fresh = tree._reach(legs, [], s, 0)
+                    assert tuple(legs[:fresh + 1]) == held_reference(legs, s)
+                    k = tree._reach(legs, ends, s, k)
+                    assert k == fresh
+        assert endless
+
+
 
 def test_exact_walks_never_round_a_distance_to_float(ray_tree):
     # past 1e308 no float holds the distance, yet exact points and
