@@ -83,18 +83,58 @@ def _exact(x, what) -> Fraction:
     return value
 
 
-def _float_sign(x, f, length) -> int:
-    """-1, 0 or 1 as the float x lies below, at or above length, with f = float(length).
+def _float_sign(x, f, n, scale) -> int:
+    """-1, 0 or 1 as the float x lies below, at or above n / scale, with f = float(n / scale).
 
     The one tie rule of tree floats: f decides every comparison but a tie,
-    which the exact length breaks.  A float below (above) f lies below
-    (above) every length that rounds to f, so this is the sign of the exact
-    comparison, found by float comparisons alone off a tie.  A NaN reads as
-    below.
+    which the exact value breaks.  A float below (above) f lies below
+    (above) every number that rounds to f, so this is the sign of the exact
+    comparison, found by float comparisons alone off a tie.  n is an int
+    count of 1/scale, or a float that f equals (a float length, the ray's
+    infinity).  A NaN reads as below.
     """
     if x != f:
         return 1 if x > f else -1
-    return (x > length) - (x < length)
+    if type(n) is float:
+        return 0
+    a, b = x.as_integer_ratio()
+    return (a * scale > n * b) - (a * scale < n * b)
+
+
+# Tree numbers inside `RTreeSpace`: an exact value is an int count of 1/scale
+# for the scale of the call, anything else a float.  These three helpers
+# combine the two kinds as `Fraction`'s operators combine a Fraction with a
+# float: exactly when both are exact, else in floats, each exact value
+# rounded once (int / int is correctly rounded, as float(Fraction) is).
+
+
+def _inside(t) -> bool:
+    """0 < t < 1, a Fraction read by its numerator and denominator (comparing it is slow)."""
+    if type(t) is Fraction:
+        n, d = t.as_integer_ratio()
+        return 0 < n < d
+    return 0 < t < 1
+
+
+def _float(v, scale) -> float:
+    """v as a float: an int count of 1/scale rounded once, a float as it is."""
+    return v / scale if type(v) is int else v
+
+
+def _plus(a, b, scale):
+    """a + b, exact when both are ints, else the sum of their floats."""
+    if type(a) is int:
+        return a + b if type(b) is int else a / scale + b
+    return a + (b / scale if type(b) is int else b)
+
+
+def _below(a, b, scale) -> bool:
+    """a < b, compared exactly; False when either is a NaN."""
+    if type(a) is type(b):
+        return a < b
+    if type(a) is int:
+        return _float_sign(b, a / scale, a, scale) > 0
+    return a == a and _float_sign(a, b / scale, b, scale) < 0
 
 
 def epoint(*coords) -> Point:
@@ -206,15 +246,14 @@ class Space:
 
     def _geodesic_points(self, x, y, ts) -> list:
         """`geodesic_points` on the member points x and y, which it does not check."""
+        inner = []
         for t in ts:
-            if not 0 < t < 1:
-                break
-        else:
-            return self._along(x, y, ts)
-        for t in ts:
-            if not 0 <= t <= 1:  # NaN fails too
+            if _inside(t):
+                inner.append(t)
+            elif not 0 <= t <= 1:  # NaN fails too
                 raise InvalidInputError(f"interpolation parameter {t} outside [0, 1]")
-        inner = [t for t in ts if 0 < t < 1]
+        if len(inner) == len(ts):
+            return self._along(x, y, ts)
         placed = iter(self._along(x, y, inner) if inner else ())
         return [x if t == 0 else y if t == 1 else next(placed) for t in ts]
 
@@ -762,12 +801,23 @@ class RTreeSpace(Space):
     offsets and parameters are `Fraction`s.
 
     Internally the tree hangs from a root, the ray anchor or else the first
-    vertex, and a point is read as (i, h): height h above vertex i on the
-    edge toward i's parent, the ray being the root's endless parent edge.
-    Tables ``rise[i][j]`` (height of vertex i above the meet of i and j) and
-    ``climbs[i][j]`` (rise > 0: a point leaves toward j up through i's
-    parent, not down through i) make a distance one sum; a walk or a
-    projection climbs parent links from x to the meet and descends to y.
+    vertex, and a point is read as (i, h, rest): height h above vertex i on
+    the edge toward i's parent, and rest the way left up to that parent, the
+    ray being the root's endless parent edge.  Tables ``rise[i][j]`` (height
+    of vertex i above the meet of i and j) and ``climbs[i][j]`` (rise > 0: a
+    point leaves toward j up through i's parent, not down through i) make a
+    distance one sum; a walk or a projection climbs parent links from x to
+    the meet and descends to y.
+
+    Every exact quantity inside is a Python int on one integer scale.  The
+    tables ``rise`` and ``len`` (each vertex's parent edge) count 1/q, where
+    q is the lcm of the edge lengths' denominators.  A call whose exact
+    inputs (offsets, parameters, a step D, a halving) need a finer scale
+    counts 1/(q k) for the least k that holds them all, and multiplies the
+    table entries it reads by k.  A `Fraction` is built only where a value
+    leaves the space: a returned distance or a placed point's offset.  A
+    float offset keeps float arithmetic, and where it meets an exact value
+    that value is rounded once, int / int, as float(Fraction) rounds it.
     """
 
     kind = "rtree"
@@ -789,6 +839,8 @@ class RTreeSpace(Space):
         self.ray_at = ray_at
         if len(self.edges) != len(self.vertices) - 1:
             raise InvalidInputError("edge count must be vertex count - 1 for a tree")
+        self._q = q = math.lcm(*(length.denominator for _, _, length in self.edges))
+        counts = [length.numerator * (q // length.denominator) for _, _, length in self.edges]
 
         # one breadth-first pass from the root gives every vertex its parent
         # edge; reaching all V vertices over V - 1 edges proves a tree
@@ -801,38 +853,37 @@ class RTreeSpace(Space):
         self._root = root = self._index[self.vertices[0] if ray_at is None else ray_at]
         self._parent = [root] * n
         self._edge = [None if ray_at is None else RAY_EDGE] * n  # kept by the root only
-        self._len = [math.inf] * n
+        self._len = [math.inf] * n  # parent edge lengths, in 1/q
         self._child = [None] * len(self.edges)  # each edge's child vertex
-        above = {root: {root: _ZERO}}  # each vertex's heights above its ancestors
+        above = {root: {root: 0}}  # each vertex's heights above its ancestors, in 1/q
         order = [root]
         for v in order:
             for e, w in adj[v]:
                 if w not in above:
-                    self._parent[w], self._edge[w], self._len[w] = v, e, self.edges[e][2]
+                    self._parent[w], self._edge[w], self._len[w] = v, e, counts[e]
                     self._child[e] = w
-                    above[w] = {a: self._len[w] + h for a, h in above[v].items()} | {w: _ZERO}
+                    above[w] = {a: counts[e] + h for a, h in above[v].items()} | {w: 0}
                     order.append(w)
         if len(order) != n:
             raise InvalidInputError("edge graph is not connected")
 
-        # rise[i][j], i's height above meet(i, j), is _ZERO where i is an
+        # rise[i][j], i's height above meet(i, j) in 1/q, is 0 where i is an
         # ancestor of j (climbs[i][j] false).  _table reads numpy copies of
         # climbs and of rise[i][j] + rise[j][i], each rounded once by one int
-        # division over the lengths' common denominator q
+        # division by q
         meets = {root: [root] * n}
         for i in order[1:]:
             meets[i] = [i if i in above[j] else m for j, m in enumerate(meets[self._parent[i]])]
         self._rise = [[above[i][m] for m in meets[i]] for i in range(n)]
         self._climbs = [[m != i for m in meets[i]] for i in range(n)]
         self._below = np.array(self._climbs)
-        q = math.lcm(*(length.denominator for _, _, length in self.edges))
-        depth = [int(above[i][root] * q) for i in range(n)]  # q times the root distance
+        depth = [above[i][root] for i in range(n)]  # q times the root distance
         self._span = np.array([[(depth[i] + depth[j] - 2 * depth[m]) / q
                                 for j, m in enumerate(meets[i])] for i in range(n)])
 
         # float shadows, read when an offset or a t is a float: float(length)
         # of each vertex's parent edge
-        self._flen = [float(length) for length in self._len]
+        self._flen = [length / q for length in self._len]
         # numpy copies of the parent links and of the vertex range, for _table
         self._parents = np.array(self._parent)
         self._vertex_range = np.arange(n)
@@ -850,103 +901,147 @@ class RTreeSpace(Space):
             return self.ray_at is not None and p.offset >= 0
         if not 0 <= p.edge < len(self.edges):
             return False
-        if type(p.offset) is float:
-            c = self._child[p.edge]
-            return 0 <= p.offset and _float_sign(p.offset, self._flen[c], self._len[c]) <= 0
-        return 0 <= p.offset <= self.edges[p.edge][2]
+        off, c = p.offset, self._child[p.edge]
+        if type(off) is float:
+            return 0 <= off and _float_sign(off, self._flen[c], self._len[c], self._q) <= 0
+        if type(off) is Fraction:  # 0 <= off <= len / q, in ints
+            n, d = off.as_integer_ratio()
+            return n >= 0 and n * self._q <= self._len[c] * d
+        return 0 <= off <= self.edges[p.edge][2]
 
-    # -- rooted form (i, h, rest): h above vertex i, rest below i's parent
+    # -- the scale of a call and the rooted form (i, h, rest) on it
 
-    def _form(self, p: Point):
+    def _scale(self, numbers, k=1) -> int:
+        """The least multiple k' of k at which each exact number is a whole count of 1/(q k').
+
+        Floats and Nones (a vertex's offset) are passed over.
+        """
+        q = self._q
+        for x in numbers:
+            if x is not None and type(x) is not float:
+                d = x.denominator
+                if q * k % d:
+                    k *= d // math.gcd(q * k, d)
+        return k
+
+    def _out(self, d, k):
+        """A value leaving the space: an int count of 1/(q k) as its `Fraction`, a float as is."""
+        return d if type(d) is float else Fraction(d, self._q * k)
+
+    def _form(self, p: Point, k):
+        """The rooted form of p; its exact numbers count 1/(q k), and a vertex has h = int 0."""
         if p.vertex is not None:
             i = self._index[p.vertex]
-            return i, _ZERO, self._len[i]
+            return i, 0, self._len[i] * k
         off = p.offset
         if p.edge == RAY_EDGE:
+            if type(off) is not float:
+                n, d = off.as_integer_ratio()
+                off = n * (self._q * k // d)
             return self._root, off, math.inf
-        u, v, length = self.edges[p.edge]
+        u, v, _ = self.edges[p.edge]
         c = self._child[p.edge]
         if type(off) is float:
             # a float offset meets float(length) in arithmetic
-            at_end = _float_sign(off, self._flen[c], length) == 0
+            at_end = _float_sign(off, self._flen[c], self._len[c], self._q) == 0
             length = self._flen[c]
         else:
+            n, d = off.as_integer_ratio()
+            off = n * (self._q * k // d)
+            length = self._len[c] * k
             at_end = off == length
         if off == 0 or at_end:
             i = self._index[u if off == 0 else v]
-            return i, _ZERO, self._len[i]
+            return i, 0, self._len[i] * k
         if self.vertices[c] == u:
             return c, off, length - off
         return c, length - off, off
 
-    def _exit(self, i, h, rest, j):
-        """Vertex where the point (i, h, rest) leaves toward vertex j, and its cost."""
-        # inside an edge below the meet it leaves up through i's parent; a
-        # vertex leaves through itself at cost 0, so a float distance from a
-        # vertex is one table entry plus the other point's cost
-        if h and self._climbs[i][j]:
-            return self._parent[i], rest
-        return i, h
+    @staticmethod
+    def _widened(form, m):
+        """The form on a scale m times finer; a float form stays as it is."""
+        i, h, rest = form
+        return (i, h * m, rest * m) if type(h) is int else form
 
-    def _on_edge(self, i, h, rest, up) -> Point:
+    def _on_edge(self, i, h, rest, up, k) -> Point:
         """The point `up` above the point (i, h, rest), on the parent edge of i."""
         # the offset is h + up or rest - up, whichever the edge counts, and a
         # float offset that reaches an end of the edge gives that vertex
         e = self._edge[i]
         if e is None:  # the root of a tree without a ray
             return Point(self.kind, vertex=self.vertices[i])
-        u, v, length = self.edges[e] if e != RAY_EDGE else (self.vertices[i], None, math.inf)
-        up = up or _ZERO  # a float zero would round an exact offset
+        u, v = (self.vertices[i], None) if e == RAY_EDGE else self.edges[e][:2]
+        up = up or 0  # a float zero would round an exact offset
         offset = h + up if u == self.vertices[i] else rest - up
-        if 0 < offset and (_float_sign(offset, self._flen[i], length) < 0
-                           if type(offset) is float else offset < length):
-            return Point(self.kind, edge=e, offset=offset)
+        if type(offset) is float:
+            if 0 < offset and _float_sign(offset, self._flen[i], self._len[i], self._q) < 0:
+                return Point(self.kind, edge=e, offset=offset)
+        elif 0 < offset < self._len[i] * k:
+            return Point(self.kind, edge=e, offset=Fraction(offset, self._q * k))
         return Point(self.kind, vertex=u if offset <= 0 else v)
 
     def _dist(self, x, y):
-        return self._gap(x, self._form(x), y, self._form(y))
+        k = self._scale((x.offset, y.offset))
+        return self._out(self._gap(x, self._form(x, k), y, self._form(y, k), k), k)
 
-    def _gap(self, x, form_x, y, form_y):
-        """d(x, y) from the points and their rooted forms."""
+    def _gap(self, x, form_x, y, form_y, k):
+        """d(x, y) from the points and their rooted forms: an int count of 1/(q k), or a float."""
         (i, hx, rest_x), (j, hy, rest_y) = form_x, form_y
         if i == j and hx and hy:  # inside one edge
-            if type(x.offset) is float or type(y.offset) is float:
+            if type(hx) is float or type(hy) is float:
                 return abs(float(x.offset) - float(y.offset))
-            return abs(x.offset - y.offset)
-        ex, cx = self._exit(i, hx, rest_x, j)
-        ey, cy = self._exit(j, hy, rest_y, i)
-        if type(cx) is float or (cx is _ZERO and type(cy) is float):
-            # Fraction's float fallback would add float(up + down), the span
-            span = self._span.item(ex, ey)
-            d = span if cx is _ZERO else cx + span
-            return d if cy is _ZERO else d + float(cy)
-        # cx + (up + down) + cy, where an exact zero (a vertex's cost, an
-        # ancestor's rise) is left out: adding it would change neither the
-        # value nor the type of the sum
-        up, down = self._rise[ex][ey], self._rise[ey][ex]
-        d = down if up is _ZERO else up if down is _ZERO else up + down
-        if cx is not _ZERO:
-            d = cx + d
-        return d if cy is _ZERO else d + cy
+            return abs(hx - hy)
+        # the vertex where each point leaves toward the other, and its cost:
+        # inside an edge below the meet it leaves up through its parent; a
+        # vertex leaves through itself at cost 0
+        ex, cx, ey, cy = i, hx, j, hy
+        if hx and self._climbs[i][j]:
+            ex, cx = self._parent[i], rest_x
+        if hy and self._climbs[j][i]:
+            ey, cy = self._parent[j], rest_y
+        rise = self._rise[ex][ey] + self._rise[ey][ex]
+        if type(cx) is float:
+            # cx + span + float(cy), the span being float(rise) in 1/q
+            d = cx + rise / self._q
+            return d + cy if type(cy) is float else d + cy / (self._q * k) if cy else d
+        d = cx + rise * k
+        if type(cy) is float:
+            # the exact part rounded once, then the float cost added
+            return d / (self._q * k) + cy
+        return d + cy
 
     def _along(self, x, y, ts):
-        form_x, form_y = self._form(x), self._form(y)
-        return self._placed(x, form_x, form_y, self._gap(x, form_x, y, form_y), ts)
+        k = self._scale((x.offset, y.offset))
+        form_x, form_y = self._form(x, k), self._form(y, k)
+        return self._placed(x, form_x, form_y, self._gap(x, form_x, y, form_y, k), ts, k)
 
-    def _placed(self, x, form_x, form_y, total, ts) -> list:
-        """`_along` from the rooted forms of x and y and d(x, y) = total."""
+    def _placed(self, x, form_x, form_y, total, ts, k) -> list:
+        """`_along` from the rooted forms of x and y and the `_gap` d(x, y) = total."""
         if total == 0:
             return [x] * len(ts)
-        # a float t meets float(total), as in Fraction's fallback; exact ts never float it
-        total_f = float(total) if any(type(t) is float for t in ts) else total
-        return self._walk(form_x, form_y, [t * total_f if type(t) is float else t * total
-                                           for t in ts])
+        if type(total) is float:
+            return self._walk(form_x, form_y, [(t if isinstance(t, float) else float(t)) * total
+                                               for t in ts], k)
+        # an exact t places s = t total exactly: the scale widens until it
+        # counts every such s in whole units; a float t meets float(total)
+        m, total_f = 1, None
+        for t in ts:
+            if isinstance(t, float):
+                total_f = total / (self._q * k)
+            else:
+                m *= t.denominator // math.gcd(t.denominator, total * m)
+        if m > 1:
+            k, total = k * m, total * m
+            form_x, form_y = self._widened(form_x, m), self._widened(form_y, m)
+        ss = [t * total_f if isinstance(t, float) else t.numerator * total // t.denominator
+              for t in ts]
+        return self._walk(form_x, form_y, ss, k)
 
-    def _legs(self, form_x, form_y):
+    def _legs(self, form_x, form_y, k):
         """The path from x to y as legs (length, i, h, rest, up), in path order.
 
-        A point s into a leg is `_on_edge(i, h, rest, s)` going up and
-        `_on_edge(i, h, rest, -s)` going down; a walk moves past an up leg
+        A point s into a leg is `_on_edge(i, h, rest, s, k)` going up and
+        `_on_edge(i, h, rest, -s, k)` going down; a walk moves past an up leg
         when s >= length and past a down leg when s > length.  The last up
         leg toward a y above its meet has no end.
         """
@@ -956,8 +1051,8 @@ class RTreeSpace(Space):
         while self._climbs[i][j]:
             legs.append((rest, i, h, rest, True))
             i = self._parent[i]
-            h, rest = _ZERO, self._len[i]
-        if i == j and hy > h:
+            h, rest = 0, self._len[i] * k
+        if i == j and _below(h, hy, self._q * k):
             legs.append((math.inf, i, h, rest, True))
             return legs
         below = [j]
@@ -965,64 +1060,65 @@ class RTreeSpace(Space):
             below.append(self._parent[below[-1]])
         for c in reversed(below):
             if c != i:
-                h, rest = self._len[c], _ZERO
+                h, rest = self._len[c] * k, 0
             legs.append((h, c, h, rest, False))
         return legs
 
     @staticmethod
-    def _reach(legs, ends, s, k):
-        """The first leg that ends at or past the exact distance s, searched from leg k.
+    def _reach(legs, ends, s, at):
+        """The first leg that ends at or past the exact distance s, searched from leg at.
 
         ends holds the sums of the leg lengths from x, in path order, as far
         as a walk has read them; it grows here, each sum formed once.  s must
         not exceed the sum of all the legs.
         """
-        if k and s <= ends[k - 1]:  # s lies before leg k: search from the first leg
-            k = 0
+        if at and s <= ends[at - 1]:  # s lies before leg at: search from the first leg
+            at = 0
         while True:
-            if k == len(ends):
-                ends.append(ends[-1] + legs[k][0] if k else legs[0][0])
-            if s <= ends[k]:
-                return k
-            k += 1
+            if at == len(ends):
+                ends.append(ends[-1] + legs[at][0] if at else legs[0][0])
+            if s <= ends[at]:
+                return at
+            at += 1
 
-    def _walk(self, form_x, form_y, ss) -> list:
+    def _walk(self, form_x, form_y, ss, k) -> list:
         """Points at the distances ss from x on [x, y]; assumes 0 <= s <= d(x, y).
 
-        A `Fraction` s is placed exactly against the sums of the leg lengths,
-        each sum formed once for all of ss; any other s loses the legs one by
-        one, as a walk along the edges does.
+        An int s, a count of 1/(q k), is placed exactly against the sums of
+        the leg lengths, each sum formed once for all of ss; a float s loses
+        the legs one by one, as a walk along the edges does.
         """
-        legs = self._legs(form_x, form_y)
+        legs = self._legs(form_x, form_y, k)
+        scale = self._q * k
         ends = []        # exact distance from x to the far end of each leg reached so far
         shadows = None   # float(length), float(h) and float(rest) of each leg
-        out, k = [], 0
+        out, at = [], 0
         for s in ss:
-            if isinstance(s, Fraction):
+            if type(s) is int:
                 # exact: merge s into the leg ends, from the last leg reached
                 # when ts ascend; an s at a leg's end is the same vertex on
                 # either leg.  s <= d(x, y), the sum of the legs (`_placed`
                 # passes t < 1, `_project` clamps s to d(a, b)), so some leg
                 # ends at or past s
-                k = self._reach(legs, ends, s, k)
-                _, i, h, rest, up = legs[k]
-                if k:
-                    s = s - ends[k - 1]
-                out.append(self._on_edge(i, h, rest, s if up else -s))
+                at = self._reach(legs, ends, s, at)
+                _, i, h, rest, up = legs[at]
+                if at:
+                    s -= ends[at - 1]
+                out.append(self._on_edge(i, h, rest, s if up else -s, k))
                 continue
             # a float s loses the exact leg lengths in path order, as a walk
             # along the edges does, each compared by `_float_sign`; a nonzero
             # float s meets the leg's float h and rest, as Fraction's fallback
             # would
             if shadows is None:
-                shadows = [(float(length), float(h), float(rest))
+                shadows = [(_float(length, scale), _float(h, scale), _float(rest, scale))
                            for length, _, h, rest, _ in legs]
             for (length, i, h, rest, up), (f, fh, frest) in zip(legs, shadows):
-                past = _float_sign(s, f, length)
+                past = _float_sign(s, f, length, scale)
                 if past < 0 or (past == 0 and not up):
-                    if s and type(s) is float:
+                    if s:
                         h, rest = fh, frest
-                    out.append(self._on_edge(i, h, rest, s if up else -s))
+                    out.append(self._on_edge(i, h, rest, s if up else -s, k))
                     break
                 s -= f
             else:
@@ -1039,13 +1135,16 @@ class RTreeSpace(Space):
         # `_along` itself
         lo = slots - 1
         qs = sorted(set(lo.tolist()))  # (np.unique would import numpy.ma)
-        forms = [self._form(p) for p in points]
         totals, tables = [], []
         for q in qs:
-            fx, fy = forms[q], forms[q + 1]
-            total = self._gap(points[q], fx, points[q + 1], fy)
-            totals.append(float(total) if total else 0.0)
-            tables.append([self._shadowed(leg) for leg in self._legs(fx, fy)] if total else [])
+            x, y = points[q], points[q + 1]
+            k = self._scale((x.offset, y.offset))
+            fx, fy = self._form(x, k), self._form(y, k)
+            total = self._gap(x, fx, y, fy, k)
+            scale = self._q * k
+            totals.append(_float(total, scale) if total else 0.0)
+            tables.append([self._shadowed(leg, scale) for leg in self._legs(fx, fy, k)]
+                          if total else [])
         tab = np.zeros((len(qs), max([1, *map(len, tables)]), 6))
         for m, legs in enumerate(tables):
             if legs:
@@ -1076,8 +1175,8 @@ class RTreeSpace(Space):
             rows[rare] = super()._rows_along(points, sample_rows, slots[rare], us[rare])
         return rows
 
-    def _shadowed(self, leg):
-        """The row of `_rows_along`'s leg table for one leg of `_legs`.
+    def _shadowed(self, leg, scale):
+        """The row of `_rows_along`'s leg table for one leg of `_legs`, whose ints count 1/scale.
 
         float(length), the vertex i, the offset base (float h where the
         parent edge of i counts from i, else float rest), whether s adds to
@@ -1087,41 +1186,79 @@ class RTreeSpace(Space):
         length, i, h, rest, up = leg
         e = self._edge[i]
         first = e == RAY_EDGE or (e is not None and self.edges[e][0] == self.vertices[i])
-        return float(length), i, float(h if first else rest), first == up, self._flen[i], first
+        return (_float(length, scale), i, _float(h if first else rest, scale), first == up,
+                self._flen[i], first)
 
     def _project(self, p, seg):
         # nearest point of [a, b] is the tree median m(a, b, p); its distance
-        # from a along the segment equals the Gromov product (p|b)_a
+        # from a along the segment is the Gromov product (p|b)_a, summed
+        # exactly while its terms are, and the halving widens the scale when
+        # the exact sum is odd
         a, b = seg.a, seg.b
-        dab = self._dist(a, b)
-        r = (self._dist(a, p) + dab - self._dist(p, b)) / 2
-        q, = self._walk(self._form(a), self._form(b), [min(max(r, 0), dab)])
+        k = self._scale((a.offset, b.offset, p.offset))
+        form_a, form_b, form_p = self._form(a, k), self._form(b, k), self._form(p, k)
+        scale = self._q * k
+        dab = self._gap(a, form_a, b, form_b, k)
+        r = _plus(_plus(self._gap(a, form_a, p, form_p, k), dab, scale),
+                  -self._gap(p, form_p, b, form_b, k), scale)
+        if type(r) is float:
+            s = max(r / 2, 0)
+            if _below(dab, s, scale):
+                s = dab
+        else:
+            if r % 2:  # r / 2 counts 1/(2 q k) whole
+                k, dab = 2 * k, 2 * dab
+                form_a, form_b = self._widened(form_a, 2), self._widened(form_b, 2)
+            else:
+                r //= 2
+            s = min(max(r, 0), dab)
+        q, = self._walk(form_a, form_b, [s], k)
         return q, self._dist(p, q)
 
     def _to_chain(self, points, chain):
         # d(p, [a, b]) = (d(p, a) + d(p, b) - d(a, b)) / 2 in a tree, so the
-        # exact distances from p to the nodes suffice, each point read in its
-        # rooted form once; float rounding is clamped, a distance being never
-        # negative
-        nodes = [(c, self._form(c)) for c in chain]
-        links = [self._gap(*a, *b) for a, b in zip(nodes, nodes[1:])]
+        # distances from p to the nodes suffice, each point read in its
+        # rooted form once and all on one scale.  An exact term stays doubled,
+        # an int count of 1/(2 q k), until the least one is found; float
+        # rounding is clamped, a distance being never negative
+        k = self._scale(p.offset for p in itertools.chain(chain, points))
+        scale = self._q * k
+        gap = self._gap
+        nodes = [(c, self._form(c, k)) for c in chain]
+        links = [gap(a, fa, b, fb, k) for (a, fa), (b, fb) in zip(nodes, nodes[1:])]
         out = []
         for p in points:
-            form = self._form(p)
-            to = [self._gap(p, form, *c) for c in nodes]
-            d = min((u + v - w) / 2 for u, v, w in zip(to, to[1:], links))
-            out.append(max(d, 0.0))
+            form = self._form(p, k)
+            to = [gap(p, form, c, fc, k) for c, fc in nodes]
+            terms = [u + v - w if type(u) is type(v) is type(w) else
+                     _plus(_plus(u, v, scale), -w, scale) for u, v, w in zip(to, to[1:], links)]
+            kinds = {type(d) for d in terms}
+            if kinds == {int}:
+                out.append(Fraction(min(terms), 2 * scale))
+                continue
+            terms = [d / 2 if type(d) is float else d for d in terms]
+            if len(kinds) == 1:  # all floats
+                best = min(terms)
+            else:  # an exact term meets a float one exactly
+                best = terms[0]
+                for d in terms[1:]:
+                    if _below(d, best, 2 * scale):
+                        best = d
+            out.append(max(best, 0.0) if type(best) is float else Fraction(best, 2 * scale))
         return out
 
     def _arrays(self, points):
         # float copies of the forms (i, h, rest) and of the edge offsets
         rows = []
         for p in points:
-            i, h, rest = self._form(p)
-            if h is _ZERO:  # a vertex
+            k = self._scale((p.offset,))
+            i, h, rest = self._form(p, k)
+            if type(h) is int and not h:  # a vertex
                 rows.append((i, 0.0, self._flen[i], 0.0))
             else:
-                rows.append((i, float(h), float(rest), float(p.offset) if h else 0.0))
+                scale = self._q * k
+                rows.append((i, _float(h, scale), _float(rest, scale),
+                             float(p.offset) if h else 0.0))
         return np.array(rows, dtype=float).reshape(-1, 4)
 
     def _table(self, rows, cols):
@@ -1169,7 +1306,7 @@ class RTreeSpace(Space):
         # in a tree the vertex farthest from any vertex ends a longest path
         rise, n = self._rise, len(self.vertices)
         far = max(range(n), key=lambda j: rise[0][j] + rise[j][0])
-        return max(rise[far][j] + rise[j][far] for j in range(n))
+        return Fraction(max(rise[far][j] + rise[j][far] for j in range(n)), self._q)
 
     def _angle(self, apex, y, z, ay, az):
         # the segments toward y and z share an initial piece exactly when the
@@ -1185,39 +1322,70 @@ class RTreeSpace(Space):
         self.check_point(man, "man")
         targets = [vertex_point(v) for v in self.vertices]
         if self.ray_at is not None:
-            base = man.offset if man.edge == RAY_EDGE else Fraction(0)
+            base = man.offset if man.edge == RAY_EDGE else _ZERO
             targets.append(Point(self.kind, edge=RAY_EDGE, offset=base + 2 * D))
-        form = self._form(man)
+        # one scale holds the man, D and the ray target, whose offset base + 2 D
+        # needs no finer one
+        k = self._scale((man.offset, D))
+        scale = self._q * k
+        exact = not isinstance(D, float)
+        if exact:
+            d = D.numerator * (scale // D.denominator)
+        form = self._form(man, k)
         # an exact walk of D reads its path's legs only up to the one that
         # holds D, so the targets that share those legs share one placed point
         # (the same object); a float walk is placed per target
         out, placed = [], {}
-        for tgt, to in zip(targets, map(self._form, targets)):
-            gap = self._gap(man, form, tgt, to)
+        for tgt in targets:
+            to = self._form(tgt, k)
+            gap = self._gap(man, form, tgt, to, k)
             if gap == 0:
                 continue
-            t = D / gap
-            if not t < 1:
-                out.append(tgt)
-                continue
-            key = tgt
-            if isinstance(t, Fraction):
-                legs = self._legs(form, to)
-                key = tuple(legs[:self._reach(legs, [], D, 0) + 1])
+            if exact and type(gap) is int:
+                # t = D / gap < 1, and t gap is D itself
+                if not d < gap:
+                    out.append(tgt)
+                    continue
+                legs = self._legs(form, to, k)
+                key, s = tuple(legs[:self._reach(legs, [], d, 0) + 1]), d
+            else:
+                total = _float(gap, scale)
+                t = float(D) / total
+                if not t < 1:
+                    out.append(tgt)
+                    continue
+                key, s = tgt, t * total
             if key not in placed:
-                placed[key] = self._placed(man, form, to, gap, (t,))[0]
+                placed[key] = self._walk(form, to, [s], k)[0]
             out.append(placed[key])
         return out
 
     def random_move(self, rng, man, D):
         self.check_point(man, "man")
         tgt = vertex_point(self.vertices[int(rng.integers(0, len(self.vertices)))])
-        form, to = self._form(man), self._form(tgt)
-        gap = self._gap(man, form, tgt, to)
+        k = self._scale((man.offset, D))
+        form, to = self._form(man, k), self._form(tgt, k)
+        gap = self._gap(man, form, tgt, to, k)
         if gap == 0:
             return None
-        t = min(D * Fraction(int(rng.integers(0, 17)), 16) / gap, Fraction(1))
-        return man if t == 0 else tgt if t == 1 else self._placed(man, form, to, gap, (t,))[0]
+        r = int(rng.integers(0, 17))
+        if isinstance(D, float) or type(gap) is float:
+            # t = D (r / 16) / gap, as Fraction's float fallback forms it, and
+            # s = t float(gap)
+            total = _float(gap, self._q * k)
+            part = D * (r / 16) if isinstance(D, float) else D.numerator * r / (16 * D.denominator)
+            t = part / total
+            return man if t == 0 else tgt if t >= 1 else self._walk(form, to, [t * total], k)[0]
+        # exact: s = D r / 16 counts 1/(16 q k); t = s / gap
+        s = D.numerator * (self._q * k // D.denominator) * r
+        if s == 0:
+            return man
+        if s >= 16 * gap:
+            return tgt
+        m = 16 // math.gcd(16, s)
+        if m > 1:
+            k, form, to = k * m, self._widened(form, m), self._widened(to, m)
+        return self._walk(form, to, [s * m // 16], k)[0]
 
     def origin(self):
         return vertex_point(self.vertices[0])
@@ -1261,10 +1429,14 @@ class WholeSpace:
 
 @dataclass(frozen=True)
 class Ball:
-    """Closed metric ball; convex in every provided space."""
+    """Closed metric ball; convex in every provided space.
+
+    The radius is a float, or an exact `Fraction`, which a config holds as
+    "p/q" text, as a transcript holds D.
+    """
 
     center: Point
-    radius: float
+    radius: object
     kind = "ball"
 
     def __post_init__(self):
@@ -1280,7 +1452,8 @@ class Ball:
     def to_config(self) -> dict:
         center = point_to_json(self.center)
         center.pop("kind")
-        return {"kind": "ball", "center": center, "radius": self.radius}
+        radius = str(self.radius) if isinstance(self.radius, Fraction) else self.radius
+        return {"kind": "ball", "center": center, "radius": radius}
 
 
 @dataclass(frozen=True)
@@ -1370,9 +1543,16 @@ def domain_from_config(space: Space, data: dict | None):
             center = point_from_json({"kind": space.kind, **data["center"]}
                                      if isinstance(data["center"], dict)
                                      else {"kind": space.kind, "coords": data["center"]})
-            return Ball(center, float(data["radius"]))
+            radius = data["radius"]
+            if not isinstance(radius, str):
+                return Ball(center, float(radius))
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"ball domain config: {exc}") from None
+        try:
+            radius = files.read_fraction(radius)
+        except (ValueError, ZeroDivisionError):
+            raise InvalidInputError(f"ball radius must be >= 0, got {radius!r}") from None
+        return Ball(center, radius)
     if kind == "subtree":
         try:
             return SubtreeDomain(data["vertices"], bool(data.get("include_ray", False)))

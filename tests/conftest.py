@@ -47,6 +47,31 @@ def distance_table(space, points):
     return space._table(arrays, arrays)
 
 
+def parent_length(tree, i):
+    """The exact length of tree vertex i's parent edge, from the edge list (the root: inf)."""
+    e = tree._edge[i]
+    return math.inf if e is None or e == lm.RAY_EDGE else tree.edges[e][2]
+
+
+def exact_form(space, p):
+    """The tree point's rooted form (i, h, rest) in `Fraction` arithmetic.
+
+    A float offset meets the exact edge length through Fraction's own
+    mixed-type operators.
+    """
+    if p.vertex is not None:
+        i = space._index[p.vertex]
+        return i, Fraction(0), parent_length(space, i)
+    if p.edge == lm.RAY_EDGE:
+        return space._root, p.offset, math.inf
+    u, v, length = space.edges[p.edge]
+    if p.offset == 0 or p.offset == length:
+        return exact_form(space, lm.vertex_point(u if p.offset == 0 else v))
+    if space._edge[space._index[u]] == p.edge:
+        return space._index[u], p.offset, length - p.offset
+    return space._index[v], length - p.offset, p.offset
+
+
 # -- independent oracles -----------------------------------------------------
 
 

@@ -130,9 +130,9 @@ def test_greedy_tree_step_places_one_point_per_walked_prefix(monkeypatch):
         if gap:
             want.append(placed[-1] if D < gap else tgt)
     calls = []
-    place = lm.RTreeSpace._placed
-    monkeypatch.setattr(lm.RTreeSpace, "_placed",
-                        lambda self, *args: calls.append(args) or place(self, *args))
+    walk = lm.RTreeSpace._walk  # one walk places one point
+    monkeypatch.setattr(lm.RTreeSpace, "_walk",
+                        lambda self, *args: calls.append(args) or walk(self, *args))
     got = tree.move_candidates(man, D, 8)
     assert [(repr(p), type(p.offset)) for p in got] == [(repr(p), type(p.offset)) for p in want]
     assert len(calls) == len(set(placed)) < len(placed) // 4

@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 import lionman as lm
 from lionman import curves, spaces
 from lionman.curves import _first_min, _merged_params
-from conftest import distance_table
+from conftest import distance_table, exact_form
 from test_tree_golden import caterpillar
 
 B = curves._BLOCK
@@ -631,22 +631,6 @@ def test_rectangular_tiles_are_slices_of_the_square_table(name):
 # -- the tree tiles, against the exit formula written out pair by pair
 
 
-def exact_form(space, p):
-    # the rooted form (i, h, rest) in exact arithmetic, a float offset meeting
-    # the exact edge length through Fraction's own mixed-type operators
-    if p.vertex is not None:
-        i = space._index[p.vertex]
-        return i, Fraction(0), space._len[i]
-    if p.edge == lm.RAY_EDGE:
-        return space._root, p.offset, math.inf
-    u, v, length = space.edges[p.edge]
-    if p.offset == 0 or p.offset == length:
-        return exact_form(space, lm.vertex_point(u if p.offset == 0 else v))
-    if space._edge[space._index[u]] == p.edge:
-        return space._index[u], p.offset, length - p.offset
-    return space._index[v], length - p.offset, p.offset
-
-
 def reference_arrays(space, points):
     rows = []
     for p in points:
@@ -729,10 +713,11 @@ def reference_gap(space, x, y):
         return abs(x.offset - y.offset)
 
     def leave(i, h, rest, j):
-        return (space._parent[i], rest) if h and space._rise[i][j] else (i, h)
+        return (space._parent[i], rest) if h and space._climbs[i][j] else (i, h)
 
     (ex, cx), (ey, cy) = leave(i, hx, rest_x, j), leave(j, hy, rest_y, i)
-    return cx + (space._rise[ex][ey] + space._rise[ey][ex]) + cy
+    span = space.distance(*(lm.vertex_point(space.vertices[v]) for v in (ex, ey)))
+    return cx + span + cy
 
 
 def typed(values):
@@ -761,13 +746,13 @@ def test_float_offsets_at_a_float_length_tie_as_the_exact_length_says():
     on_third = lm.edge_point(0, third)
     # a float offset of float(1/3) sits a hair short of b; float(1/10) is past c
     assert tree.contains_point(on_third) and not tree.contains_point(lm.edge_point(1, tenth))
-    assert tree._form(on_third) == exact_form(tree, on_third)
-    assert typed(tree._form(on_third)) == typed(exact_form(tree, on_third))
+    assert tree._form(on_third, 1) == exact_form(tree, on_third)
+    assert typed(tree._form(on_third, 1)) == typed(exact_form(tree, on_third))
     # a float walk that ends its s on the float length lands where the
     # exact length puts it: inside [a, b], and on c itself
-    assert typed(tree._walk(tree._form(a), tree._form(c), [third])) == typed([on_third])
-    assert tree._walk(tree._form(b), tree._form(c), [tenth]) == [c]
-    assert tree._walk(tree._form(c), tree._form(a), [tenth]) == [b]
+    assert typed(tree._walk(tree._form(a, 1), tree._form(c, 1), [third], 1)) == typed([on_third])
+    assert tree._walk(tree._form(b, 1), tree._form(c, 1), [tenth], 1) == [c]
+    assert tree._walk(tree._form(c, 1), tree._form(a, 1), [tenth], 1) == [b]
 
 
 # The four spellings the tie rule of tree floats once had, one per place:
@@ -809,7 +794,9 @@ def test_the_tie_helper_matches_the_four_old_spellings(length, steps):
     f = float(length)
     exact = f == length
     x = near_float(length, steps)
-    sign = spaces._float_sign(x, f, length)
+    # the helper reads an exact length as an int count of 1/scale
+    counts = (length.numerator, length.denominator) if isinstance(length, Fraction) else (length, 1)
+    sign = spaces._float_sign(x, f, *counts)
     assert sign == (x > length) - (x < length)  # the exact comparison
     assert (0 <= x and sign <= 0) == old_contains(x, f, exact, length)
     assert (sign == 0) == old_at_end(x, f, exact)
@@ -833,15 +820,16 @@ def test_tree_floats_next_to_an_edge_length_follow_the_old_spellings(length):
         p = lm.edge_point(0, x)
         assert tree.contains_point(p) == old_contains(x, f, exact, length)
         if tree.contains_point(p):
-            assert (tree._form(p)[1] is spaces._ZERO) == old_at_end(x, f, exact)
-        placed = tree._on_edge(b, spaces._ZERO, length, x)
+            # a float offset at the end is read as the vertex, whose h is an int 0
+            assert (type(tree._form(p, 1)[1]) is int) == old_at_end(x, f, exact)
+        placed = tree._on_edge(b, 0, tree._len[b], x, 1)
         assert (placed.edge == 0) == old_inside(x, f, exact, length)
         if placed.edge == 0:
             assert placed.offset == x
         # a float walk of x from b toward c stays on its first leg, b up to a,
         # exactly when it does not pass that leg
-        walked, = tree._walk(tree._form(lm.vertex_point("b")), tree._form(lm.vertex_point("c")),
-                             [x])
+        walked, = tree._walk(tree._form(lm.vertex_point("b"), 1),
+                             tree._form(lm.vertex_point("c"), 1), [x], 1)
         assert (walked.edge == 0) == (not old_passes(x, f, length, True))
 
 

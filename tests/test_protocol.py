@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import lionman as lm
-from conftest import distance_table, projection_oracle
+from conftest import distance_table, exact_form, parent_length, projection_oracle
 from test_tree_golden import caterpillar
 
 KINDS = ("euclidean", "l2box", "hyperbolic", "rtree", "caterpillar")
@@ -220,6 +220,23 @@ def same_point(p, q):
     return p == q and repr(p) == repr(q) and types == [type(c) for c in q.coords] + [type(q.offset)]
 
 
+def on_edge(space, i, h, rest, up):
+    """The point up above the rooted form (i, h, rest), in `Fraction` arithmetic.
+
+    The offset is h + up or rest - up, whichever the parent edge of i
+    counts; it is compared exactly with the edge's ends, a float one too.
+    """
+    e = space._edge[i]
+    if e is None:  # the root of a tree without a ray
+        return lm.vertex_point(space.vertices[i])
+    u, v, length = space.edges[e] if e != lm.RAY_EDGE else (space.vertices[i], None, math.inf)
+    up = up or Fraction(0)  # a float zero would round an exact offset
+    offset = h + up if u == space.vertices[i] else rest - up
+    if 0 < offset < length:
+        return lm.edge_point(e, offset)
+    return lm.vertex_point(u if offset <= 0 else v)
+
+
 def sequential_walk(space, x, y, t):
     """Tree point at 0 < t < 1 on [x, y] by one walk along the edges.
 
@@ -227,22 +244,22 @@ def sequential_walk(space, x, y, t):
     x to the meet and then down to y, comparing exactly with the edge.
     """
     s = t * space.distance(x, y)
-    i, h, rest = space._form(x)
-    j, hy, _ = space._form(y)
-    while space._rise[i][j] and s >= rest:
+    i, h, rest = exact_form(space, x)
+    j, hy, _ = exact_form(space, y)
+    while space._climbs[i][j] and s >= rest:
         s -= rest
         i = space._parent[i]
-        h, rest = Fraction(0), space._len[i]
-    if space._rise[i][j] or (i == j and hy > h):
-        return space._on_edge(i, h, rest, s)
+        h, rest = Fraction(0), parent_length(space, i)
+    if space._climbs[i][j] or (i == j and hy > h):
+        return on_edge(space, i, h, rest, s)
     below = [j]
     while below[-1] != i:
         below.append(space._parent[below[-1]])
     for c in reversed(below):
         if c != i:
-            h, rest = space._len[c], Fraction(0)
+            h, rest = parent_length(space, c), Fraction(0)
         if s <= h:
-            return space._on_edge(c, h, rest, -s)
+            return on_edge(space, c, h, rest, -s)
         s -= h
     return lm.vertex_point(space.vertices[j])
 

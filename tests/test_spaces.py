@@ -15,6 +15,7 @@ from lionman.errors import (
 
 from conftest import (
     distance_table,
+    parent_length,
     poincare_distance_oracle,
     projection_oracle,
     sampler_for,
@@ -184,10 +185,13 @@ def test_reach_finds_the_legs_of_the_held_loop(seed):
                 d = tree.distance(x, y)
                 if d == 0:
                     continue
-                legs = tree._legs(tree._form(x), tree._form(y))
+                # on a scale that counts every s in whole units
+                twelfths = {d * Fraction(j, 12) for j in range(1, 13)}
+                scale = tree._scale([x.offset, y.offset, *twelfths])
+                legs = tree._legs(tree._form(x, scale), tree._form(y, scale), scale)
                 endless += legs[-1][0] == math.inf
-                ends, k = [], 0
-                ss = sorted(s for s in {d * Fraction(j, 12) for j in range(1, 13)} | {legs[0][0]}
+                ends, k, d = [], 0, int(d * tree._q * scale)
+                ss = sorted(s for s in {int(s * tree._q * scale) for s in twelfths} | {legs[0][0]}
                             if s <= d)
                 for s in ss + ss[::-1]:
                     fresh = tree._reach(legs, [], s, 0)
@@ -578,8 +582,8 @@ def test_hyperbolic_midpoint_accuracy_near_rim(hyper):
 
 
 def recursive_tables(tree):
-    """rise, below and span as the recursion over parent rows built them."""
-    n, zero = len(tree.vertices), lm.spaces._ZERO
+    """rise, below and span as the recursion over parent rows built them, in Fractions."""
+    n, zero = len(tree.vertices), Fraction(0)
     ancestors = []
     for j in range(n):
         chain = {j}
@@ -590,7 +594,8 @@ def recursive_tables(tree):
     rise = [None] * n
     for i in sorted(range(n), key=lambda i: len(ancestors[i])):  # parents first
         p = tree._parent[i]
-        rise[i] = [zero if i in ancestors[j] else tree._len[i] + rise[p][j] for j in range(n)]
+        rise[i] = [zero if i in ancestors[j] else parent_length(tree, i) + rise[p][j]
+                   for j in range(n)]
     below = np.array([[r > 0 for r in row] for row in rise])
     span = np.array([[float(rise[i][j] + rise[j][i]) for j in range(n)] for i in range(n)])
     return rise, below, span
@@ -628,11 +633,14 @@ def table_trees():
 def test_tree_tables_equal_the_recursion_over_parent_rows(name):
     tree = table_trees()[name]
     rise, below, span = recursive_tables(tree)
-    zero = lm.spaces._ZERO
+    # the int tables count 1/q, q the lcm of the edge lengths' denominators
+    q = tree._q
+    assert q == math.lcm(*(length.denominator for _, _, length in tree.edges))
     for row, ref_row in zip(tree._rise, rise):
-        assert [type(r) for r in row] == [type(r) for r in ref_row]
-        assert row == ref_row
-        assert [r is zero for r in row] == [r is zero for r in ref_row]
+        assert {type(r) for r in row} == {int}
+        assert row == [r * q for r in ref_row]
+    assert tree._len == [parent_length(tree, i) * q for i in range(len(tree.vertices))]
+    assert tree._flen == [float(parent_length(tree, i)) for i in range(len(tree.vertices))]
     assert tree._climbs == below.tolist()
     assert tree._below.dtype == below.dtype and (tree._below == below).all()
     assert tree._span.dtype == span.dtype and tree._span.shape == span.shape
