@@ -10,8 +10,9 @@ diagnostics, curve checks, the pursuit game and the CLI never ask which
 family they hold.
 
 All operations are pure functions of immutable values.  Tree edge lengths
-are exact `Fraction`s, so tree arithmetic is exact when offsets are; the
-other families work in float64.  Hyperbolic computations degrade near the
+are exact `Fraction`s, so tree arithmetic is exact when offsets are (inside
+the tree it runs on Python ints at one integer scale); the other families
+work in float64.  Hyperbolic computations degrade near the
 disk rim; keep points within hyperbolic distance ~30 of the origin.
 
 Tree points are written as (edge, offset) or as a vertex, but `RTreeSpace`
@@ -101,19 +102,19 @@ def _float_sign(x, f, n, scale) -> int:
     return (a * scale > n * b) - (a * scale < n * b)
 
 
-# Tree numbers inside `RTreeSpace`: an exact value is an int count of 1/scale
-# for the scale of the call, anything else a float.  These three helpers
-# combine the two kinds as `Fraction`'s operators combine a Fraction with a
-# float: exactly when both are exact, else in floats, each exact value
-# rounded once (int / int is correctly rounded, as float(Fraction) is).
-
-
 def _inside(t) -> bool:
     """0 < t < 1, a Fraction read by its numerator and denominator (comparing it is slow)."""
     if type(t) is Fraction:
         n, d = t.as_integer_ratio()
         return 0 < n < d
     return 0 < t < 1
+
+
+# Tree numbers inside `RTreeSpace`: an exact value is an int count of 1/scale
+# for the scale of the call, anything else a float.  These three helpers
+# combine the two kinds as `Fraction`'s operators combine a Fraction with a
+# float: exactly when both are exact, else in floats, each exact value
+# rounded once (int / int is correctly rounded, as float(Fraction) is).
 
 
 def _float(v, scale) -> float:
@@ -1202,7 +1203,7 @@ class RTreeSpace(Space):
         r = _plus(_plus(self._gap(a, form_a, p, form_p, k), dab, scale),
                   -self._gap(p, form_p, b, form_b, k), scale)
         if type(r) is float:
-            s = max(r / 2, 0)
+            s = max(r / 2, 0.0)  # a float s: a rounded r < 0 walks from a as a float 0
             if _below(dab, s, scale):
                 s = dab
         else:
