@@ -1453,7 +1453,8 @@ class Ball:
     def to_config(self) -> dict:
         center = point_to_json(self.center)
         center.pop("kind")
-        radius = str(self.radius) if isinstance(self.radius, Fraction) else self.radius
+        # D's rule: an exact radius as "p/q" text, any other as a float
+        radius = str(self.radius) if isinstance(self.radius, Fraction) else float(self.radius)
         return {"kind": "ball", "center": center, "radius": radius}
 
 

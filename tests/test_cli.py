@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -370,6 +371,36 @@ def test_simulate_in_a_subtree_domain(domain, code, tmp_path, capsys):
     assert any(r.man.edge == lm.RAY_EDGE and r.man.offset > 1 for r in tr.records)
     lm.save_transcript(tr, str(again))
     assert again.read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize("radius", ["7/3", "1/3"])
+def test_simulate_in_an_exact_tree_ball(radius, tmp_path, capsys):
+    # a "p/q" radius reads as an exact Fraction, the transcript writes it back
+    # as the same text, and it reloads and saves again byte for byte
+    cfg = tmp_path / "ball.json"
+    cfg.write_text(json.dumps({"space": lm.ray_tree().to_config(),
+                               "domain": {"kind": "ball", "center": {"vertex": "r"},
+                                          "radius": radius}}))
+    out, again = tmp_path / "tr.json", tmp_path / "again.json"
+    man = '{"vertex": "q"}' if radius == "7/3" else '{"edge": -1, "offset": "1/4"}'
+    assert main(["simulate", "--space", str(cfg), "--man", "greedy", "--D", "1/2", "--N", "12",
+                 "--lion", '{"vertex": "r"}', "--man-start", man, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["header"]["domain"]["radius"] == radius
+    tr = lm.load_transcript(str(out))
+    assert tr.domain == lm.Ball(lm.vertex_point("r"), Fraction(radius))
+    assert type(tr.domain.radius) is Fraction
+    lm.save_transcript(tr, str(again))
+    assert again.read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize("radius", ["nan", "-1/3", "1/0", "x", math.nan, -1])
+def test_a_bad_ball_radius_exits_2_naming_the_radius(radius, tmp_path, capsys):
+    cfg = tmp_path / "ball.json"
+    cfg.write_text(json.dumps({"space": lm.ray_tree().to_config(),
+                               "domain": {"kind": "ball", "center": {"vertex": "r"},
+                                          "radius": radius}}))
+    assert main(["simulate", "--space", str(cfg), *STATIONARY, '{"vertex": "r"}']) == 2
+    assert capsys.readouterr().err.startswith("error: ball radius must be >= 0, got ")
 
 
 def test_random_strategy_requires_seed(tripod_cfg):

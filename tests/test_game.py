@@ -339,6 +339,31 @@ def test_transcript_round_trip(tmp_path, ray_tree):
     assert path.read_text() == path2.read_text()
 
 
+def test_an_exact_tree_ball_survives_the_transcript_round_trip(tmp_path, ray_tree):
+    # the radius writes as "3/2" text and reloads exact; a float radius keeps its bytes
+    ball = lm.Ball(lm.vertex_point("r"), Fraction(3, 2))
+    cfg = lm.GameConfig(space=ray_tree, domain=ball, D=Fraction(1, 2), n_steps=10, tol=1e-9,
+                        lion_start=lm.vertex_point("r"), man_start=lm.vertex_point("p"))
+    tr = lm.run_game(cfg, lm.GreedyStrategy(ball))
+    path, again = tmp_path / "t.json", tmp_path / "t2.json"
+    lm.save_transcript(tr, path)
+    assert json.loads(path.read_text())["header"]["domain"]["radius"] == "3/2"
+    loaded = lm.load_transcript(path)
+    assert loaded.domain == ball and type(loaded.domain.radius) is Fraction
+    lm.save_transcript(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+    # an int radius writes as the float it reloads as, so a plane game saves
+    # the same bytes again after a reload
+    for radius in (6, 6.0):
+        assert repr(lm.Ball(lm.epoint(0, 0), radius).to_config()["radius"]) == "6.0"
+    plane_ball = lm.Ball(lm.epoint(0, 0), 6)
+    cfg = lm.GameConfig(space=lm.EuclideanSpace(2), domain=plane_ball, D=1.0, n_steps=5,
+                        tol=1e-9, lion_start=lm.epoint(-1, 0), man_start=lm.epoint(3, 0))
+    lm.save_transcript(lm.run_game(cfg, lm.GreedyStrategy(plane_ball)), path)
+    lm.save_transcript(lm.load_transcript(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_int_D_takes_the_space_number_type(tmp_path, ray_tree, euclid2):
     # an int D reloads exact on a tree, and writes the bytes of D=1.0 on the plane
     strat = lm.man_directional_strategy(lm.tree_ray_curve(ray_tree), 1)
