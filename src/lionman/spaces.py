@@ -925,10 +925,6 @@ class RTreeSpace(Space):
                     k *= d // math.gcd(q * k, d)
         return k
 
-    def _out(self, d, k):
-        """A value leaving the space: an int count of 1/(q k) as its `Fraction`, a float as is."""
-        return d if type(d) is float else Fraction(d, self._q * k)
-
     def _form(self, p: Point, k):
         """The rooted form of p; its exact numbers count 1/(q k), and a vertex has h = int 0."""
         if p.vertex is not None:
@@ -983,7 +979,8 @@ class RTreeSpace(Space):
 
     def _dist(self, x, y):
         k = self._scale((x.offset, y.offset))
-        return self._out(self._gap(x, self._form(x, k), y, self._form(y, k), k), k)
+        d = self._gap(x, self._form(x, k), y, self._form(y, k), k)
+        return d if type(d) is float else Fraction(d, self._q * k)  # the one Fraction built
 
     def _gap(self, x, form_x, y, form_y, k):
         """d(x, y) from the points and their rooted forms: an int count of 1/(q k), or a float."""
