@@ -157,6 +157,8 @@ def edge_point(edge, offset) -> Point:
     """Tree point on ``edge`` at ``offset`` from the edge's first endpoint."""
     if isinstance(offset, int):
         offset = Fraction(offset)
+    elif isinstance(offset, float):  # a numpy float64 too: the tree reads a float by its type
+        offset = float(offset)
     return Point("rtree", edge=int(edge), offset=offset)
 
 
@@ -1018,8 +1020,7 @@ class RTreeSpace(Space):
         if total == 0:
             return [x] * len(ts)
         if type(total) is float:
-            return self._walk(form_x, form_y, [(t if isinstance(t, float) else float(t)) * total
-                                               for t in ts], k)
+            return self._walk(form_x, form_y, [float(t) * total for t in ts], k)
         # an exact t places s = t total exactly: the scale widens until it
         # counts every such s in whole units; a float t meets float(total)
         m, total_f = 1, None
@@ -1031,7 +1032,7 @@ class RTreeSpace(Space):
         if m > 1:
             k, total = k * m, total * m
             form_x, form_y = self._widened(form_x, m), self._widened(form_y, m)
-        ss = [t * total_f if isinstance(t, float) else t.numerator * total // t.denominator
+        ss = [float(t) * total_f if isinstance(t, float) else t.numerator * total // t.denominator
               for t in ts]
         return self._walk(form_x, form_y, ss, k)
 
@@ -1318,6 +1319,8 @@ class RTreeSpace(Space):
     def move_candidates(self, man, D, directions):
         # walks toward every vertex, plus outward along the ray edge
         self.check_point(man, "man")
+        if isinstance(D, float):  # a numpy float64 too
+            D = float(D)
         targets = [vertex_point(v) for v in self.vertices]
         if self.ray_at is not None:
             base = man.offset if man.edge == RAY_EDGE else _ZERO
@@ -1360,6 +1363,8 @@ class RTreeSpace(Space):
 
     def random_move(self, rng, man, D):
         self.check_point(man, "man")
+        if isinstance(D, float):  # a numpy float64 too
+            D = float(D)
         tgt = vertex_point(self.vertices[int(rng.integers(0, len(self.vertices)))])
         k = self._scale((man.offset, D))
         form, to = self._form(man, k), self._form(tgt, k)

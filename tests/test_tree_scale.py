@@ -414,3 +414,28 @@ def test_a_greedy_step_hashes_no_fraction(name, fraction_counts):
             fraction_counts["hashed"] = 0
             assert tree.move_candidates(man, D, 8)
             assert fraction_counts["hashed"] == 0
+
+
+@pytest.mark.parametrize("name", ["random-ray", "caterpillar"])
+def test_numpy_floats_walk_as_python_floats(name):
+    # a numpy float64 parameter, step or offset gives the points and the
+    # distances that the same Python float gives
+    tree = scale_trees()[name]
+    pts = scale_points(tree, 7)
+    rnd = random.Random(8)
+    for _ in range(40):
+        x, y = rnd.choice(pts), rnd.choice(pts)
+        ts = [rnd.random() for _ in range(3)]
+        assert typed_points(tree.geodesic_points(x, y, [np.float64(t) for t in ts])) == \
+            typed_points(tree.geodesic_points(x, y, ts))
+        if isinstance(x.offset, float):
+            moved = lm.edge_point(x.edge, np.float64(x.offset))
+            assert typed([tree.distance(moved, y)]) == typed([tree.distance(x, y)])
+    for man in pts[::5]:
+        assert typed_points(tree.move_candidates(man, np.float64(0.3), 8)) == \
+            typed_points(tree.move_candidates(man, 0.3, 8))
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got = [tree.random_move(rng, man, np.float64(0.7)) for _ in range(4)]
+        want = [tree.random_move(ref_rng, man, 0.7) for _ in range(4)]
+        assert [p if p is None else typed_points([p]) for p in got] == \
+            [p if p is None else typed_points([p]) for p in want]
