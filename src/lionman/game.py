@@ -284,12 +284,9 @@ class GreedyStrategy:
         space.check_point(lion, "lion")
         best = None
         best_gap = None
-        scored = set()
         for cand in space.move_candidates(man, D, self.directions):
-            # a candidate object met again never wins: a later one must be strictly better
-            if id(cand) in scored or not domain_contains(space, self.domain, cand):
+            if not domain_contains(space, self.domain, cand):
                 continue
-            scored.add(id(cand))
             gap = space._dist(cand, lion)
             if best_gap is None or gap > best_gap:
                 best, best_gap = cand, gap

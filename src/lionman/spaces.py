@@ -13,7 +13,9 @@ All operations are pure functions of immutable values.  Tree edge lengths
 are exact `Fraction`s, so tree arithmetic is exact when offsets are (inside
 the tree it runs on Python ints at one integer scale); the other families
 work in float64.  Hyperbolic computations degrade near the
-disk rim; keep points within hyperbolic distance ~30 of the origin.
+disk rim: measured (ROADMAP item 5), `_dist` holds to 1e-7 out to
+hyperbolic radius about 25 of the origin, and distances to segments only
+out to about 10.
 
 Tree points are written as (edge, offset) or as a vertex, but `RTreeSpace`
 reads them in one rooted form: the tree hangs from its ray anchor (else its
@@ -385,47 +387,21 @@ def _c_quot(ar, ai, br, bi):
 def _squared_gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Table of squared l2 distances from the rows of a to the rows of b.
 
-    Coordinate columns are added one at a time, in the order numpy's pairwise
-    sum takes a short last axis: term by term below 8 terms, in 8 lanes up to
-    128, in halves above.  The table thus has the bits of
-    ``((a[:, None] - b[None]) ** 2).sum(-1)`` without its rows x cols x dim
-    difference tensor.  A column's square that is added to a running sum
-    is written into one scratch table.
+    The table has the bits of ``((a[:, None] - b[None]) ** 2).sum(-1)``.
+    Below 8 coordinates numpy sums that short last axis term by term, so
+    the columns are added one at a time, each column's square written into
+    one scratch table, without the rows x cols x dim difference tensor;
+    from 8 on the tensor is summed as written.
     """
-    return _column_sum(a, b, 0, a.shape[1], np.empty((len(a), len(b))))
-
-
-def _square(a, b, c, out):
-    """The squared gaps of coordinate column c, written into out."""
-    np.subtract(a[:, c, None], b[None, :, c], out=out)
-    return np.multiply(out, out, out=out)
-
-
-def _column_sum(a, b, lo, n, scratch):
-    """A new table of the squares of columns lo .. lo + n - 1, summed as `_squared_gaps` says."""
-    shape = scratch.shape
-    if n < 8:
-        out = _square(a, b, lo, np.empty(shape))
-        for c in range(lo + 1, lo + n):
-            out += _square(a, b, c, scratch)
-        return out
-    if n <= 128:
-        lanes = [_square(a, b, c, np.empty(shape)) for c in range(lo, lo + 8)]
-        for c in range(lo + 8, lo + n - n % 8):
-            lanes[(c - lo) % 8] += _square(a, b, c, scratch)
-        # ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)), summed in place
-        for c in (0, 2, 4, 6):
-            lanes[c] += lanes[c + 1]
-        lanes[0] += lanes[2]
-        lanes[4] += lanes[6]
-        out = lanes[0]
-        out += lanes[4]
-        for c in range(lo + n - n % 8, lo + n):
-            out += _square(a, b, c, scratch)
-        return out
-    half = n // 2 - n // 2 % 8
-    out = _column_sum(a, b, lo, half, scratch)
-    out += _column_sum(a, b, lo + half, n - half, scratch)
+    if a.shape[1] >= 8:
+        return ((a[:, None] - b[None]) ** 2).sum(-1)
+    out = np.subtract(a[:, 0, None], b[None, :, 0])
+    out *= out
+    scratch = np.empty_like(out)
+    for c in range(1, a.shape[1]):
+        np.subtract(a[:, c, None], b[None, :, c], out=scratch)
+        scratch *= scratch
+        out += scratch
     return out
 
 
@@ -815,9 +791,10 @@ class RTreeSpace(Space):
     Every exact quantity inside is a Python int on one integer scale.  The
     tables ``rise`` and ``len`` (each vertex's parent edge) count 1/q, where
     q is the lcm of the edge lengths' denominators.  A call whose exact
-    inputs (offsets, parameters, a step D, a halving) need a finer scale
-    counts 1/(q k) for the least k that holds them all, and multiplies the
-    table entries it reads by k.  A `Fraction` is built only where a value
+    inputs (offsets, parameters, a step D) need a finer scale counts
+    1/(q k) for the least k that holds them all, and multiplies the table
+    entries it reads by k; `random_move` counts 1/(16 q k), so that its
+    step D r / 16 is a whole count.  A `Fraction` is built only where a value
     leaves the space: a returned distance or a placed point's offset.  A
     float offset keeps float arithmetic, and where it meets an exact value
     that value is rounded once, int / int, as float(Fraction) rounds it.
@@ -898,13 +875,15 @@ class RTreeSpace(Space):
     def contains_point(self, p):
         if p.vertex is not None:
             return p.vertex in self._index
-        if p.edge is None or p.offset is None:
+        off = p.offset
+        # the kernels read a float by its type: an offset is a Python float, a Fraction or an int
+        if p.edge is None or not (type(off) is float or isinstance(off, (Fraction, int))):
             return False
         if p.edge == RAY_EDGE:
-            return self.ray_at is not None and p.offset >= 0
+            return self.ray_at is not None and off >= 0
         if not 0 <= p.edge < len(self.edges):
             return False
-        off, c = p.offset, self._child[p.edge]
+        c = self._child[p.edge]
         if type(off) is float:
             return 0 <= off and _float_sign(off, self._flen[c], self._len[c], self._q) <= 0
         if type(off) is Fraction:  # 0 <= off <= len / q, in ints
@@ -955,12 +934,6 @@ class RTreeSpace(Space):
         if self.vertices[c] == u:
             return c, off, length - off
         return c, length - off, off
-
-    @staticmethod
-    def _widened(form, m):
-        """The form on a scale m times finer; a float form stays as it is."""
-        i, h, rest = form
-        return (i, h * m, rest * m) if type(h) is int else form
 
     def _on_edge(self, i, h, rest, up, k) -> Point:
         """The point `up` above the point (i, h, rest), on the parent edge of i."""
@@ -1013,16 +986,14 @@ class RTreeSpace(Space):
     def _along(self, x, y, ts):
         k = self._scale((x.offset, y.offset))
         form_x, form_y = self._form(x, k), self._form(y, k)
-        return self._placed(x, form_x, form_y, self._gap(x, form_x, y, form_y, k), ts, k)
-
-    def _placed(self, x, form_x, form_y, total, ts, k) -> list:
-        """`_along` from the rooted forms of x and y and the `_gap` d(x, y) = total."""
+        total = self._gap(x, form_x, y, form_y, k)
         if total == 0:
             return [x] * len(ts)
         if type(total) is float:
             return self._walk(form_x, form_y, [float(t) * total for t in ts], k)
         # an exact t places s = t total exactly: the scale widens until it
-        # counts every such s in whole units; a float t meets float(total)
+        # counts every such s in whole units (an int total has exact forms);
+        # a float t meets float(total)
         m, total_f = 1, None
         for t in ts:
             if isinstance(t, float):
@@ -1031,7 +1002,7 @@ class RTreeSpace(Space):
                 m *= t.denominator // math.gcd(t.denominator, total * m)
         if m > 1:
             k, total = k * m, total * m
-            form_x, form_y = self._widened(form_x, m), self._widened(form_y, m)
+            form_x, form_y = [(i, h * m, rest * m) for i, h, rest in (form_x, form_y)]
         ss = [float(t) * total_f if isinstance(t, float) else t.numerator * total // t.denominator
               for t in ts]
         return self._walk(form_x, form_y, ss, k)
@@ -1096,9 +1067,9 @@ class RTreeSpace(Space):
             if type(s) is int:
                 # exact: merge s into the leg ends, from the last leg reached
                 # when ts ascend; an s at a leg's end is the same vertex on
-                # either leg.  s <= d(x, y), the sum of the legs (`_placed`
-                # passes t < 1, `_project` clamps s to d(a, b)), so some leg
-                # ends at or past s
+                # either leg.  s <= d(x, y), the sum of the legs (`_along`
+                # passes t < 1, `_project` the median's distance from a), so
+                # some leg ends at or past s
                 at = self._reach(legs, ends, s, at)
                 _, i, h, rest, up = legs[at]
                 if at:
@@ -1191,8 +1162,7 @@ class RTreeSpace(Space):
     def _project(self, p, seg):
         # nearest point of [a, b] is the tree median m(a, b, p); its distance
         # from a along the segment is the Gromov product (p|b)_a, summed
-        # exactly while its terms are, and the halving widens the scale when
-        # the exact sum is odd
+        # exactly while its terms are
         a, b = seg.a, seg.b
         k = self._scale((a.offset, b.offset, p.offset))
         form_a, form_b, form_p = self._form(a, k), self._form(b, k), self._form(p, k)
@@ -1205,12 +1175,8 @@ class RTreeSpace(Space):
             if _below(dab, s, scale):
                 s = dab
         else:
-            if r % 2:  # r / 2 counts 1/(2 q k) whole
-                k, dab = 2 * k, 2 * dab
-                form_a, form_b = self._widened(form_a, 2), self._widened(form_b, 2)
-            else:
-                r //= 2
-            s = min(max(r, 0), dab)
+            # r = 2 d(a, m), m a vertex or one of a, b and p: even on the call's scale
+            s = r // 2
         q, = self._walk(form_a, form_b, [s], k)
         return q, self._dist(p, q)
 
@@ -1235,14 +1201,12 @@ class RTreeSpace(Space):
             if kinds == {int}:
                 out.append(Fraction(min(terms), 2 * scale))
                 continue
+            # the least term, an exact one meeting a float one exactly
             terms = [d / 2 if type(d) is float else d for d in terms]
-            if len(kinds) == 1:  # all floats
-                best = min(terms)
-            else:  # an exact term meets a float one exactly
-                best = terms[0]
-                for d in terms[1:]:
-                    if _below(d, best, 2 * scale):
-                        best = d
+            best = terms[0]
+            for d in terms[1:]:
+                if _below(d, best, 2 * scale):
+                    best = d
             out.append(max(best, 0.0) if type(best) is float else Fraction(best, 2 * scale))
         return out
 
@@ -1334,17 +1298,18 @@ class RTreeSpace(Space):
             d = D.numerator * (scale // D.denominator)
         form = self._form(man, k)
         # an exact walk of D reads its path's legs only up to the one that
-        # holds D, so the targets that share those legs share one placed point
-        # (the same object); a float walk is placed per target
-        out, placed = [], {}
+        # holds D, so the targets that share those legs share one placed
+        # point, listed once; a float walk is placed per target
+        out, placed = [], set()
         for tgt in targets:
             to = self._form(tgt, k)
             gap = self._gap(man, form, tgt, to, k)
             if gap == 0:
                 continue
             if exact and type(gap) is int:
-                # t = D / gap < 1, and t gap is D itself
-                if not d < gap:
+                # t = D / gap <= 1, and t gap is D itself: a target at D is
+                # walked too, as the end of the prefix it shares with those behind it
+                if d > gap:
                     out.append(tgt)
                     continue
                 legs = self._legs(form, to, k)
@@ -1357,8 +1322,8 @@ class RTreeSpace(Space):
                     continue
                 key, s = tgt, t * total
             if key not in placed:
-                placed[key] = self._walk(form, to, [s], k)[0]
-            out.append(placed[key])
+                placed.add(key)
+                out.append(self._walk(form, to, [s], k)[0])
         return out
 
     def random_move(self, rng, man, D):
@@ -1366,7 +1331,7 @@ class RTreeSpace(Space):
         if isinstance(D, float):  # a numpy float64 too
             D = float(D)
         tgt = vertex_point(self.vertices[int(rng.integers(0, len(self.vertices)))])
-        k = self._scale((man.offset, D))
+        k = 16 * self._scale((man.offset, D))  # D r / 16 is a whole count of 1/(q k)
         form, to = self._form(man, k), self._form(tgt, k)
         gap = self._gap(man, form, tgt, to, k)
         if gap == 0:
@@ -1379,16 +1344,13 @@ class RTreeSpace(Space):
             part = D * (r / 16) if isinstance(D, float) else D.numerator * r / (16 * D.denominator)
             t = part / total
             return man if t == 0 else tgt if t >= 1 else self._walk(form, to, [t * total], k)[0]
-        # exact: s = D r / 16 counts 1/(16 q k); t = s / gap
-        s = D.numerator * (self._q * k // D.denominator) * r
+        # exact: s = D r / 16; t = s / gap
+        s = D.numerator * (self._q * k // (16 * D.denominator)) * r
         if s == 0:
             return man
-        if s >= 16 * gap:
+        if s >= gap:
             return tgt
-        m = 16 // math.gcd(16, s)
-        if m > 1:
-            k, form, to = k * m, self._widened(form, m), self._widened(to, m)
-        return self._walk(form, to, [s * m // 16], k)[0]
+        return self._walk(form, to, [s], k)[0]
 
     def origin(self):
         return vertex_point(self.vertices[0])

@@ -116,7 +116,7 @@ def test_greedy_flees_directly_when_far(euclid2):
 
 def test_greedy_tree_step_places_one_point_per_walked_prefix(monkeypatch):
     # most of the 40 targets share the first D of their paths: one point is
-    # placed per distinct prefix, and the candidates equal one placement each
+    # placed per distinct prefix, and the candidates list each point once
     base = lm.random_tree(np.random.default_rng(7), n_vertices=40)
     tree = lm.RTreeSpace(base.vertices, base.edges, ray_at="v12")
     man, lion, D = lm.vertex_point("v5"), lm.vertex_point("v30"), Fraction(1, 2)
@@ -127,8 +127,9 @@ def test_greedy_tree_step_places_one_point_per_walked_prefix(monkeypatch):
         gap = tree.distance(man, tgt)
         if gap and D < gap:
             placed.append(tree.geodesic_point(man, tgt, D / gap))
-        if gap:
-            want.append(placed[-1] if D < gap else tgt)
+        move = placed[-1] if D < gap else tgt
+        if gap and move not in want:
+            want.append(move)
     calls = []
     walk = lm.RTreeSpace._walk  # one walk places one point
     monkeypatch.setattr(lm.RTreeSpace, "_walk",

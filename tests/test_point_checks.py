@@ -8,6 +8,7 @@ with the error type it always raised.
 """
 
 import dataclasses
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -100,8 +101,12 @@ def test_whole_disk_greedy_run_stops_at_the_numeric_horizon():
 
 WRONG_KIND = lm.epoint(0.0, 0.0)
 NOT_IN_TREE = lm.edge_point(0, Fraction(5))  # ray_tree() edges have length 1
+# the tree reads an offset only as a Python float, a Fraction or an int
+NUMPY_OFFSETS = [lm.Point("rtree", edge=0, offset=x)
+                 for x in (np.float64(0.5), np.float32(0.5), np.int64(0))]
 BAD = [(WRONG_KIND, SpaceMismatchError), (NOT_IN_TREE, InvalidPointError),
-       (lm.vertex_point("nowhere"), InvalidPointError)]
+       (lm.vertex_point("nowhere"), InvalidPointError),
+       *((p, InvalidPointError) for p in NUMPY_OFFSETS)]
 
 
 def tampered(field, point):
@@ -145,9 +150,12 @@ def test_tree_entry_points_reject_bad_points(point, error):
         lambda: tree.random_move(rng, point, D),
         lambda: tree.distance(good, point),
         lambda: tree.geodesic_point(point, good, D),
+        lambda: tree.project_to_segment(point, lm.Segment(good, lm.vertex_point("r"))),
+        lambda: tree.project_to_segment(good, lm.Segment(point, lm.vertex_point("r"))),
     ]
+    named = re.escape(repr(point)) if error is InvalidPointError else None
     for call in calls:
-        with pytest.raises(error):
+        with pytest.raises(error, match=named):
             call()
 
 

@@ -33,15 +33,19 @@ def seeded_tree():
     return lm.random_tree(np.random.default_rng(2024), n_vertices=40)
 
 
-# name: (space, D, man, lion, man start or None for the ray start, N, k)
+# name: (space, D, man, lion, man start or None for the ray start, N, k, seed)
 CASES = {
-    "ray-directional-1/2": (lm.ray_tree, "1/2", "directional", "q", None, 40, "6"),
-    "ray-directional-2/3": (lm.ray_tree, "2/3", "directional", "q", None, 40, "6"),
-    "tree40-greedy-1/4": (seeded_tree, "1/4", "greedy", "v0", "v39", 120, "3"),
+    "ray-directional-1/2": (lm.ray_tree, "1/2", "directional", "q", None, 40, "6", 5),
+    "ray-directional-2/3": (lm.ray_tree, "2/3", "directional", "q", None, 40, "6", 5),
+    # the greedy man's best move is the ray target, outward along the ray
+    "ray-greedy-1/2": (lm.ray_tree, "1/2", "greedy", "q", "r", 40, "6", 5),
+    "tree40-greedy-1/4": (seeded_tree, "1/4", "greedy", "v0", "v39", 120, "3", 5),
+    # random steps of D r / 16 with D = 1/3 on lengths of denominator 2
+    "tree40-random-1/3": (seeded_tree, "1/3", "random", "v0", "v39", 200, "3", 7),
     # the lion walks down from the root toward a man out of reach in 8 steps
-    "tree40-descent-2/3": (seeded_tree, "2/3", "stationary", "v0", "v17", 8, "1"),
-    "caterpillar-directional-1/3": (caterpillar, "1/3", "directional", "c", None, 40, "4"),
-    "caterpillar-greedy-2/3": (caterpillar, "2/3", "greedy", "c", "s0", 60, "4"),
+    "tree40-descent-2/3": (seeded_tree, "2/3", "stationary", "v0", "v17", 8, "1", 5),
+    "caterpillar-directional-1/3": (caterpillar, "1/3", "directional", "c", None, 40, "4", 5),
+    "caterpillar-greedy-2/3": (caterpillar, "2/3", "greedy", "c", "s0", 60, "4", 5),
 }
 
 GOLDEN = {
@@ -63,6 +67,12 @@ GOLDEN = {
         "beta.csv": "8c92257d662a1f24f4c0766ca06f4a7e59bb9bdf5f34721879446152ab65039b",
         "report.json": "39e00ab83bcaca1e094b3fce0a67447426c176dad506567251dbe52ce83f26e3",
     },
+    "ray-greedy-1/2": {
+        "run.json": "b82e840e177bdec1de0d5afa58b8b061fcddb8c694237313fe601e76965d2be0",
+        "audit.csv": "05e95d75afa94f491d20d77ec45eade39874297482ac005b1a700c3c5e8ad1f5",
+        "beta.csv": "8c92257d662a1f24f4c0766ca06f4a7e59bb9bdf5f34721879446152ab65039b",
+        "report.json": "39e00ab83bcaca1e094b3fce0a67447426c176dad506567251dbe52ce83f26e3",
+    },
     "ray-directional-2/3": {
         "run.json": "e2b5455b8b6d5d0e3570ff6a24c66085f2fbeb7ed078563ec5a5a00619593dda",
         "audit.csv": "05e95d75afa94f491d20d77ec45eade39874297482ac005b1a700c3c5e8ad1f5",
@@ -75,6 +85,12 @@ GOLDEN = {
         "beta.csv": "e7f87f0009deceee9d20d380e8df2d75582e07f01a16bbc9947edcc1beb4824f",
         "report.json": "8add946b692dfc1dc3e549e7b7a19f0f9b9f8515ef828d29f8f19c8fc237c92e",
     },
+    "tree40-random-1/3": {
+        "run.json": "1708c863cc651b80a2955aef7e8bbb760e46a6ed64b386155eaf6838cf2adcea",
+        "audit.csv": "2c74f2df08e4d504a2030f55893e479e1e09166c4c533a205eeb59dcf18b57dd",
+        "beta.csv": "5d864bde53a1c71ba751e83737d3610128cadcae6d31fb916eb4fd6604bca583",
+        "report.json": "790df5eccc329f3d6f8ca3a8e3470a5bdd6f1dd9fff33c9b986f06aa2652fe86",
+    },
     "tree40-greedy-1/4": {
         "run.json": "6811f20c562bf7339b5b10ed7e53480708e424dd47eac72b0e169fb78fbac36b",
         "audit.csv": "a146cc84210e711527a8aeb7c9160bd900257f69345a42be277d59bcda10d20c",
@@ -86,12 +102,12 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_tree_cli_outputs_match_golden_digests(name, tmp_path, capsys):
-    make_space, D, man, lion, man_start, N, k = CASES[name]
+    make_space, D, man, lion, man_start, N, k, seed = CASES[name]
     space = make_space()
     cfg = tmp_path / "space.json"
     cfg.write_text(json.dumps({"space": space.to_config()}))
     argv = ["simulate", "--space", str(cfg), "--man", man, "--D", D, "--N", str(N),
-            "--seed", "5", "--lion", json.dumps({"vertex": lion}),
+            "--seed", str(seed), "--lion", json.dumps({"vertex": lion}),
             "--out", str(tmp_path / "run.json")]
     if man_start is None:
         lm.save_curve(lm.tree_ray_curve(space), tmp_path / "ray.json")

@@ -236,16 +236,16 @@ class FractionTree:
             if gap == 0:
                 continue
             t = D / gap
-            if not t < 1:
+            if t > 1 or t == 1 and type(t) is float:  # an exact t = 1 walks to the target
                 out.append(tgt)
                 continue
             key = tgt
             if isinstance(t, Fraction):
                 legs = self._legs(form, to)
                 key = tuple(legs[:self._reach(legs, [], D, 0) + 1])
-            if key not in placed:
+            if key not in placed:  # targets that share the walked prefix: one entry
                 placed[key] = self._placed(man, form, to, gap, (t,))[0]
-            out.append(placed[key])
+                out.append(placed[key])
         return out
 
     def random_move(self, rng, man, D):
@@ -328,8 +328,17 @@ def test_walks_and_projections_equal_the_fraction_kernels(name):
     pts = scale_points(tree, 3)
     rnd = random.Random(4)
     ts = [THIRD, ELEVENTH, TINY, 1 - TINY, Fraction(5, 7), 0.5, 0.1, 1 / 3, 0, 1]
-    for _ in range(120):
-        x, y, p = rnd.choice(pts), rnd.choice(pts), rnd.choice(pts)
+    triples = [(rnd.choice(pts), rnd.choice(pts), rnd.choice(pts)) for _ in range(120)]
+    # medians off the vertices: p between a and b on one edge, and a or b
+    # inside an edge with p beyond it, at offsets of denominator 3 and 11
+    edges = [(e, lm.vertex_point(u), lm.vertex_point(v), length)
+             for e, (u, v, length) in enumerate(tree.edges)]
+    if tree.ray_at is not None:
+        edges.append((lm.RAY_EDGE, lm.vertex_point(tree.ray_at), lm.edge_point(lm.RAY_EDGE, 1), 1))
+    for e, u, v, length in edges:
+        at = [lm.edge_point(e, length * frac) for frac in (2 * ELEVENTH, THIRD, 1 - THIRD)]
+        triples += [(at[0], at[2], at[1]), (at[1], v, u), (u, at[0], v), (at[2], at[0], u)]
+    for x, y, p in triples:
         assert typed_points(tree.geodesic_points(x, y, ts)) == \
             typed_points(ref.geodesic_points(x, y, ts))
         got, want = tree.project_to_segment(p, lm.Segment(x, y)), \
